@@ -292,6 +292,12 @@ def _validate_for_command(config: RunConfig) -> None:
             raise ConfigError(f"command '{command.value}' needs an [initial] section")
         if config.initial.type == "single_mode" and config.initial.k is None:
             raise ConfigError("[initial] type single_mode needs a wavenumber k")
+        if command is Command.AUDIT and config.params.variant is not core.Variant.STRESS_RATE:
+            # the audited rate gamma*(T_t)**2 is identically 0 without a gamma
+            raise ConfigError(
+                f"audit checks the stress-rate dissipation gamma*(T_t)**2 and needs "
+                f"the stress_rate variant, got {config.params.variant.value}"
+            )
         # solver-level checks (positivity, dt ceiling) run against the
         # dimensionless coefficients the solver will actually see
         unit = core.dimensionless_params(config.params)

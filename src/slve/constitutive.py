@@ -423,8 +423,6 @@ def audit_dissipation(gamma: float, stress_history) -> DissipationAudit:
     t, T = hist[:, 0], hist[:, 1]
     if not np.all(np.diff(t) > 0.0):
         raise InvalidHistoryError("history times must be strictly increasing")
-    if not math.isfinite(float(gamma)):
-        raise InvalidParameterError(f"gamma must be finite, got {gamma}")
     T_t = np.gradient(T, t, edge_order=2)
     rates = float(gamma) * T_t * T_t
     total = float(np.trapezoid(rates, t))

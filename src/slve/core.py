@@ -267,7 +267,8 @@ def integrate_field(field: Field) -> float:
 def first_derivative(values: np.ndarray, spacing: float, boundary: Boundary) -> np.ndarray:
     """Second-order first derivative on nodal values (array kernel)."""
     if boundary is Boundary.PERIODIC:
-        return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * spacing)
+        ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
+        return (ghost[2:] - ghost[:-2]) / (2.0 * spacing)
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * spacing)
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * spacing)
@@ -279,7 +280,8 @@ def second_derivative(values: np.ndarray, spacing: float, boundary: Boundary) ->
     """Second-order second derivative on nodal values (array kernel)."""
     dx2 = spacing * spacing
     if boundary is Boundary.PERIODIC:
-        return (np.roll(values, -1) - 2.0 * values + np.roll(values, 1)) / dx2
+        ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
+        return (ghost[2:] - 2.0 * values + ghost[:-2]) / dx2
     out = np.empty_like(values)
     out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dx2
     out[0] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]) / dx2

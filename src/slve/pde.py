@@ -183,25 +183,21 @@ def _check_step(config: SolverConfig, grid: Grid1D) -> None:
         )
 
 
-def _reconstruct_stress(
-    f: ConstitutiveFunction, params: ModelParams, v: np.ndarray, eps: np.ndarray, grid: Grid1D
-) -> np.ndarray:
-    """Strain-rate stress: T = g^{-1}(eps + nu * v_x), the invertible-range
-    check coming first so a limit violation is reported by node."""
-    target = eps + params.nu * first_derivative(v, grid.spacing, grid.boundary)
-    if f.bound != math.inf:
-        bad = np.abs(target) >= f.bound
-        if np.any(bad):
+def _reconstruct_stress(f: ConstitutiveFunction, target: np.ndarray) -> np.ndarray:
+    """Strain-rate stress T = g^{-1}(target), target = eps + nu * v_x; a
+    strain-limit violation is reported by node."""
+    try:
+        return invert_array(f, target)
+    except OutOfRangeError as exc:
+        # invert_array has scanned the bound; locate the worst node only now
+        if f.bound != math.inf and np.any(np.abs(target) >= f.bound):
             node = int(np.argmax(np.abs(target)))
             raise StrainLimitExceededError(
                 f"response argument {target[node]:.6g} at node {node} reached "
                 f"the strain limit {f.bound:.6g}",
                 node=node,
                 value=float(target[node]),
-            )
-    try:
-        return invert_array(f, target)
-    except OutOfRangeError as exc:
+            ) from exc
         raise StrainLimitExceededError(str(exc)) from exc
 
 
@@ -234,7 +230,7 @@ def _make_rhs(
         def rhs(Y):
             v, eps = Y
             vx = first_derivative(v, dx, bdy)
-            T = _reconstruct_stress(f, params, v, eps, grid)
+            T = _reconstruct_stress(f, eps + nu * vx)
             out = np.empty_like(Y)
             out[0] = first_derivative(T, dx, bdy) / rho
             # algebraically (g(T) - eps)/nu; this form keeps the small-nu
@@ -278,7 +274,8 @@ def _unpack(
         v, eps, T = Y
     elif variant is Variant.STRAIN_RATE:
         v, eps = Y
-        T = _reconstruct_stress(f, params, v, eps, grid)
+        vx = first_derivative(v, grid.spacing, grid.boundary)
+        T = _reconstruct_stress(f, eps + params.nu * vx)
     else:
         v, T = Y
         eps = np.asarray(f.value(T))
@@ -291,7 +288,8 @@ def _unpack(
 
 
 def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -> None:
-    if np.all(np.isfinite(Y)) and np.max(np.abs(Y)) <= threshold:
+    # NaN and inf fail the comparison too (the threshold itself is finite)
+    if np.max(np.abs(Y)) <= threshold:
         return
     # stress row for the variants that carry one; largest state entry else
     row = Y if variant is Variant.STRAIN_RATE else Y[-1]
@@ -301,11 +299,20 @@ def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -
 
 
 def _rk4_step(rhs, Y, h):
+    # Y + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the out-of-place operation order,
+    # stages in one scratch buffer; the result is allocated after the stage
+    # temporaries (summing into k1 raised peak memory of per-step snapshots)
     k1 = rhs(Y)
-    k2 = rhs(Y + 0.5 * h * k1)
-    k3 = rhs(Y + 0.5 * h * k2)
-    k4 = rhs(Y + h * k3)
-    return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.empty_like(Y)
+    k2 = rhs(np.add(Y, np.multiply(k1, 0.5 * h, out=stage), out=stage))
+    k3 = rhs(np.add(Y, np.multiply(k2, 0.5 * h, out=stage), out=stage))
+    k4 = rhs(np.add(Y, np.multiply(k3, h, out=stage), out=stage))
+    out = k1 + 2.0 * k2
+    out += 2.0 * k3
+    out += k4
+    out *= h / 6.0
+    out += Y
+    return out
 
 
 def rhs_stress_rate(state: SimState, params: ModelParams, h: ConstitutiveFunction) -> StateDerivative:
@@ -580,8 +587,9 @@ def relax_stress(
     if dt <= 0.0 or dt > t_final:
         raise InvalidStepError(f"need 0 < dt <= t_final, got dt={dt}, t_final={t_final}")
     eps_arr, T = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(T0, dtype=float))
-    T = T.copy()
     scalar = T.ndim == 0
+    # at least 1-d, so the in-place RK4 stage sums have arrays to write into
+    eps_arr, T = np.atleast_1d(eps_arr, T)
 
     def rhs(Tv):
         return (np.asarray(h.value(Tv)) - eps_arr) / gamma
@@ -593,10 +601,5 @@ def relax_stress(
     remainder = t_final - n_full * dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_full + (1 if remainder > 1e-12 * dt else 0)):
-            s = dt if i < n_full else remainder
-            k1 = rhs(T)
-            k2 = rhs(T + 0.5 * s * k1)
-            k3 = rhs(T + 0.5 * s * k2)
-            k4 = rhs(T + s * k3)
-            T = T + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return float(T) if scalar else T
+            T = _rk4_step(rhs, T, dt if i < n_full else remainder)
+    return float(T[0]) if scalar else T

@@ -239,6 +239,29 @@ class TestRunEnergyAudit:
         assert len(lines) == 1 + 64
         assert lines[1].split(",")[-1] == "true"
 
+    @pytest.mark.parametrize(
+        "variant,model",
+        [("strain_rate", "variant = strain_rate\nnu = 1.0"), ("elastic", "variant = elastic")],
+        ids=["strain_rate", "elastic"],
+    )
+    def test_audit_refused_without_stress_rate(self, tmp_path, capsys, variant, model):
+        # without a gamma every audited rate gamma*(T_t)**2 is 0: a vacuous pass
+        text = (
+            SIM_INI.format(out=tmp_path / "out")
+            .replace("variant = stress_rate\ngamma = 1.0", model)
+            .replace("dt = 0.04", "dt = 0.002")
+        )
+        parse_config(text)  # the same run is a valid simulate config
+        with pytest.raises(ConfigError, match=f"audit.*{variant}"):
+            parse_config(text.replace("command = simulate", "command = audit"))
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert main(["audit", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert variant in record["message"]
+        assert not (tmp_path / "out" / "audit.csv").exists()
+
 
 class TestMain:
     def test_dispersion_end_to_end(self, tmp_path, capsys):

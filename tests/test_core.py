@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slve import (
     Boundary,
@@ -193,3 +196,24 @@ class TestDerivatives:
         lhs = np.sum(u * first_derivative(v, g.spacing, g.boundary))
         rhs = -np.sum(first_derivative(u, g.spacing, g.boundary) * v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(min_value=4, max_value=600),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.floats(min_value=1e-6, max_value=1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_periodic_stencils_match_roll_reference(self, v, spacing):
+        # the slice kernels must equal the np.roll formulas bit for bit,
+        # overflow to inf/nan included
+        periodic = Boundary.PERIODIC
+        with np.errstate(over="ignore", invalid="ignore"):
+            d1_ref = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * spacing)
+            d2_ref = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (spacing * spacing)
+            d1 = first_derivative(v, spacing, periodic)
+            d2 = second_derivative(v, spacing, periodic)
+        assert np.array_equal(d1, d1_ref, equal_nan=True)
+        assert np.array_equal(d2, d2_ref, equal_nan=True)

@@ -92,6 +92,73 @@ class TestRhs:
         assert ei.value.value == pytest.approx(1.5)
 
 
+class TestFastPathMatchesReference:
+    def test_strain_rate_rhs_takes_two_derivatives(self, monkeypatch):
+        # v_x is computed once per stage and shared with the stress
+        # reconstruction: one derivative of v, one of T
+        import slve.pde
+
+        calls = []
+        original = slve.pde.first_derivative
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(slve.pde, "first_derivative", counting)
+        g = periodic_grid(32)
+        gfun = make_constitutive("saturating", beta=1.0, a=2.0)
+        st = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
+        rhs_strain_rate(st, ModelParams(variant="strain_rate", nu=0.5), gfun)
+        assert len(calls) == 2
+
+    def test_strain_rate_simulate_matches_reference_rk4(self):
+        # reference: np.roll stencil, v_x taken separately for the stress,
+        # out-of-place RK4 stage sums; the fast path must agree bit for bit
+        g = periodic_grid(48)
+        gfun = make_constitutive("saturating", beta=1.0, a=2.0)
+        nu, dx = 0.5, g.spacing
+        dt = 0.2 * dx * dx / nu
+        st0 = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
+        cfg = SolverConfig(
+            params=ModelParams(variant="strain_rate", nu=nu),
+            constitutive=gfun,
+            dt=dt,
+            t_final=40.5 * dt,
+            output_stride=10,
+        )
+
+        def d1(u):
+            return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+
+        def stress(v, eps):
+            return np.asarray(gfun.inverse(eps + nu * d1(v)), dtype=float)
+
+        def rhs(Y):
+            v, eps = Y
+            vx = d1(v)
+            T = stress(v, eps)
+            return np.array([d1(T), vx + (gfun.value(T) - eps - nu * vx) / nu])
+
+        Y = np.array([st0.v.values, st0.eps.values])
+        ref = [Y]
+        for i, h in enumerate([dt] * 40 + [cfg.t_final - 40 * dt]):
+            k1 = rhs(Y)
+            k2 = rhs(Y + 0.5 * h * k1)
+            k3 = rhs(Y + 0.5 * h * k2)
+            k4 = rhs(Y + h * k3)
+            Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (i + 1) % 10 == 0 or i == 40:
+                ref.append(Y)
+
+        states = simulate(st0, cfg)
+        assert len(states) == len(ref) == 6
+        for s, Yr in zip(states, ref):
+            assert np.array_equal(s.v.values, Yr[0])
+            assert np.array_equal(s.eps.values, Yr[1])
+            assert np.array_equal(s.stress.values, stress(Yr[0], Yr[1]))
+
+
 class TestStepper:
     def test_equilibrium_holds_over_many_steps(self):
         g = periodic_grid(32)
