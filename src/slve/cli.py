@@ -300,25 +300,10 @@ def _validate_for_command(config: RunConfig) -> None:
             )
         # solver-level checks (positivity, dt ceiling) run against the
         # dimensionless coefficients the solver will actually see
-        unit = core.dimensionless_params(config.params)
         try:
-            solver_config = pde.SolverConfig(
-                params=unit,
-                constitutive=config.response,
-                dt=config.dt,
-                t_final=config.t_final,
-                output_stride=config.output_stride,
-                blowup_threshold=config.blowup_threshold,
-            )
-            ceiling = pde.stability_ceiling(unit.variant, config.grid, unit)
+            pde._check_step(_solver_config(config), config.grid)
         except ValueError as exc:
             raise ConfigError(f"[solver] rejected: {exc}") from exc
-        if solver_config.dt > ceiling:
-            raise ConfigError(
-                f"[solver] dt = {config.dt} exceeds the stability ceiling "
-                f"{ceiling:.6g} for variant {unit.variant.value} "
-                f"on spacing {config.grid.spacing:.6g}"
-            )
     elif command is Command.DISPERSION:
         if config.params.variant is core.Variant.ELASTIC:
             raise ConfigError("dispersion needs the stress_rate or strain_rate variant")

@@ -269,7 +269,8 @@ def first_derivative(values: np.ndarray, spacing: float, boundary: Boundary) -> 
     if boundary is Boundary.PERIODIC:
         ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
         return (ghost[2:] - ghost[:-2]) / (2.0 * spacing)
-    out = np.empty_like(values)
+    # the dtype the periodic arithmetic yields: integer input gives floats
+    out = np.empty(np.shape(values), np.result_type(values, 2.0 * spacing))
     out[1:-1] = (values[2:] - values[:-2]) / (2.0 * spacing)
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * spacing)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * spacing)
@@ -282,7 +283,7 @@ def second_derivative(values: np.ndarray, spacing: float, boundary: Boundary) ->
     if boundary is Boundary.PERIODIC:
         ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
         return (ghost[2:] - 2.0 * values + ghost[:-2]) / dx2
-    out = np.empty_like(values)
+    out = np.empty(np.shape(values), np.result_type(values, dx2))
     out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dx2
     out[0] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]) / dx2
     out[-1] = (2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]) / dx2

@@ -35,7 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Variant
-from .errors import InvalidParameterError, InvalidStepError
+from .errors import InvalidParameterError
+from .pde import _march
 
 __all__ = [
     "LinearModel",
@@ -354,19 +355,12 @@ def evolve_single_mode(
 
     Raises
     ------
-    InvalidStepError for dt <= 0 or dt > t_final.
+    InvalidStepError for a non-finite dt, dt <= 0 or dt > t_final;
+    InvalidParameterError for a non-finite or non-positive t_final.
     """
     coeff = float(coeff)
-    t_final = float(t_final)
-    dt = float(dt)
     if not math.isfinite(coeff) or coeff <= 0.0:
         raise InvalidParameterError(f"coefficient must be positive, got {coeff}")
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise InvalidStepError(f"dt must be positive, got {dt}")
-    if not math.isfinite(t_final) or t_final <= 0.0:
-        raise InvalidParameterError(f"t_final must be positive, got {t_final}")
-    if dt > t_final:
-        raise InvalidStepError(f"dt = {dt} exceeds t_final = {t_final}")
 
     ksq = mode.k * mode.k
     if mode.model is LinearModel.STRAIN_RATE:
@@ -383,22 +377,9 @@ def evolve_single_mode(
                 [state[1], state[2], (state[2] + ksq * state[0]) / coeff]
             )
 
-    q = t_final / dt
-    n_full = int(q)
-    if q - n_full > 1.0 - 1e-9:  # q is an integer up to roundoff
-        n_full += 1
-    remainder = t_final - n_full * dt
     times = [0.0]
     amps = [y[0]]
-    t = 0.0
-    for i in range(n_full + (1 if remainder > 1e-12 * dt else 0)):
-        h = dt if i < n_full else remainder
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t_final if i == n_full else (i + 1) * dt
+    for t, y in _march(rhs, y, t_final, dt):
         times.append(t)
         amps.append(y[0])
     return ModeTrajectory(times=np.asarray(times), amplitudes=np.asarray(amps))

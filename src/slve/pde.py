@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,13 +78,8 @@ from .errors import (
 
 __all__ = [
     "SimState",
-    "StateDerivative",
     "SolverConfig",
     "EnergyReport",
-    "rhs_stress_rate",
-    "rhs_strain_rate",
-    "rhs_elastic",
-    "step",
     "simulate",
     "stability_ceiling",
     "stored_energy_density",
@@ -117,15 +112,6 @@ class SimState:
 
 
 @dataclass(frozen=True)
-class StateDerivative:
-    """Time derivatives of the evolved fields; None marks a derived field."""
-
-    dv: np.ndarray
-    deps: Optional[np.ndarray]
-    dstress: Optional[np.ndarray]
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Everything a time stepper needs besides the state itself."""
 
@@ -137,14 +123,7 @@ class SolverConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        dt = float(self.dt)
-        t_final = float(self.t_final)
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise InvalidStepError(f"dt must be positive, got {dt}")
-        if not math.isfinite(t_final) or t_final <= 0.0:
-            raise InvalidParameterError(f"t_final must be positive, got {t_final}")
-        if dt > t_final:
-            raise InvalidStepError(f"dt = {dt} exceeds t_final = {t_final}")
+        dt, t_final = _checked_times(self.dt, self.t_final)
         if int(self.output_stride) != self.output_stride or self.output_stride < 1:
             raise InvalidParameterError(
                 f"output_stride must be an integer >= 1, got {self.output_stride!r}"
@@ -315,45 +294,35 @@ def _rk4_step(rhs, Y, h):
     return out
 
 
-def rhs_stress_rate(state: SimState, params: ModelParams, h: ConstitutiveFunction) -> StateDerivative:
-    """Time derivative of a stress-rate state.
+def _checked_times(dt, t_final) -> Tuple[float, float]:
+    """dt and t_final as floats, held to the rules every integration shares."""
+    dt = float(dt)
+    t_final = float(t_final)
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise InvalidStepError(f"dt must be positive, got {dt}")
+    if not math.isfinite(t_final) or t_final <= 0.0:
+        raise InvalidParameterError(f"t_final must be positive, got {t_final}")
+    if dt > t_final:
+        raise InvalidStepError(f"dt = {dt} exceeds t_final = {t_final}")
+    return dt, t_final
 
-    v_t = T_x/rho, eps_t = v_x, T_t = (h(T) - eps)/gamma (the constitutive
-    relation rearranged for the stress rate).
+
+def _march(rhs, Y: np.ndarray, t_final: float, dt: float) -> Iterator[Tuple[float, np.ndarray]]:
+    """Fixed-step RK4 from t = 0 to t_final, yielding (t, Y) after each step.
+
+    The last step is shortened to land on t_final exactly, and the last t
+    yielded is t_final itself.  The times are checked when iteration starts.
     """
-    if params.variant is not Variant.STRESS_RATE:
-        raise InvalidParameterError(f"params are for variant {params.variant.value}")
-    out = _make_rhs(Variant.STRESS_RATE, h, params, state.grid)(_pack(state, Variant.STRESS_RATE))
-    return StateDerivative(dv=out[0], deps=out[1], dstress=out[2])
-
-
-def rhs_strain_rate(state: SimState, params: ModelParams, g: ConstitutiveFunction) -> StateDerivative:
-    """Time derivative of a strain-rate state; stress is reconstructed from
-    T = g^{-1}(eps + nu*v_x), not evolved, so dstress is None."""
-    if params.variant is not Variant.STRAIN_RATE:
-        raise InvalidParameterError(f"params are for variant {params.variant.value}")
-    out = _make_rhs(Variant.STRAIN_RATE, g, params, state.grid)(_pack(state, Variant.STRAIN_RATE))
-    return StateDerivative(dv=out[0], deps=out[1], dstress=None)
-
-
-def rhs_elastic(state: SimState, params: ModelParams, h: ConstitutiveFunction) -> StateDerivative:
-    """Time derivative of an elastic state: T_t = v_x / h'(T); the strain is
-    slaved to the stress (eps = h(T)), so deps follows by the chain rule."""
-    if params.variant is not Variant.ELASTIC:
-        raise InvalidParameterError(f"params are for variant {params.variant.value}")
-    out = _make_rhs(Variant.ELASTIC, h, params, state.grid)(_pack(state, Variant.ELASTIC))
-    return StateDerivative(dv=out[0], deps=out[1] * np.asarray(h.derivative(state.stress.values)), dstress=out[1])
-
-
-def step(state: SimState, config: SolverConfig) -> SimState:
-    """One RK4 step of length config.dt; validates the stability ceiling."""
-    _check_step(config, state.grid)
-    variant = config.variant
-    rhs = _make_rhs(variant, config.constitutive, config.params, state.grid)
-    Y = _rk4_step(rhs, _pack(state, variant), config.dt)
-    t_new = state.t + config.dt
-    _check_blowup(Y, t_new, variant, config.blowup_threshold)
-    return _unpack(Y, t_new, state.grid, variant, config.constitutive, config.params)
+    dt, t_final = _checked_times(dt, t_final)
+    q = t_final / dt
+    n_full = int(q)
+    if q - n_full > 1.0 - 1e-9:  # q is an integer up to roundoff
+        n_full += 1
+    remainder = t_final - n_full * dt
+    n_total = n_full + (1 if remainder > 1e-12 * dt else 0)
+    for i in range(n_total):
+        Y = _rk4_step(rhs, Y, dt if i < n_full else remainder)
+        yield (t_final if i == n_total - 1 else (i + 1) * dt), Y
 
 
 def simulate(initial: SimState, config: SolverConfig) -> List[SimState]:
@@ -379,27 +348,17 @@ def simulate(initial: SimState, config: SolverConfig) -> List[SimState]:
     Y = _pack(initial, variant)
     t0 = initial.t
 
-    q = config.t_final / config.dt
-    n_full = int(q)
-    if q - n_full > 1.0 - 1e-9:
-        n_full += 1
-    remainder = config.t_final - n_full * config.dt
-    do_remainder = remainder > 1e-12 * config.dt
-    n_total = n_full + (1 if do_remainder else 0)
-
     states = [_unpack(Y, t0, grid, variant, f, config.params)]
-    for i in range(n_total):
-        h = config.dt if i < n_full else remainder
-        t_new = t0 + (config.t_final if i == n_total - 1 else (i + 1) * config.dt)
-        Y = _rk4_step(rhs, Y, h)
+    for i, (t, Y) in enumerate(_march(rhs, Y, config.t_final, config.dt), 1):
+        t_new = t0 + t
         try:
             _check_blowup(Y, t_new, variant, config.blowup_threshold)
         except BlowUpError as exc:
             # hand back what was collected so callers can report the run so far
             exc.partial = states
             raise
-        is_last = i == n_total - 1
-        if is_last or (i + 1) % config.output_stride == 0:
+        # only the last step yields t_final itself
+        if t == config.t_final or i % config.output_stride == 0:
             states.append(_unpack(Y, t_new, grid, variant, f, config.params))
     return states
 
@@ -584,8 +543,6 @@ def relax_stress(
     """
     if gamma <= 0.0 or not math.isfinite(float(gamma)):
         raise InvalidParameterError(f"gamma must be positive, got {gamma}")
-    if dt <= 0.0 or dt > t_final:
-        raise InvalidStepError(f"need 0 < dt <= t_final, got dt={dt}, t_final={t_final}")
     eps_arr, T = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(T0, dtype=float))
     scalar = T.ndim == 0
     # at least 1-d, so the in-place RK4 stage sums have arrays to write into
@@ -594,12 +551,7 @@ def relax_stress(
     def rhs(Tv):
         return (np.asarray(h.value(Tv)) - eps_arr) / gamma
 
-    q = t_final / dt
-    n_full = int(q)
-    if q - n_full > 1.0 - 1e-9:
-        n_full += 1
-    remainder = t_final - n_full * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_full + (1 if remainder > 1e-12 * dt else 0)):
-            T = _rk4_step(rhs, T, dt if i < n_full else remainder)
+        for _, T in _march(rhs, T, t_final, dt):
+            pass
     return float(T[0]) if scalar else T

@@ -197,6 +197,14 @@ class TestDerivatives:
         rhs = -np.sum(first_derivative(u, g.spacing, g.boundary) * v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("derivative", [first_derivative, second_derivative])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_integer_input_matches_float(self, derivative, boundary):
+        ints = np.array([0, 1, 3, 4, 7, 8])
+        out = derivative(ints, 1.0, boundary)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, derivative(ints.astype(float), 1.0, boundary))
+
     @given(
         arrays(
             np.float64,

@@ -215,11 +215,56 @@ class TestModeEvolution:
             evolve_single_mode(mode, 1.0, t_final=1.0, dt=0.0)
         with pytest.raises(InvalidStepError):
             evolve_single_mode(mode, 1.0, t_final=1.0, dt=2.0)
+        with pytest.raises(InvalidStepError):
+            evolve_single_mode(mode, 1.0, t_final=1.0, dt=np.nan)
+        with pytest.raises(InvalidParameterError):
+            evolve_single_mode(mode, 1.0, t_final=np.inf, dt=0.1)
+        with pytest.raises(InvalidParameterError):
+            evolve_single_mode(mode, 1.0, t_final=np.nan, dt=0.1)
 
     def test_exact_landing(self):
         mode = FourierMode(model="strain_rate", k=2.0)
         traj = evolve_single_mode(mode, 1.0, t_final=1.0, dt=0.3)
         assert traj.times[-1] == 1.0
+        # no shortened step: 3*0.1 rounds to 0.30000000000000004
+        traj = evolve_single_mode(mode, 1.0, t_final=0.3, dt=0.1)
+        assert len(traj.times) == 4
+        assert traj.times[-1] == 0.3
+
+    @pytest.mark.parametrize(
+        "model,coeff,k", [("strain_rate", 0.7, 1.5), ("stress_rate", 0.4, 2.0)]
+    )
+    def test_matches_reference_rk4(self, model, coeff, k):
+        # reference: out-of-place RK4 on the mode ODE, landing step included
+        ksq = k * k
+        if model == "strain_rate":
+            y = np.array([0.3 + 0.1j, 0.0], dtype=complex)
+
+            def rhs(s):
+                return np.array([s[1], -coeff * ksq * s[1] - ksq * s[0]])
+
+        else:
+            y = np.array([0.3 + 0.1j, 0.0, 0.0], dtype=complex)
+
+            def rhs(s):
+                return np.array([s[1], s[2], (s[2] + ksq * s[0]) / coeff])
+
+        dt = 0.01
+        t_final = 40.5 * dt
+        ref = [y[0]]
+        for h in [dt] * 40 + [t_final - 40 * dt]:
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ref.append(y[0])
+
+        mode = FourierMode(model=model, k=k, amplitude=0.3 + 0.1j)
+        traj = evolve_single_mode(mode, coeff, t_final=t_final, dt=dt)
+        assert np.array_equal(traj.amplitudes, np.array(ref))
+        assert np.array_equal(traj.times[:-1], np.arange(41) * dt)
+        assert traj.times[-1] == t_final
 
     def test_negative_k_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -1,0 +1,26 @@
+"""The public surface: every exported name exists, and none is listed twice."""
+
+import importlib
+
+import pytest
+
+import slve
+
+SUBMODULES = ["cli", "constitutive", "core", "dispersion", "pde", "twave"]
+
+
+def test_package_exports_resolve():
+    missing = [name for name in slve.__all__ if not hasattr(slve, name)]
+    assert missing == []
+
+
+def test_package_exports_unique():
+    assert len(slve.__all__) == len(set(slve.__all__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_exports_resolve(name):
+    # by import path: the attribute slve.dispersion is the function
+    module = importlib.import_module(f"slve.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []

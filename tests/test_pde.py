@@ -19,13 +19,9 @@ from slve import (
     gaussian_bump_state,
     make_constitutive,
     relax_stress,
-    rhs_elastic,
-    rhs_strain_rate,
-    rhs_stress_rate,
     simulate,
     single_mode_state,
     stability_ceiling,
-    step,
     stored_energy_density,
     total_energy,
     zero_state,
@@ -48,32 +44,33 @@ def uniform_state(grid, f, T0):
     )
 
 
+def one_step(state, params, f, dt=1e-3):
+    """States of a one-step simulate: the initial snapshot and the next."""
+    return simulate(state, SolverConfig(params=params, constitutive=f, dt=dt, t_final=dt))
+
+
 class TestRhs:
+    """The right-hand side, seen through one simulate step."""
+
     def test_zero_state_has_zero_derivative(self):
         g = periodic_grid()
         h = make_constitutive("saturating", beta=1.0, a=2.0)
-        st = zero_state(g)
-        d = rhs_stress_rate(st, ModelParams(variant="stress_rate", gamma=0.5), h)
-        assert np.all(d.dv == 0.0) and np.all(d.deps == 0.0) and np.all(d.dstress == 0.0)
-        d2 = rhs_strain_rate(st, ModelParams(variant="strain_rate", nu=0.5), h)
-        assert np.all(d2.dv == 0.0) and np.all(d2.deps == 0.0)
-        d3 = rhs_elastic(st, ModelParams(variant="elastic"), h)
-        assert np.all(d3.dv == 0.0) and np.all(d3.dstress == 0.0)
+        for params in (
+            ModelParams(variant="stress_rate", gamma=0.5),
+            ModelParams(variant="strain_rate", nu=0.5),
+            ModelParams(variant="elastic"),
+        ):
+            final = one_step(zero_state(g), params, h)[-1]
+            for field in (final.v, final.eps, final.stress):
+                assert np.all(field.values == 0.0), params.variant
 
     def test_uniform_equilibrium_is_stationary(self):
         g = periodic_grid()
         h = make_constitutive("saturating", beta=1.0, a=1.0)
         st = uniform_state(g, h, 0.7)
-        d = rhs_stress_rate(st, ModelParams(variant="stress_rate", gamma=0.3), h)
-        assert np.max(np.abs(d.dstress)) < 1e-15
-        assert np.max(np.abs(d.dv)) < 1e-15
-
-    def test_variant_mismatch_rejected(self):
-        g = periodic_grid()
-        h = make_constitutive("linear")
-        st = zero_state(g)
-        with pytest.raises(InvalidParameterError):
-            rhs_stress_rate(st, ModelParams(variant="strain_rate", nu=1.0), h)
+        final = one_step(st, ModelParams(variant="stress_rate", gamma=0.3), h)[-1]
+        assert np.max(np.abs(final.stress.values - st.stress.values)) < 1e-15
+        assert np.max(np.abs(final.v.values)) < 1e-15
 
     def test_strain_limit_reported_by_node(self):
         g = periodic_grid(16)
@@ -86,8 +83,9 @@ class TestRhs:
             eps=Field(eps, g),
             stress=Field(np.zeros(g.n_nodes), g),
         )
+        # the initial snapshot's stress reconstruction already fails
         with pytest.raises(StrainLimitExceededError) as ei:
-            rhs_strain_rate(st, ModelParams(variant="strain_rate", nu=1.0), gfun)
+            one_step(st, ModelParams(variant="strain_rate", nu=1.0), gfun)
         assert ei.value.node == 5
         assert ei.value.value == pytest.approx(1.5)
 
@@ -95,7 +93,8 @@ class TestRhs:
 class TestFastPathMatchesReference:
     def test_strain_rate_rhs_takes_two_derivatives(self, monkeypatch):
         # v_x is computed once per stage and shared with the stress
-        # reconstruction: one derivative of v, one of T
+        # reconstruction: one derivative of v, one of T per stage, plus the
+        # stress reconstruction of the initial and the final snapshot
         import slve.pde
 
         calls = []
@@ -109,8 +108,9 @@ class TestFastPathMatchesReference:
         g = periodic_grid(32)
         gfun = make_constitutive("saturating", beta=1.0, a=2.0)
         st = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
-        rhs_strain_rate(st, ModelParams(variant="strain_rate", nu=0.5), gfun)
-        assert len(calls) == 2
+        states = one_step(st, ModelParams(variant="strain_rate", nu=0.5), gfun)
+        assert len(states) == 2
+        assert len(calls) == 1 + 4 * 2 + 1
 
     def test_strain_rate_simulate_matches_reference_rk4(self):
         # reference: np.roll stencil, v_x taken separately for the stress,
@@ -177,16 +177,6 @@ class TestStepper:
         cfg = SolverConfig(params=p, constitutive=h, dt=0.03, t_final=0.1)
         states = simulate(zero_state(g), cfg)
         assert states[-1].t == pytest.approx(0.1, abs=1e-15)
-
-    def test_step_matches_simulate_first_sample(self):
-        g = periodic_grid(32)
-        h = make_constitutive("saturating", beta=1.0, a=2.0)
-        p = ModelParams(variant="stress_rate", gamma=1.0)
-        st0 = gaussian_bump_state(g, h, center=np.pi, width=0.7, amplitude=0.3)
-        cfg = SolverConfig(params=p, constitutive=h, dt=0.02, t_final=0.02)
-        one = step(st0, cfg)
-        states = simulate(st0, cfg)
-        assert np.allclose(one.stress.values, states[-1].stress.values, atol=1e-15)
 
     @pytest.mark.parametrize(
         "variant,kw,expect",
@@ -405,3 +395,9 @@ class TestRelaxStress:
             relax_stress(h, 0.0, 0.0, t_final=1.0, dt=0.1)
         with pytest.raises(InvalidStepError):
             relax_stress(h, 0.0, 1.0, t_final=1.0, dt=2.0)
+        with pytest.raises(InvalidStepError):
+            relax_stress(h, 0.0, 1.0, t_final=1.0, dt=np.nan)
+        with pytest.raises(InvalidParameterError):
+            relax_stress(h, 0.0, 1.0, t_final=np.inf, dt=0.1)
+        with pytest.raises(InvalidParameterError):
+            relax_stress(h, 0.0, 1.0, t_final=np.nan, dt=0.1)
