@@ -18,7 +18,10 @@ Outcomes are machine-parsable: each run writes its tables plus status.json
 into the output directory and prints the same status record to stdout.
 Exit codes: 0 ok, 2 bad config, 3 blow-up of an unstable run (the time of
 blow-up is in the record; this is an expected outcome for the stress-rate
-model, not an internal error), 1 any other model error.  Reruns of one
+model, not an internal error), 4 a strain-rate run whose stress
+reconstruction reached the strain limit (the node and value are in the
+record), 1 any other model error.  After a blow-up or a strain-limit failure
+the snapshots recorded so far are written as the trajectory table.  Reruns of one
 config are byte-identical; floats are written with 17 significant digits so
 parsing them back loses nothing.
 """
@@ -33,16 +36,14 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import constitutive as con
 from . import core, pde, twave
-# the package re-exports the dispersion() wrapper under the submodule's own
-# name, so pull what we need from the submodule directly
-from .dispersion import Classification, dispersion as solve_dispersion
-from .errors import BlowUpError, ConfigError, SlveError
+from .dispersion import Classification, solve_dispersion
+from .errors import BlowUpError, ConfigError, SlveError, StrainLimitExceededError
 
 __all__ = ["Command", "RunConfig", "RunResult", "parse_config", "run", "main"]
 
@@ -301,9 +302,14 @@ def _validate_for_command(config: RunConfig) -> None:
         # solver-level checks (positivity, dt ceiling) run against the
         # dimensionless coefficients the solver will actually see
         try:
-            pde._check_step(_solver_config(config), config.grid)
+            solver_config = _solver_config(config)
+            pde._check_step(solver_config, config.grid)
         except ValueError as exc:
             raise ConfigError(f"[solver] rejected: {exc}") from exc
+        if command is not Command.SIMULATE and pde._snapshot_count(solver_config) < 3:
+            raise ConfigError(
+                f"{command.value} needs at least 3 output samples; lower output_stride or dt"
+            )
     elif command is Command.DISPERSION:
         if config.params.variant is core.Variant.ELASTIC:
             raise ConfigError("dispersion needs the stress_rate or strain_rate variant")
@@ -378,41 +384,32 @@ def _solver_config(config: RunConfig) -> pde.SolverConfig:
     )
 
 
-def _trajectory_rows(states: Sequence[pde.SimState]) -> List[list]:
-    rows = []
-    for s in states:
-        x = s.grid.nodes()
-        for j in range(s.grid.n_nodes):
-            rows.append(
-                [s.t, float(x[j]), float(s.v.values[j]), float(s.eps.values[j]), float(s.stress.values[j])]
-            )
-    return rows
+def _write_trajectory(out_dir: Path, traj: pde.Trajectory, fmt: str) -> str:
+    """Write one row (t, x, v, eps, stress) per snapshot and node; return the name."""
+    n, _, n_nodes = traj.fields.shape
+    values = traj.fields.transpose(0, 2, 1).reshape(n * n_nodes, 3)
+    columns = (np.repeat(traj.t, n_nodes), np.tile(traj.grid.nodes(), n), values)
+    rows = np.column_stack(columns).tolist()  # Python floats format fastest
+    name = f"trajectory.{fmt}"
+    _write_table(out_dir / name, ["t", "x", "v", "eps", "stress"], rows, fmt)
+    return name
 
 
 def _run_simulate(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
-    solver_config = _solver_config(config)
-    states = pde.simulate(_build_initial(config), solver_config)
-    name = f"trajectory.{config.fmt}"
-    _write_table(
-        out_dir / name, ["t", "x", "v", "eps", "stress"], _trajectory_rows(states), config.fmt
-    )
-    final = states[-1]
+    traj = pde.simulate(_build_initial(config), _solver_config(config))
+    name = _write_trajectory(out_dir, traj, config.fmt)
     extra = {
-        "n_samples": len(states),
-        "t_final": final.t,
-        "max_abs_stress": float(np.max(np.abs(final.stress.values))),
+        "n_samples": len(traj),
+        "t_final": float(traj.t[-1]),
+        "max_abs_stress": float(np.max(np.abs(traj.stress[-1]))),
     }
     return (name,), extra
 
 
 def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
     solver_config = _solver_config(config)
-    states = pde.simulate(_build_initial(config), solver_config)
-    if len(states) < 3:
-        raise ConfigError(
-            "energy needs at least 3 output samples; lower output_stride or dt"
-        )
-    reports = pde.energy_series(states, solver_config.params, config.response)
+    traj = pde.simulate(_build_initial(config), solver_config)
+    reports = pde.energy_series(traj, solver_config.params, config.response)
     name = f"energy.{config.fmt}"
     _write_table(
         out_dir / name,
@@ -421,7 +418,7 @@ def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict
         config.fmt,
     )
     extra = {
-        "n_samples": len(states),
+        "n_samples": len(traj),
         "max_balance_residual": max(r.balance_residual for r in reports),
         "total_initial": reports[0].total,
         "total_final": reports[-1].total,
@@ -431,20 +428,14 @@ def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict
 
 def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
     solver_config = _solver_config(config)
-    states = pde.simulate(_build_initial(config), solver_config)
-    if len(states) < 3:
-        raise ConfigError(
-            "audit needs at least 3 output samples; lower output_stride or dt"
-        )
+    traj = pde.simulate(_build_initial(config), solver_config)
     gamma = solver_config.params.gamma
-    times = np.asarray([s.t for s in states])
-    stresses = np.column_stack([s.stress.values for s in states])  # (n_nodes, n_t)
     x = config.grid.nodes()
     rows = []
     worst = math.inf
     total = 0.0
     for j in range(config.grid.n_nodes):
-        audit = con.audit_dissipation(gamma, np.column_stack([times, stresses[j]]))
+        audit = con.audit_dissipation(gamma, np.column_stack([traj.t, traj.stress[:, j]]))
         worst = min(worst, audit.min_rate)
         total += audit.total_dissipation
         rows.append([j, float(x[j]), audit.min_rate, audit.total_dissipation, audit.passed])
@@ -563,27 +554,19 @@ def run(config: RunConfig) -> RunResult:
     }
     try:
         files, extra = runners[config.command](config, out_dir)
-    except BlowUpError as exc:
-        files = []
+    except (BlowUpError, StrainLimitExceededError) as exc:
         partial = getattr(exc, "partial", None)
-        if partial:
-            name = f"trajectory.{config.fmt}"
-            _write_table(
-                out_dir / name, ["t", "x", "v", "eps", "stress"],
-                _trajectory_rows(partial), config.fmt,
-            )
-            files = [name]
+        files = [_write_trajectory(out_dir, partial, config.fmt)] if partial else []
+        if isinstance(exc, BlowUpError):
+            status, exit_code = "blow_up", 3
+            where = {"t": exc.t, "max_abs_stress": exc.max_abs_stress}
+        else:
+            status, exit_code = "strain_limit", 4
+            where = {"node": exc.node, "value": exc.value}
         record = dict(base)
-        record.update(
-            {
-                "status": "blow_up",
-                "t": exc.t,
-                "max_abs_stress": exc.max_abs_stress,
-                "files": list(files),
-            }
-        )
+        record.update({"status": status, **where, "files": list(files)})
         (out_dir / "status.json").write_text(json.dumps(record, indent=2) + "\n")
-        return RunResult(status="blow_up", exit_code=3, files=tuple(files), record=record)
+        return RunResult(status=status, exit_code=exit_code, files=tuple(files), record=record)
 
     record = dict(base)
     record["status"] = "ok"

@@ -264,9 +264,16 @@ def integrate_field(field: Field) -> float:
     return float(np.trapezoid(field.values, dx=dx))
 
 
-def first_derivative(values: np.ndarray, spacing: float, boundary: Boundary) -> np.ndarray:
+def _is_periodic(boundary: Boundary | str) -> bool:
+    # == takes a member or its string value, with no Boundary(...) per call
+    if boundary != Boundary.PERIODIC and boundary != Boundary.DIRICHLET_ZERO:
+        raise InvalidParameterError(f"unknown boundary {boundary!r}")
+    return boundary == Boundary.PERIODIC
+
+
+def first_derivative(values: np.ndarray, spacing: float, boundary: Boundary | str) -> np.ndarray:
     """Second-order first derivative on nodal values (array kernel)."""
-    if boundary is Boundary.PERIODIC:
+    if _is_periodic(boundary):
         ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
         return (ghost[2:] - ghost[:-2]) / (2.0 * spacing)
     # the dtype the periodic arithmetic yields: integer input gives floats
@@ -277,10 +284,10 @@ def first_derivative(values: np.ndarray, spacing: float, boundary: Boundary) -> 
     return out
 
 
-def second_derivative(values: np.ndarray, spacing: float, boundary: Boundary) -> np.ndarray:
+def second_derivative(values: np.ndarray, spacing: float, boundary: Boundary | str) -> np.ndarray:
     """Second-order second derivative on nodal values (array kernel)."""
     dx2 = spacing * spacing
-    if boundary is Boundary.PERIODIC:
+    if _is_periodic(boundary):
         ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
         return (ghost[2:] - 2.0 * values + ghost[:-2]) / dx2
     out = np.empty(np.shape(values), np.result_type(values, dx2))

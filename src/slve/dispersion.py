@@ -46,7 +46,7 @@ __all__ = [
     "ModeTrajectory",
     "strain_rate_dispersion",
     "stress_rate_dispersion",
-    "dispersion",
+    "solve_dispersion",
     "growth_rate_curve",
     "evolve_single_mode",
     "locate_critical_wavenumber",
@@ -283,7 +283,7 @@ def stress_rate_dispersion(gamma: float, k: float) -> DispersionResult:
     )
 
 
-def dispersion(model, coeff: float, k: float) -> DispersionResult:
+def solve_dispersion(model, coeff: float, k: float) -> DispersionResult:
     """Model-switching wrapper over the two dispersion solvers."""
     model = _coerce_model(model)
     if model is LinearModel.STRAIN_RATE:
@@ -303,7 +303,7 @@ def growth_rate_curve(model, coeff: float, k_values) -> np.ndarray:
     k_values = np.asarray(k_values, dtype=float)
     out = np.empty((k_values.size, 2))
     for i, k in enumerate(k_values.ravel()):
-        res = dispersion(model, coeff, float(k))
+        res = solve_dispersion(model, coeff, float(k))
         out[i, 0] = k
         out[i, 1] = res.max_real_part
     return out

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -78,13 +78,13 @@ from .errors import (
 
 __all__ = [
     "SimState",
+    "Trajectory",
     "SolverConfig",
     "EnergyReport",
     "simulate",
     "stability_ceiling",
     "stored_energy_density",
     "total_energy",
-    "energy_report",
     "energy_series",
     "zero_state",
     "gaussian_bump_state",
@@ -109,6 +109,43 @@ class SimState:
     @property
     def grid(self) -> Grid1D:
         return self.v.grid
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Snapshots of one run: times t (n,) and read-only fields (n, 3, N) with
+    rows (v, eps, stress); traj[i] is a SimState, traj[a:b] a Trajectory."""
+
+    t: np.ndarray
+    fields: np.ndarray
+    grid: Grid1D
+
+    def __post_init__(self):
+        # read-only views, checked once for the whole run
+        t = np.asarray(self.t, dtype=float).view()
+        fields = np.asarray(self.fields, dtype=float).view()
+        if t.ndim != 1 or fields.shape != (t.size, 3, self.grid.n_nodes):
+            n = self.grid.n_nodes
+            raise InvalidParameterError(f"fields need shape ({t.size}, 3, {n}), got {fields.shape}")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(fields))):
+            raise InvalidParameterError("trajectory values must be finite")
+        if np.any(np.diff(t) <= 0.0):
+            raise InvalidParameterError("trajectory times must be strictly increasing")
+        for name, block in (("t", t), ("fields", fields)):
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
+
+    v = property(lambda self: self.fields[:, 0])
+    eps = property(lambda self: self.fields[:, 1])
+    stress = property(lambda self: self.fields[:, 2])
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trajectory(self.t[i], self.fields[i], self.grid)
+        return SimState(float(self.t[i]), *(Field(rows, self.grid) for rows in self.fields[i]))
 
 
 @dataclass(frozen=True)
@@ -235,35 +272,22 @@ def _make_rhs(
     return rhs
 
 
+# the rows of (v, eps, stress) that each variant evolves
+_EVOLVED = {Variant.STRESS_RATE: [0, 1, 2], Variant.STRAIN_RATE: [0, 1], Variant.ELASTIC: [0, 2]}
+
+
 def _pack(state: SimState, variant: Variant) -> np.ndarray:
-    if variant is Variant.STRESS_RATE:
-        rows = (state.v.values, state.eps.values, state.stress.values)
-    elif variant is Variant.STRAIN_RATE:
-        rows = (state.v.values, state.eps.values)
-    else:
-        rows = (state.v.values, state.stress.values)
-    return np.array(rows, dtype=float)
+    return np.array([state.v.values, state.eps.values, state.stress.values])[_EVOLVED[variant]]
 
 
-def _unpack(
-    Y: np.ndarray, t: float, grid: Grid1D, variant: Variant,
-    f: ConstitutiveFunction, params: ModelParams,
-) -> SimState:
-    if variant is Variant.STRESS_RATE:
-        v, eps, T = Y
-    elif variant is Variant.STRAIN_RATE:
-        v, eps = Y
-        vx = first_derivative(v, grid.spacing, grid.boundary)
-        T = _reconstruct_stress(f, eps + params.nu * vx)
-    else:
-        v, T = Y
-        eps = np.asarray(f.value(T))
-    return SimState(
-        t=float(t),
-        v=Field(v, grid),
-        eps=Field(eps, grid),
-        stress=Field(T, grid),
-    )
+def _write_snapshot(out: np.ndarray, Y: np.ndarray, config: SolverConfig, grid: Grid1D) -> None:
+    """Rows (v, eps, stress) of the state Y into out, shape (3, N)."""
+    out[_EVOLVED[config.variant]] = Y
+    if config.variant is Variant.STRAIN_RATE:
+        vx = first_derivative(Y[0], grid.spacing, grid.boundary)
+        out[2] = _reconstruct_stress(config.constitutive, Y[1] + config.params.nu * vx)
+    elif config.variant is Variant.ELASTIC:
+        out[1] = config.constitutive.value(Y[1])
 
 
 def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -> None:
@@ -307,6 +331,22 @@ def _checked_times(dt, t_final) -> Tuple[float, float]:
     return dt, t_final
 
 
+def _landing(dt: float, t_final: float) -> Tuple[int, int, float]:
+    """The landing rule: (full steps of dt, all steps, the last step's length)."""
+    q = t_final / dt
+    n_full = int(q)
+    if q - n_full > 1.0 - 1e-9:  # q is an integer up to roundoff
+        n_full += 1
+    remainder = t_final - n_full * dt
+    return n_full, n_full + (1 if remainder > 1e-12 * dt else 0), remainder
+
+
+def _snapshot_count(config: SolverConfig) -> int:
+    """Snapshots simulate records: the initial, every output_stride-th and the last."""
+    n_steps = _landing(config.dt, config.t_final)[1]
+    return 1 + -(-n_steps // config.output_stride)
+
+
 def _march(rhs, Y: np.ndarray, t_final: float, dt: float) -> Iterator[Tuple[float, np.ndarray]]:
     """Fixed-step RK4 from t = 0 to t_final, yielding (t, Y) after each step.
 
@@ -314,18 +354,13 @@ def _march(rhs, Y: np.ndarray, t_final: float, dt: float) -> Iterator[Tuple[floa
     yielded is t_final itself.  The times are checked when iteration starts.
     """
     dt, t_final = _checked_times(dt, t_final)
-    q = t_final / dt
-    n_full = int(q)
-    if q - n_full > 1.0 - 1e-9:  # q is an integer up to roundoff
-        n_full += 1
-    remainder = t_final - n_full * dt
-    n_total = n_full + (1 if remainder > 1e-12 * dt else 0)
+    n_full, n_total, remainder = _landing(dt, t_final)
     for i in range(n_total):
         Y = _rk4_step(rhs, Y, dt if i < n_full else remainder)
         yield (t_final if i == n_total - 1 else (i + 1) * dt), Y
 
 
-def simulate(initial: SimState, config: SolverConfig) -> List[SimState]:
+def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
     """March from the initial state to t_final, collecting snapshots.
 
     Snapshots are the initial state, every output_stride-th step, and the
@@ -339,28 +374,36 @@ def simulate(initial: SimState, config: SolverConfig) -> List[SimState]:
     BlowUpError
         When the state leaves the finite range or passes the configured
         magnitude threshold; carries the time it happened.
+    StrainLimitExceededError
+        When the strain-rate stress reconstruction reaches the strain limit;
+        carries the node.  Both carry the snapshots so far as ``partial``.
     """
     grid = initial.grid
     _check_step(config, grid)
     variant = config.variant
-    f = config.constitutive
-    rhs = _make_rhs(variant, f, config.params, grid)
+    rhs = _make_rhs(variant, config.constitutive, config.params, grid)
     Y = _pack(initial, variant)
-    t0 = initial.t
+    t0 = float(initial.t)
 
-    states = [_unpack(Y, t0, grid, variant, f, config.params)]
-    for i, (t, Y) in enumerate(_march(rhs, Y, config.t_final, config.dt), 1):
-        t_new = t0 + t
-        try:
-            _check_blowup(Y, t_new, variant, config.blowup_threshold)
-        except BlowUpError as exc:
-            # hand back what was collected so callers can report the run so far
-            exc.partial = states
-            raise
-        # only the last step yields t_final itself
-        if t == config.t_final or i % config.output_stride == 0:
-            states.append(_unpack(Y, t_new, grid, variant, f, config.params))
-    return states
+    n = _snapshot_count(config)
+    t = np.full(n, t0)
+    fields = np.empty((n, 3, grid.n_nodes))
+    k = 0  # snapshots kept; t[k] holds the current step's time until one is
+    try:
+        _write_snapshot(fields[0], Y, config, grid)
+        k = 1
+        for i, (t_step, Y) in enumerate(_march(rhs, Y, config.t_final, config.dt), 1):
+            t[k] = t0 + t_step
+            _check_blowup(Y, t[k], variant, config.blowup_threshold)
+            # only the last step yields t_final itself
+            if t_step == config.t_final or i % config.output_stride == 0:
+                _write_snapshot(fields[k], Y, config, grid)
+                k += 1
+    except (BlowUpError, StrainLimitExceededError) as exc:
+        # hand back what was collected so callers can report the run so far
+        exc.partial = Trajectory(t[:k], fields[:k], grid)
+        raise
+    return Trajectory(t, fields, grid)
 
 
 def stored_energy_density(variant: Variant, f: ConstitutiveFunction, T, eps):
@@ -407,69 +450,41 @@ def _dissipation_rate(state: SimState, params: ModelParams, f: ConstitutiveFunct
     return 0.0
 
 
-def energy_report(
-    window: Sequence[SimState], params: ModelParams, f: ConstitutiveFunction
-) -> EnergyReport:
-    """Energy balance check on a uniformly spaced window of >= 3 states.
-
-    The middle state provides the energies and the dissipation rate; its two
-    neighbors provide a centered estimate of dE/dt.  balance_residual is
-    |dE/dt + dissipation_rate| and would vanish for the exact dynamics.
-    """
-    if len(window) < 3:
-        raise InvalidWindowError(f"energy balance needs >= 3 states, got {len(window)}")
-    mid = len(window) // 2
-    prev_s, mid_s, next_s = window[mid - 1], window[mid], window[mid + 1]
-    if not (prev_s.grid == mid_s.grid == next_s.grid):
-        raise InvalidWindowError("window states must share one grid")
-    d1 = mid_s.t - prev_s.t
-    d2 = next_s.t - mid_s.t
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise InvalidWindowError("window times must be strictly increasing")
-    if abs(d1 - d2) > 1e-9 * max(d1, d2):
-        raise InvalidWindowError(f"window spacing differs: {d1!r} vs {d2!r}")
-
-    kinetic = float(integrate_field(Field(0.5 * params.rho * mid_s.v.values**2, mid_s.grid)))
-    internal = float(
-        integrate_field(
-            Field(
-                stored_energy_density(params.variant, f, mid_s.stress.values, mid_s.eps.values),
-                mid_s.grid,
-            )
-        )
-    )
-    e_prev = total_energy(prev_s, params, f)
-    e_next = total_energy(next_s, params, f)
-    dEdt = (e_next - e_prev) / (d1 + d2)
-    dissipation = _dissipation_rate(mid_s, params, f)
-    return EnergyReport(
-        t=mid_s.t,
-        kinetic=kinetic,
-        internal=internal,
-        total=kinetic + internal,
-        dissipation_rate=dissipation,
-        balance_residual=abs(dEdt + dissipation),
-    )
-
-
 def energy_series(
-    states: Sequence[SimState], params: ModelParams, f: ConstitutiveFunction
+    traj: Trajectory, params: ModelParams, f: ConstitutiveFunction
 ) -> List[EnergyReport]:
     """Energy balance at every uniformly spaced interior sample of a run.
 
-    Interior samples whose neighbors are not equally spaced (the shortened
-    landing step at the end of a run) have no centered stencil and are
-    skipped.
+    Each sample gives its energies and dissipation rate, the totals of its
+    neighbors a centered dE/dt; balance_residual = |dE/dt + dissipation_rate|
+    vanishes for the exact dynamics.  Samples next to the shortened landing
+    step have no centered stencil and are skipped.
     """
-    if len(states) < 3:
-        raise InvalidWindowError(f"energy series needs >= 3 states, got {len(states)}")
+    if len(traj) < 3:
+        raise InvalidWindowError(f"energy series needs >= 3 states, got {len(traj)}")
+    t = traj.t.tolist()
+    totals = [total_energy(state, params, f) for state in traj]
     reports = []
-    for i in range(1, len(states) - 1):
-        d1 = states[i].t - states[i - 1].t
-        d2 = states[i + 1].t - states[i].t
+    for i in range(1, len(t) - 1):
+        d1, d2 = t[i] - t[i - 1], t[i + 1] - t[i]
         if abs(d1 - d2) > 1e-9 * max(d1, d2):
             continue
-        reports.append(energy_report(states[i - 1 : i + 2], params, f))
+        mid = traj[i]
+        kinetic = float(integrate_field(Field(0.5 * params.rho * mid.v.values**2, mid.grid)))
+        stored = stored_energy_density(params.variant, f, mid.stress.values, mid.eps.values)
+        internal = float(integrate_field(Field(stored, mid.grid)))
+        dEdt = (totals[i + 1] - totals[i - 1]) / (d1 + d2)
+        dissipation = _dissipation_rate(mid, params, f)
+        reports.append(
+            EnergyReport(
+                t=t[i],
+                kinetic=kinetic,
+                internal=internal,
+                total=kinetic + internal,
+                dissipation_rate=dissipation,
+                balance_residual=abs(dEdt + dissipation),
+            )
+        )
     if not reports:
         raise InvalidWindowError("no uniformly spaced interior sample in the run")
     return reports

@@ -55,6 +55,39 @@ amplitude = 0.4
 directory = {out}
 """
 
+# a steep bump on a small nu: the first RK4 stage pushes eps + nu*v_x past
+# the strain limit 1 of the saturating response
+STRAIN_LIMIT_INI = """
+[run]
+command = simulate
+
+[model]
+variant = strain_rate
+nu = 0.05
+
+[constitutive]
+kind = saturating
+beta = 1.0
+a = 2.0
+
+[grid]
+length = 6.283185307179586
+n_cells = 64
+
+[solver]
+dt = 0.002
+t_final = 2.0
+output_stride = 10
+
+[initial]
+type = gaussian_bump
+width = 0.3
+amplitude = 30.0
+
+[output]
+directory = {out}
+"""
+
 TWAVE_INI = """
 [run]
 command = twave
@@ -198,6 +231,20 @@ class TestRunSimulate:
         status = json.loads((tmp_path / "status.json").read_text())
         assert status["status"] == "blow_up"
 
+    def test_strain_limit_keeps_node_and_partial_trajectory(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(STRAIN_LIMIT_INI.format(out=tmp_path / "out"))
+        assert main(["simulate", "--config", str(ini)]) == 4
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "strain_limit"
+        assert record["node"] == 29 and record["value"] > 1.0
+        assert record["files"] == ["trajectory.csv"]
+        assert json.loads((tmp_path / "out" / "status.json").read_text()) == record
+        # the initial snapshot, written before the failing step
+        lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + 64
+        assert all(line.startswith("0,") for line in lines[1:])
+
 
 class TestRunTwave:
     def test_front_table_and_speed(self, tmp_path):
@@ -228,6 +275,18 @@ class TestRunEnergyAudit:
         lines = (tmp_path / "energy.csv").read_text().splitlines()
         assert lines[0] == "t,kinetic,internal,total,dissipation_rate,balance_residual"
         assert len(lines) >= 2
+
+    @pytest.mark.parametrize("command", ["energy", "audit"])
+    def test_too_few_samples_refused_before_running(self, tmp_path, capsys, command):
+        # t_final = 2*dt at stride 2 records 2 samples: no centered stencil
+        ini = tmp_path / "run.ini"
+        text = SIM_INI.format(out=tmp_path / "out").replace("t_final = 0.4", "t_final = 0.08")
+        ini.write_text(text.replace("output_stride = 5", "output_stride = 2"))
+        assert main([command, "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert "at least 3 output samples" in record["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_audit_table_passes(self, tmp_path):
         text = SIM_INI.format(out=tmp_path).replace("command = simulate", "command = audit")

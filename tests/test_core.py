@@ -205,6 +205,17 @@ class TestDerivatives:
         assert out.dtype == np.float64
         assert np.array_equal(out, derivative(ints.astype(float), 1.0, boundary))
 
+    @pytest.mark.parametrize("derivative", [first_derivative, second_derivative])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_string_boundary_matches_member(self, derivative, boundary):
+        v = np.sin(2.0 * np.pi * np.arange(8) / 8)
+        assert np.array_equal(derivative(v, 1.0, boundary.value), derivative(v, 1.0, boundary))
+
+    @pytest.mark.parametrize("derivative", [first_derivative, second_derivative])
+    def test_unknown_boundary_rejected(self, derivative):
+        with pytest.raises(InvalidParameterError, match="nonsense"):
+            derivative(np.arange(8.0), 1.0, "nonsense")
+
     @given(
         arrays(
             np.float64,

@@ -15,12 +15,12 @@ from slve import (
     InvalidParameterError,
     InvalidStepError,
     LinearModel,
-    dispersion,
     evolve_single_mode,
     fit_growth_rate,
     fit_mode_rates,
     growth_rate_curve,
     locate_critical_wavenumber,
+    solve_dispersion,
     strain_rate_dispersion,
     stress_rate_dispersion,
 )
@@ -167,9 +167,9 @@ class TestResiduals:
 
 class TestWrapperAndCurve:
     def test_wrapper_accepts_strings(self):
-        res = dispersion("strain_rate", 1.0, 1.0)
+        res = solve_dispersion("strain_rate", 1.0, 1.0)
         assert res.model is LinearModel.STRAIN_RATE
-        res2 = dispersion("stress_rate_linear", 1.0, 1.0)
+        res2 = solve_dispersion("stress_rate_linear", 1.0, 1.0)
         assert res2.positive_real_root == pytest.approx(SUPERGOLDEN, rel=1e-14)
 
     def test_growth_rate_curve_shapes_and_monotonicity(self):

@@ -1,6 +1,7 @@
 """The public surface: every exported name exists, and none is listed twice."""
 
 import importlib
+import types
 
 import pytest
 
@@ -20,7 +21,13 @@ def test_package_exports_unique():
 
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_exports_resolve(name):
-    # by import path: the attribute slve.dispersion is the function
     module = importlib.import_module(f"slve.{name}")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_dispersion_is_the_submodule():
+    # the model-switching solver is exported as solve_dispersion, so no
+    # function shadows the submodule of the same name
+    assert isinstance(slve.dispersion, types.ModuleType)
+    assert slve.solve_dispersion is slve.dispersion.solve_dispersion

@@ -14,7 +14,7 @@ from slve import (
     SimState,
     SolverConfig,
     StrainLimitExceededError,
-    energy_report,
+    Trajectory,
     energy_series,
     gaussian_bump_state,
     make_constitutive,
@@ -159,6 +159,84 @@ class TestFastPathMatchesReference:
             assert np.array_equal(s.stress.values, stress(Yr[0], Yr[1]))
 
 
+class TestTrajectory:
+    def test_validation(self):
+        g = periodic_grid(8)
+        rest = np.zeros((2, 3, g.n_nodes))
+        assert len(Trajectory(np.array([0.0, 0.1]), rest, g)) == 2
+        with pytest.raises(InvalidParameterError, match="shape"):
+            Trajectory(np.array([0.0, 0.1]), np.zeros((2, 3, 9)), g)
+        with pytest.raises(InvalidParameterError, match="shape"):
+            Trajectory(np.array([0.0, 0.1, 0.2]), rest, g)
+        bad = rest.copy()
+        bad[1, 2, 3] = np.nan
+        with pytest.raises(InvalidParameterError, match="finite"):
+            Trajectory(np.array([0.0, 0.1]), bad, g)
+        for t in ([0.0, 0.0], [0.1, 0.0]):
+            with pytest.raises(InvalidParameterError, match="increasing"):
+                Trajectory(np.array(t), rest, g)
+
+    def test_read_only_and_sequence_access(self):
+        g = periodic_grid(16)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        cfg = SolverConfig(
+            params=ModelParams(variant="stress_rate", gamma=1.0), constitutive=h,
+            dt=0.01, t_final=0.095, output_stride=3,
+        )
+        traj = simulate(gaussian_bump_state(g, h, np.pi, 0.5, 0.4), cfg)
+        # t = 0, 0.03, 0.06, 0.09 and the landing time 0.095
+        assert len(traj) == 5 and traj.fields.shape == (5, 3, 16)
+        assert traj.t[-1] == 0.095
+        for block in (traj.t, traj.fields, traj.v, traj.eps, traj.stress):
+            assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            traj.stress[0, 0] = 1.0
+        last = traj[-1]
+        assert isinstance(last, SimState) and last.t == 0.095 and last.grid == g
+        for name in ("v", "eps", "stress"):
+            assert np.array_equal(getattr(last, name).values, getattr(traj, name)[-1])
+        middle = traj[1:3]
+        assert isinstance(middle, Trajectory)
+        assert np.array_equal(middle.fields, traj.fields[1:3])
+        assert [s.t for s in traj] == traj.t.tolist()
+
+    def test_simulate_builds_no_field_per_snapshot(self, monkeypatch):
+        g = periodic_grid(32)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        st0 = gaussian_bump_state(g, h, np.pi, 0.5, 0.4)
+        cfg = SolverConfig(
+            params=ModelParams(variant="strain_rate", nu=0.5), constitutive=h,
+            dt=0.2 * g.spacing**2 / 0.5, t_final=20.5 * 0.2 * g.spacing**2 / 0.5,
+        )
+        built = []
+        original = Field.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(Field, "__post_init__", counting)
+        assert len(simulate(st0, cfg)) > 10
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "dt,t_final,stride",
+        [(0.01, 0.07, 1), (0.01, 0.075, 3), (0.01, 0.08, 4), (0.01, 0.085, 4),
+         (0.01, 0.03, 10), (0.1, 0.3, 2)],
+    )
+    def test_snapshot_count_matches_simulate(self, dt, t_final, stride):
+        # the CLI refuses short energy/audit runs by this count before running
+        import slve.pde
+
+        g = periodic_grid(16)
+        h = make_constitutive("linear")
+        cfg = SolverConfig(
+            params=ModelParams(variant="elastic"), constitutive=h,
+            dt=dt, t_final=t_final, output_stride=stride,
+        )
+        assert slve.pde._snapshot_count(cfg) == len(simulate(zero_state(g), cfg))
+
+
 class TestStepper:
     def test_equilibrium_holds_over_many_steps(self):
         g = periodic_grid(32)
@@ -224,7 +302,30 @@ class TestStepper:
             simulate(st0, cfg)
         assert 0.0 < ei.value.t < 30.0
         assert ei.value.max_abs_stress > 0.0
-        assert len(ei.value.partial) >= 1
+        partial = ei.value.partial
+        assert isinstance(partial, Trajectory) and len(partial) >= 1
+        assert partial.t[-1] < ei.value.t
+        assert np.max(np.abs(partial.stress)) <= 100.0
+
+    def test_strain_limit_carries_node_and_partial_history(self):
+        # the first RK4 stage of this steep bump pushes eps + nu*v_x past 1
+        g = periodic_grid(64)
+        gfun = make_constitutive("saturating", beta=1.0, a=2.0)
+        cfg = SolverConfig(
+            params=ModelParams(variant="strain_rate", nu=0.05), constitutive=gfun,
+            dt=0.002, t_final=2.0, output_stride=10,
+        )
+        st0 = gaussian_bump_state(g, gfun, center=np.pi, width=0.3, amplitude=30.0)
+        with pytest.raises(StrainLimitExceededError) as ei:
+            simulate(st0, cfg)
+        assert ei.value.node == 29
+        assert ei.value.value > 1.0
+        partial = ei.value.partial
+        assert isinstance(partial, Trajectory) and len(partial) == 1
+        # the initial snapshot: the evolved rows as given, the stress rebuilt
+        assert partial.t.tolist() == [0.0]
+        assert np.array_equal(partial.eps[0], st0.eps.values)
+        assert np.allclose(partial.stress[0], st0.stress.values, rtol=1e-9, atol=0.0)
 
     def test_dirichlet_ends_stay_pinned(self):
         # pinning acts on the evolved fields: v and eps never leave zero at
@@ -320,15 +421,56 @@ class TestEnergy:
         g = periodic_grid(16)
         h = make_constitutive("linear")
         p = ModelParams(variant="elastic")
-        sts = [zero_state(g), zero_state(g)]
-        with pytest.raises(InvalidWindowError):
-            energy_report(sts, p, h)
-        bad = [
-            SimState(t=t, v=zero_state(g).v, eps=zero_state(g).eps, stress=zero_state(g).stress)
-            for t in (0.0, 0.1, 0.3)
+        rest = np.zeros((3, 3, g.n_nodes))
+        with pytest.raises(InvalidWindowError, match=">= 3"):
+            energy_series(Trajectory(np.array([0.0, 0.1]), rest[:2], g), p, h)
+        # the only interior sample has unequal neighbor spacings
+        with pytest.raises(InvalidWindowError, match="uniformly spaced"):
+            energy_series(Trajectory(np.array([0.0, 0.1, 0.3]), rest, g), p, h)
+
+    @pytest.mark.parametrize(
+        "variant,kw,dt",
+        [("stress_rate", dict(gamma=1.0), 0.01), ("strain_rate", dict(nu=1.0), 2e-4),
+         ("elastic", dict(), 0.01)],
+    )
+    def test_energy_series_matches_per_window_reference(self, variant, kw, dt):
+        # reference: each report evaluated on its own 3-state window, the two
+        # neighbor totals recomputed per window, as energy reports once were
+        grid = periodic_grid(64)
+        f = make_constitutive("saturating", beta=1.0, a=2.0)
+        p = ModelParams(variant=variant, **kw)
+        cfg = SolverConfig(params=p, constitutive=f, dt=dt, t_final=30.5 * dt, output_stride=3)
+        states = simulate(gaussian_bump_state(grid, f, np.pi, 0.5, 0.4), cfg)
+
+        def integral(values):
+            return float(grid.spacing * np.sum(values))
+
+        def reference(prev_s, mid_s, next_s):
+            d1, d2 = mid_s.t - prev_s.t, next_s.t - mid_s.t
+            T, eps = mid_s.stress.values, mid_s.eps.values
+            kinetic = integral(0.5 * p.rho * mid_s.v.values**2)
+            internal = integral(stored_energy_density(variant, f, T, eps))
+            if variant == "stress_rate":
+                T_t = (f.value(T) - eps) / p.gamma
+                diss = integral(p.gamma * T_t * T_t)
+            elif variant == "strain_rate":
+                T_x = (np.roll(T, -1) - np.roll(T, 1)) / (2.0 * grid.spacing)
+                diss = integral(T_x * T_x) * p.nu / p.rho
+            else:
+                diss = 0.0
+            dEdt = (total_energy(next_s, p, f) - total_energy(prev_s, p, f)) / (d1 + d2)
+            return (mid_s.t, kinetic, internal, kinetic + internal, diss, abs(dEdt + diss))
+
+        windows = [states[i - 1 : i + 2] for i in range(1, len(states) - 1)]
+        # the last interior sample borders the shortened landing step
+        expected = [reference(*w) for w in windows[:-1]]
+        got = [
+            (r.t, r.kinetic, r.internal, r.total, r.dissipation_rate, r.balance_residual)
+            for r in energy_series(states, p, f)
         ]
-        with pytest.raises(InvalidWindowError):
-            energy_report(bad, p, h)
+        assert len(got) == len(expected) == 9
+        for g_row, e_row in zip(got, expected):
+            assert g_row == e_row
 
     def test_elastic_variant_conserves_energy(self):
         grid = periodic_grid(128)
