@@ -36,12 +36,12 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import constitutive as con
-from . import core, pde, twave
+from . import core, dispersion, pde, twave
 from .dispersion import Classification, solve_dispersion
 from .errors import BlowUpError, ConfigError, SlveError, StrainLimitExceededError
 
@@ -315,13 +315,20 @@ def _validate_for_command(config: RunConfig) -> None:
             raise ConfigError("dispersion needs the stress_rate or strain_rate variant")
         if config.k_values is None:
             raise ConfigError("command 'dispersion' needs [dispersion] k_values")
-        if np.any(~np.isfinite(config.k_values)) or np.any(config.k_values < 0.0):
-            raise ConfigError("[dispersion] k_values must be finite and >= 0")
+        try:  # the solvers' own check: finite, >= 0, k*k finite
+            dispersion._wavenumbers(config.k_values)
+        except ValueError as exc:
+            raise ConfigError(f"[dispersion] k_values rejected: {exc}") from exc
     elif command is Command.TWAVE:
         if config.params.variant is core.Variant.ELASTIC:
             raise ConfigError("twave needs the stress_rate or strain_rate variant")
         if config.twave is None:
             raise ConfigError("command 'twave' needs a [twave] section")
+        if config.twave.n_samples < 9:
+            raise ConfigError(f"[twave] n_samples must be >= 9, got {config.twave.n_samples}")
+        span = config.twave.xi_span
+        if not (math.isfinite(span) and span > 0.0):
+            raise ConfigError(f"[twave] xi_span must be positive and finite, got {span}")
 
 
 def _fmt_float(x: float) -> str:
@@ -350,7 +357,7 @@ def _cell_json(x):
     return x
 
 
-def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence], fmt: str) -> None:
+def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> None:
     if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(_cell_csv(x) for x in row) for row in rows]
@@ -360,6 +367,15 @@ def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence], fm
             json.dumps(dict(zip(header, (_cell_json(x) for x in row)))) for row in rows
         ]
         path.write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _array_rows(columns: Sequence[np.ndarray]) -> Iterable[tuple]:
+    """Rows of Python scalars (they format fastest) from equal-length columns.
+
+    Converting 1024 rows at a time keeps only their objects alive.
+    """
+    for lo in range(0, len(columns[0]), 1024):
+        yield from zip(*(c[lo:lo + 1024].tolist() for c in columns))
 
 
 def _build_initial(config: RunConfig) -> pde.SimState:
@@ -455,39 +471,34 @@ def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], 
     unit = core.dimensionless_params(config.params)
     variant = unit.variant
     coeff = unit.coefficient
-    n_roots = 3 if variant is core.Variant.STRESS_RATE else 2
+    res = solve_dispersion(variant, coeff, config.k_values)
+    n_modes, n_roots = res.roots.shape
     header = ["k", "classification", "max_real_part", "positive_real_root",
               "k_critical", "discriminant", "max_residual"]
+    columns = [
+        res.k,
+        np.array([c.value for c in res.classification], dtype=object),
+        res.max_real_part,
+        (np.full(n_modes, None, dtype=object) if res.positive_real_root is None
+         else res.positive_real_root),
+        np.full(n_modes, res.k_critical, dtype=object),
+        res.discriminant,
+        np.max(res.residuals(), axis=-1),
+    ]
     for i in range(n_roots):
         header += [f"re_r{i}", f"im_r{i}"]
-    rows = []
-    worst_classification = "stable"
-    for k in config.k_values:
-        res = solve_dispersion(variant, coeff, float(k))
-        row = [
-            float(k),
-            res.classification.value,
-            res.max_real_part,
-            res.positive_real_root,
-            res.k_critical,
-            res.discriminant,
-            float(np.max(res.residuals())),
-        ]
-        for r in res.roots:
-            row += [float(r.real), float(r.imag)]
-        rows.append(row)
-        if res.classification is Classification.UNSTABLE:
-            worst_classification = "unstable"
-        elif (res.classification is Classification.MARGINALLY_STABLE
-              and worst_classification == "stable"):
-            worst_classification = "marginally_stable"
+        columns += [res.roots[:, i].real.astype(float), res.roots[:, i].imag.astype(float)]
+    classes = set(res.classification)
+    worst = next((c for c in (Classification.UNSTABLE, Classification.MARGINALLY_STABLE)
+                  if c in classes), Classification.STABLE)
+    del res  # the columns hold every value; free the roots before formatting
     name = f"dispersion.{config.fmt}"
-    _write_table(out_dir / name, header, rows, config.fmt)
+    _write_table(out_dir / name, header, _array_rows(columns), config.fmt)
     extra = {
         "model": variant.value,
         "coefficient": coeff,
-        "n_modes": int(config.k_values.size),
-        "worst_classification": worst_classification,
+        "n_modes": n_modes,
+        "worst_classification": worst.value,
     }
     if variant is core.Variant.STRAIN_RATE:
         extra["k_critical"] = 2.0 / coeff
@@ -520,12 +531,9 @@ def _run_twave(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]
         problem, xi_span=config.twave.xi_span, n_samples=config.twave.n_samples
     )
     extra["signed_speed"] = profile.signed_speed
-    rows = [
-        [float(xi), float(T), float(profile.strain(xi)), float(profile.velocity(xi))]
-        for xi, T in zip(profile.xi, profile.T)
-    ]
+    columns = (profile.xi, profile.T, profile.strain(profile.xi), profile.velocity(profile.xi))
     name = f"twave.{config.fmt}"
-    _write_table(out_dir / name, ["xi", "stress", "eps", "v"], rows, config.fmt)
+    _write_table(out_dir / name, ["xi", "stress", "eps", "v"], _array_rows(columns), config.fmt)
     return (name,), extra
 
 

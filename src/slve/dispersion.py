@@ -23,6 +23,10 @@ quadratic's small root once k**2 * eps/2 crosses that bound (k around 1e3).
 The cubic starts from the companion-matrix roots and polishes in extended
 precision, keeping the real root in real arithmetic and forcing the other
 two to be an exact conjugate pair.
+
+Both solvers take one wavenumber or a 1-D array of them and solve an array
+in one vectorized pass, with the same operations per mode; a scalar call is
+the length-1 batch, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
 
 _LD = np.longdouble
 _CLD = np.clongdouble
+_DBL_MAX = np.finfo(float).max
 
 # |Im r| below this counts as a real root when classifying pair structure
 IMAG_TOL = 1e-12
@@ -106,7 +111,8 @@ class FourierMode:
 
 @dataclass(frozen=True)
 class DispersionResult:
-    """Temporal rates of one mode, with the facts needed to judge them.
+    """Temporal rates of one mode, or of a batch of modes, with the facts
+    needed to judge them.
 
     roots is a clongdouble array (length 2 or 3) so residual checks can be
     made in the precision the roots were solved in.  discriminant follows
@@ -114,6 +120,12 @@ class DispersionResult:
     real rate when one exists (always, for the stress-rate model), else None.
     k_critical is the oscillatory/monotone boundary 2/nu of the strain-rate
     model, None for the stress-rate model which has no such transition.
+
+    A solver given a 1-D array of n wavenumbers returns one result whose
+    per-mode fields carry a leading mode axis: k, discriminant and
+    positive_real_root are (n,) float arrays, classification an (n,) object
+    array of Classification members and roots (n, m).  max_real_part,
+    is_oscillatory and residuals() then work along the last axis.
     """
 
     model: LinearModel
@@ -127,164 +139,221 @@ class DispersionResult:
 
     @property
     def max_real_part(self) -> float:
-        return float(np.max(self.roots.real))
+        top = self.roots.real.max(axis=-1).astype(float)
+        return top if top.ndim else float(top)
 
     @property
     def is_oscillatory(self) -> bool:
         """True when some root has |Im r| above IMAG_TOL."""
-        return bool(np.any(np.abs(self.roots.imag) > IMAG_TOL))
+        osc = (np.abs(self.roots.imag) > IMAG_TOL).any(axis=-1)
+        return osc if osc.ndim else bool(osc)
 
     def residuals(self) -> np.ndarray:
         """|p(r)| per root, evaluated in extended precision."""
+        k = np.asarray(self.k, dtype=_LD)[..., None]
         if self.model is LinearModel.STRAIN_RATE:
-            b = _LD(self.coeff) * _LD(self.k) * _LD(self.k)
-            c = _LD(self.k) * _LD(self.k)
+            b = _LD(self.coeff) * k * k
+            c = k * k
             vals = (self.roots + b) * self.roots + c
         else:
             g = _LD(self.coeff)
-            ksq = _LD(self.k) * _LD(self.k)
+            ksq = k * k
             vals = ((g * self.roots - 1.0) * self.roots) * self.roots - ksq
         return np.abs(vals).astype(float)
 
 
-def _classify(roots: np.ndarray) -> Classification:
-    re_max = np.max(roots.real)
-    if re_max > 0.0:
-        return Classification.UNSTABLE
-    if re_max == 0.0:
-        return Classification.MARGINALLY_STABLE
-    return Classification.STABLE
+# indexed by (re_max == 0) + 2 * (re_max > 0)
+_CLASSES = np.array(list(Classification), dtype=object)
 
 
-def strain_rate_dispersion(nu: float, k: float) -> DispersionResult:
+def _classify(roots: np.ndarray) -> np.ndarray:
+    re_max = roots.real.max(axis=-1)
+    return _CLASSES[(re_max == 0.0) + 2 * (re_max > 0.0)]
+
+
+def _result(scalar, model, k, coeff, roots, k_critical, disc, positive) -> DispersionResult:
+    """Pack a batch of modes; a scalar k gets its one mode with scalar fields."""
+    with np.errstate(over="ignore"):  # a discriminant beyond the double range is inf
+        disc = disc.astype(float)
+    classification = _classify(roots)
+    if scalar:
+        k, roots, classification, disc = float(k[0]), roots[0], classification[0], float(disc[0])
+        positive = None if positive is None else float(positive[0])
+    return DispersionResult(model, k, coeff, roots, classification, k_critical, disc, positive)
+
+
+def _positive(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _wavenumbers(k):
+    """k as a 1-D float array, and whether it was given as a scalar.
+
+    Refuses k whose k*k overflows a double: the roots and the residuals
+    would be infinite.
+    """
+    k = np.asarray(k, dtype=float)
+    if k.ndim > 1:
+        raise InvalidParameterError(
+            f"wavenumbers must be a scalar or a 1-D array, got shape {k.shape}"
+        )
+    ks = k.reshape(-1)
+    with np.errstate(over="ignore"):
+        ok = (ks >= 0.0) & (ks * ks <= _DBL_MAX)  # NaN and inf fail too
+    if not ok.all():
+        bad = float(ks[~ok][0])
+        if math.isfinite(bad) and bad >= 0.0:
+            raise InvalidParameterError(f"wavenumber {bad} is too large: k*k overflows a double")
+        raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {bad}")
+    return ks, k.ndim == 0
+
+
+def _newton(r: np.ndarray, p_and_dp, steps: int) -> np.ndarray:
+    """Newton steps on every entry of r in place, in r's precision.
+
+    An entry whose derivative vanishes keeps its value, and so its zero
+    derivative, from then on, as a scalar loop that breaks there would.
+    """
+    if r.size == 0:  # a scalar strain-rate call leaves one branch empty
+        return r
+    for _ in range(steps):
+        p, dp = p_and_dp(r)
+        moving = dp != 0.0
+        np.subtract(r, np.divide(p, dp, out=p, where=moving), out=r, where=moving)
+    return r
+
+
+def _quadratic(b, c):
+    # r**2 + b*r + c and its derivative
+    return lambda r: ((r + b) * r + c, 2.0 * r + b)
+
+
+def _cubic(g, ksq):
+    # g*r**3 - r**2 - ksq and its derivative
+    return lambda r: (((g * r - 1.0) * r) * r - ksq, (3.0 * g * r - 2.0) * r)
+
+
+def strain_rate_dispersion(nu: float, k) -> DispersionResult:
     """Both temporal rates of the strain-rate model at wavenumber k.
 
     Parameters
     ----------
     nu : float
         Strain-rate coefficient, > 0.
-    k : float
-        Wavenumber, >= 0.
+    k : float or 1-D array of float
+        Wavenumber(s), >= 0, with k*k finite in double precision.
 
     Returns
     -------
     DispersionResult with two roots, k_critical = 2/nu, and discriminant
-    k**2 * (nu**2 * k**2 - 4).
+    k**2 * (nu**2 * k**2 - 4); batched along a leading axis for array k.
     """
-    nu = float(nu)
-    k = float(k)
-    if not math.isfinite(nu) or nu <= 0.0:
-        raise InvalidParameterError(f"nu must be positive and finite, got {nu}")
-    if not math.isfinite(k) or k < 0.0:
-        raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {k}")
+    nu = _positive("nu", nu)
+    k, scalar = _wavenumbers(k)
 
-    nuL = _LD(nu)
-    kL = _LD(k)
-    b = nuL * kL * kL
+    kL = k.astype(_LD)
+    b = _LD(nu) * kL * kL
     c = kL * kL
     disc = b * b - 4.0 * c
 
-    if k == 0.0:
-        roots = np.zeros(2, dtype=_CLD)
-    elif disc < 0.0:
-        s = np.sqrt(-disc)
-        z = _CLD(-0.5 * b + 0.5j * s)
-        z = _polish_quadratic(z, b, c)
-        roots = np.array([z, z.conjugate()], dtype=_CLD)
-    else:
-        s = np.sqrt(disc)
-        r1 = -(b + s) / 2.0  # large-magnitude root, no cancellation
-        r2 = c / r1 if r1 != 0.0 else _LD(0.0)
-        r1 = _polish_quadratic(r1, b, c)
-        r2 = _polish_quadratic(r2, b, c)
-        roots = np.array([_CLD(r2), _CLD(r1)], dtype=_CLD)
+    roots = np.zeros((k.size, 2), dtype=_CLD)  # k = 0: the double root 0
+    osc = (k != 0.0) & (disc < 0.0)
+    z = -0.5 * b[osc] + 0.5j * np.sqrt(-disc[osc])
+    z = _newton(z, _quadratic(b[osc], c[osc]), 3)
+    roots[osc, 0] = z
+    roots[osc, 1] = np.conj(z)
 
-    return DispersionResult(
-        model=LinearModel.STRAIN_RATE,
-        k=k,
-        coeff=nu,
-        roots=roots,
-        classification=_classify(roots),
-        k_critical=2.0 / nu,
-        discriminant=float(disc),
-        positive_real_root=None,
-    )
+    real = (k != 0.0) & ~osc
+    br, cr = b[real, None], c[real, None]
+    r1 = -(br + np.sqrt(disc[real, None])) / 2.0  # large-magnitude root, no cancellation
+    r2 = cr / r1  # r1 < 0 for every k > 0
+    roots[real] = _newton(np.hstack([r2, r1]), _quadratic(br, cr), 3)
+
+    return _result(scalar, LinearModel.STRAIN_RATE, k, nu, roots, 2.0 / nu, disc, None)
 
 
-def _polish_quadratic(r, b, c):
-    # Newton on r**2 + b*r + c in whatever precision r carries
-    for _ in range(3):
-        p = (r + b) * r + c
-        dp = 2.0 * r + b
-        if dp == 0.0:
-            break
-        r = r - p / dp
-    return r
+def _companion_roots(gamma: float, k: np.ndarray) -> np.ndarray:
+    """np.roots([gamma, -1, 0, -k*k]) for every k at once, bit for bit.
+
+    The (n, 3, 3) companion matrices are built as np.roots builds one
+    (first row -p[1:]/p[0], which makes the middle entry -0.0), so one
+    stacked eigvals call returns each root in np.roots' order.  Where k*k
+    is 0, np.roots strips the trailing zero coefficient and returns
+    [1/gamma, 0, 0]; this does so wherever k*k/gamma is 0, since a start of
+    0 for the real rate would never leave 0.
+    """
+    ksq = k * k
+    companion = np.zeros((k.size, 3, 3))
+    companion[:, 0, 0] = 1.0 / gamma
+    companion[:, 0, 1] = -0.0
+    with np.errstate(over="ignore"):
+        companion[:, 0, 2] = ksq / gamma
+    if not np.all(np.isfinite(companion[:, 0, 2])):
+        k_big = float(k[~np.isfinite(companion[:, 0, 2])][0])
+        raise InvalidParameterError(
+            f"wavenumber {k_big} is too large: k*k/gamma overflows a double"
+        )
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.zeros((k.size, 3), dtype=complex)
+    roots[:, 0] = 1.0 / gamma
+    full = companion[:, 0, 2] != 0.0
+    roots[full] = np.linalg.eigvals(companion[full])
+    return roots
 
 
-def _polish_cubic(r, g, ksq):
-    # Newton on g*r**3 - r**2 - ksq
-    for _ in range(4):
-        p = ((g * r - 1.0) * r) * r - ksq
-        dp = (3.0 * g * r - 2.0) * r
-        if dp == 0.0:
-            break
-        r = r - p / dp
-    return r
-
-
-def stress_rate_dispersion(gamma: float, k: float) -> DispersionResult:
+def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
     """All three temporal rates of the stress-rate model at wavenumber k.
 
     The discriminant -k**2 * (4 + 27 * gamma**2 * k**2) is negative for every
     k > 0, so there is one real root and a conjugate pair; the real root is
     positive (one sign change in the coefficients), so the classification is
-    always unstable.  At k = 0 the roots are {0, 0, 1/gamma}.
+    always unstable.  At k = 0 the roots are {0, 0, 1/gamma}.  k may be a
+    1-D array (k*k/gamma finite in double precision); the result is then
+    batched along a leading axis.
     """
-    gamma = float(gamma)
-    k = float(k)
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise InvalidParameterError(f"gamma must be positive and finite, got {gamma}")
-    if not math.isfinite(k) or k < 0.0:
-        raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {k}")
+    gamma = _positive("gamma", gamma)
+    k, scalar = _wavenumbers(k)
 
     gL = _LD(gamma)
-    kL = _LD(k)
+    kL = k.astype(_LD)
     ksq = kL * kL
     disc = -ksq * (4.0 + 27.0 * gL * gL * ksq)
 
-    if k == 0.0:
-        real_root = _LD(1.0) / gL
-        roots = np.array([_CLD(real_root), _CLD(0.0), _CLD(0.0)], dtype=_CLD)
-        positive = float(real_root)
-    else:
-        start = np.roots([gamma, -1.0, 0.0, -k * k])
-        i_real = int(np.argmin(np.abs(start.imag)))
-        r_real = _polish_cubic(_LD(start[i_real].real), gL, ksq)
-        pair = [start[i] for i in range(3) if i != i_real]
-        z = max(pair, key=lambda w: w.imag)  # polish the Im > 0 member
-        z = _polish_cubic(_CLD(z), gL, ksq)
-        roots = np.array([_CLD(r_real), z, z.conjugate()], dtype=_CLD)
-        if not r_real > 0.0:
-            raise InvalidParameterError(
-                f"internal inconsistency: real rate {float(r_real)} not positive"
-            )
-        positive = float(r_real)
+    # start from the companion roots: the one nearest the real axis is the
+    # real rate, the Im > 0 member of the other two (the first on a tie)
+    # the pair; polish both in extended precision
+    start = _companion_roots(gamma, k)
+    modes = np.arange(k.size)
+    i_real = np.argmin(np.abs(start.imag), axis=1)
+    # the two other columns, in order
+    first = start[modes, (i_real == 0).astype(int)]
+    second = start[modes, 2 - (i_real == 2)]
+    z = np.where(second.imag > first.imag, second, first).astype(_CLD)
+    z = _newton(z, _cubic(gL, ksq), 4)
+    r_real = _newton(start[modes, i_real].real.astype(_LD), _cubic(gL, ksq), 4)
 
-    return DispersionResult(
-        model=LinearModel.STRESS_RATE,
-        k=k,
-        coeff=gamma,
-        roots=roots,
-        classification=Classification.UNSTABLE,
-        k_critical=None,
-        discriminant=float(disc),
-        positive_real_root=positive,
-    )
+    zero = k == 0.0
+    r_real[zero] = _LD(1.0) / gL
+    roots = np.stack([r_real.astype(_CLD), z, np.conj(z)], axis=1)
+    roots[zero, 1:] = 0.0
+    if not np.all(r_real > 0.0):
+        bad = r_real[~(r_real > 0.0)][0]
+        raise InvalidParameterError(
+            f"internal inconsistency: real rate {float(bad)} not positive"
+        )
+
+    positive = r_real.astype(float)
+    return _result(scalar, LinearModel.STRESS_RATE, k, gamma, roots, None, disc, positive)
 
 
-def solve_dispersion(model, coeff: float, k: float) -> DispersionResult:
-    """Model-switching wrapper over the two dispersion solvers."""
+def solve_dispersion(model, coeff: float, k) -> DispersionResult:
+    """Model-switching wrapper over the two dispersion solvers.
+
+    k is a scalar or a 1-D array, as for the solvers themselves.
+    """
     model = _coerce_model(model)
     if model is LinearModel.STRAIN_RATE:
         return strain_rate_dispersion(coeff, k)
@@ -299,14 +368,8 @@ def growth_rate_curve(model, coeff: float, k_values) -> np.ndarray:
     stress-rate model it is the positive real root, which grows without
     bound as k does.
     """
-    model = _coerce_model(model)
-    k_values = np.asarray(k_values, dtype=float)
-    out = np.empty((k_values.size, 2))
-    for i, k in enumerate(k_values.ravel()):
-        res = solve_dispersion(model, coeff, float(k))
-        out[i, 0] = k
-        out[i, 1] = res.max_real_part
-    return out
+    k_values = np.asarray(k_values, dtype=float).ravel()
+    return np.column_stack([k_values, solve_dispersion(model, coeff, k_values).max_real_part])
 
 
 def locate_critical_wavenumber(nu: float, tol: float = 1e-8) -> float:

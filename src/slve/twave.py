@@ -328,7 +328,7 @@ def kink_profile(
         raise NoKinkError(diag.message)
     if xi_span <= 0.0 or not math.isfinite(xi_span):
         raise InvalidParameterError(f"xi_span must be positive, got {xi_span}")
-    if int(n_samples) != n_samples or n_samples < 9:
+    if not (math.isfinite(n_samples) and int(n_samples) == n_samples and n_samples >= 9):
         raise InvalidParameterError(f"n_samples must be an integer >= 9, got {n_samples}")
     lo, hi = sorted((problem.t_minus, problem.t_plus))
     if center_value is None:
@@ -357,7 +357,7 @@ def kink_profile(
     raw_right = problem.t_minus if flip else problem.t_plus
 
     def raw_eval(s: np.ndarray) -> np.ndarray:
-        out = np.empty_like(s)
+        out = np.full_like(s, np.nan)  # NaN fails every mask below
         m_fwd = (s >= 0.0) & (s <= half)
         m_bwd = (s < 0.0) & (s >= -half)
         if np.any(m_fwd):

@@ -2,10 +2,10 @@
 
 bench/tracing.py wraps module attributes by name and reads simulate's
 return value through len() and indexing; a renamed function or a changed
-return type would make traced benchmark runs fail.  This runs a tiny
-simulate and energy series under the tracer and checks that the layers the
-benchmark's self-test requires recorded calls, and that restore() puts every
-original back.
+return type would make traced benchmark runs fail.  These run a tiny
+simulate and energy series, and a tiny mode analysis, under the tracer and
+check that the layers the benchmark's self-test requires recorded calls, and
+that restore() puts every original back.
 """
 
 import importlib
@@ -62,5 +62,64 @@ def test_tracer_wraps_and_restores_the_pde_layers(tracing):
     assert metrics["pde.energy_reports"] == 7
     # one total per snapshot, none recomputed per report window
     assert metrics["pde.total_energy.calls"] == 9
+    restored = [_lookup(m, p) for _, m, p in tracing.WRAPPED]
+    assert all(a is b for a, b in zip(originals, restored))
+
+
+MODE_INI = """
+[run]
+command = {command}
+
+[model]
+variant = {variant}
+{key} = 1.0
+
+[constitutive]
+kind = saturating
+beta = 1.0
+a = 1.0
+
+[dispersion]
+k_values = 0.0 0.5 1.0 2.0 4.0
+
+[twave]
+t_minus = 0.0
+t_plus = 1.0
+xi_span = 200.0
+n_samples = 101
+
+[output]
+directory = {out}
+"""
+
+
+def test_tracer_sees_every_mode_analysis_layer(tracing, tmp_path):
+    originals = [_lookup(m, p) for _, m, p in tracing.WRAPPED]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cli = importlib.import_module("slve.cli")
+        con = importlib.import_module("slve.constitutive")
+        twave = importlib.import_module("slve.twave")
+        lo = tracer.mark()
+        commands = [("dispersion", "strain_rate", "nu"), ("dispersion", "stress_rate", "gamma"),
+                    ("twave", "stress_rate", "gamma")]
+        for command, variant, key in commands:
+            text = MODE_INI.format(command=command, variant=variant, key=key,
+                                   out=tmp_path / f"{command}_{variant}")
+            assert cli.run(cli.parse_config(text)).exit_code == 0
+        f = con.make_constitutive("saturating", beta=1.0, a=1.0)
+        report = twave.unified_reduction_check(f, 0.0, 1.0, gamma=1.0, nu=1.0, n_compare=11)
+        metrics = tracer.layer_metrics(lo, tracer.mark())
+    finally:
+        tracer.restore()
+    assert report.max_mismatch < 1e-9
+    for name in tracing.EXPECTED_CALLS["mode_analysis"]:
+        assert metrics[f"{name}.calls"] >= 1, name
+    # one batched solve per dispersion command, whole-array profile columns
+    assert metrics["dispersion.dispersion.calls"] == 2
+    assert metrics["dispersion.strain_rate_dispersion.calls"] == 1
+    assert metrics["dispersion.stress_rate_dispersion.calls"] == 1
+    assert metrics["twave.profile_eval.calls"] <= 3
     restored = [_lookup(m, p) for _, m, p in tracing.WRAPPED]
     assert all(a is b for a, b in zip(originals, restored))

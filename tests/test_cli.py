@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from slve import ConfigError, stress_rate_dispersion
-from slve.cli import Command, main, parse_config, run
+from slve import ConfigError, core, solve_dispersion, stress_rate_dispersion, twave
+from slve.cli import Command, _write_table, main, parse_config, run
 
 DISP_INI = """
 [run]
@@ -208,6 +208,41 @@ class TestRunDispersion:
         assert rec["positive_real_root"] is None
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize(
+        "model",
+        ["variant = strain_rate\nnu = 1.0", "variant = stress_rate\ngamma = 0.5"],
+        ids=["strain_rate", "stress_rate"],
+    )
+    def test_table_equals_per_mode_rows(self, tmp_path, model, fmt):
+        # the same table built one scalar solve per wavenumber, as rows
+        ks = [0.0, 2.0, 1.9999999999999998, 1e-3, 0.5, 7.25, 1e-160, 1e150]
+        text = (
+            DISP_INI.format(out=tmp_path / "out")
+            .replace("variant = strain_rate\nnu = 1.0", model)
+            .replace("0.0 0.5 1.0 2.0 4.0", " ".join(map(repr, ks)))
+            + f"format = {fmt}\n"
+        )
+        config = parse_config(text)
+        assert run(config).exit_code == 0
+        unit = core.dimensionless_params(config.params)
+        header = ["k", "classification", "max_real_part", "positive_real_root",
+                  "k_critical", "discriminant", "max_residual"]
+        rows = []
+        for k in config.k_values:
+            res = solve_dispersion(unit.variant, unit.coefficient, float(k))
+            row = [float(k), res.classification.value, res.max_real_part,
+                   res.positive_real_root, res.k_critical, res.discriminant,
+                   float(np.max(res.residuals()))]
+            for r in res.roots:
+                row += [float(r.real), float(r.imag)]
+            rows.append(row)
+        header += [f"{part}_r{i}" for i in range(len(res.roots)) for part in ("re", "im")]
+        _write_table(tmp_path / "reference", header, rows, fmt)
+        written = (tmp_path / "out" / f"dispersion.{fmt}").read_bytes()
+        assert written == (tmp_path / "reference").read_bytes()
+
+
 class TestRunSimulate:
     def test_trajectory_table(self, tmp_path):
         result = run(parse_config(SIM_INI.format(out=tmp_path)))
@@ -265,6 +300,34 @@ class TestRunTwave:
         assert result.record["exists"] is False
         assert result.record["degenerate"] is True
         assert not (tmp_path / "twave.csv").exists()
+
+
+    @pytest.mark.parametrize(
+        "model",
+        ["variant = stress_rate\ngamma = 1.0", "variant = strain_rate\nnu = 0.5"],
+        ids=["stress_rate", "strain_rate"],
+    )
+    def test_table_equals_per_sample_rows(self, tmp_path, model):
+        # the same table built from one interpolant call per sample and column
+        text = (
+            TWAVE_INI.format(out=tmp_path / "out")
+            .replace("variant = stress_rate\ngamma = 1.0", model)
+            .replace("t_plus = 1.0\n", "t_plus = 1.0\nn_samples = 301\n")
+        )
+        config = parse_config(text)
+        assert run(config).exit_code == 0
+        unit = core.dimensionless_params(config.params)
+        spec = config.twave
+        problem = twave.make_problem(
+            config.response, spec.t_minus, spec.t_plus, unit.variant, unit.coefficient)
+        profile = twave.kink_profile(problem, xi_span=spec.xi_span, n_samples=spec.n_samples)
+        rows = [
+            [float(xi), float(T), float(profile.strain(xi)), float(profile.velocity(xi))]
+            for xi, T in zip(profile.xi, profile.T)
+        ]
+        _write_table(tmp_path / "reference", ["xi", "stress", "eps", "v"], rows, "csv")
+        written = (tmp_path / "out" / "twave.csv").read_bytes()
+        assert written == (tmp_path / "reference").read_bytes()
 
 
 class TestRunEnergyAudit:
@@ -369,6 +432,40 @@ class TestMain:
         record = json.loads(capsys.readouterr().out)
         assert record["k_critical"] == 4.0
         assert (out2 / "dispersion.csv").exists()
+
+    @pytest.mark.parametrize(
+        "model",
+        ["variant = strain_rate\nnu = 1.0", "variant = stress_rate\ngamma = 1.0"],
+        ids=["strain_rate", "stress_rate"],
+    )
+    @pytest.mark.parametrize(
+        "k,reason", [("1e160", "too large"), ("-1.0", "finite and >= 0"), ("nan", "finite")]
+    )
+    def test_bad_wavenumber_exit_2(self, tmp_path, capsys, model, k, reason):
+        # at 1e160 k*k is inf: no finite root or residual to report
+        ini = tmp_path / "run.ini"
+        text = DISP_INI.format(out=tmp_path / "out")
+        ini.write_text(text.replace("variant = strain_rate\nnu = 1.0", model))
+        assert main(["dispersion", "--config", str(ini), "--k", k]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["category"] == "config" and "k_values" in record["message"]
+        assert reason in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n_samples", "5"), ("n_samples", "8"), ("xi_span", "0.0"), ("xi_span", "-200.0"),
+         ("xi_span", "inf"), ("xi_span", "nan")],
+    )
+    def test_bad_twave_values_exit_2(self, tmp_path, capsys, key, value):
+        # refused while parsing, before the existence scan runs
+        ini = tmp_path / "run.ini"
+        text = TWAVE_INI.format(out=tmp_path / "out")
+        ini.write_text(text.replace("t_plus = 1.0\n", f"t_plus = 1.0\n{key} = {value}\n"))
+        assert main(["twave", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["category"] == "config" and key in record["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_k_override_narrows_mode_list(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

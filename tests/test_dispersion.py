@@ -24,6 +24,7 @@ from slve import (
     strain_rate_dispersion,
     stress_rate_dispersion,
 )
+from slve.dispersion import _companion_roots
 
 SUPERGOLDEN = 1.4655712318767682  # bisection oracle for r^3 = r^2 + 1
 
@@ -183,6 +184,109 @@ class TestWrapperAndCurve:
     def test_locate_critical_wavenumber(self):
         for nu in (0.5, 1.0, 2.0, 4.0):
             assert locate_critical_wavenumber(nu) == pytest.approx(2.0 / nu, abs=1e-8)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape, values and signs of zero, part by part (no NaNs)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    parts = (np.real, np.imag) if np.iscomplexobj(a) else (np.real,)
+    return all(
+        np.array_equal(p(a), p(b)) and np.array_equal(np.signbit(p(a)), np.signbit(p(b)))
+        for p in parts
+    )
+
+
+# k = 0, ordinary k, k whose k*k (or k*k/coeff) underflows, and k near 1e150
+_WAVENUMBER = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e3),
+    st.floats(min_value=1e-170, max_value=1e-150),
+    st.floats(min_value=1e149, max_value=1e151),
+)
+
+
+class TestBatch:
+    @given(
+        st.sampled_from(["strain_rate", "stress_rate"]),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.lists(_WAVENUMBER, min_size=1, max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_equals_scalar_calls_bit_for_bit(self, model, coeff, ks):
+        ks = ks + [2.0 / coeff]  # the strain-rate critical wavenumber, exactly
+        batch = solve_dispersion(model, coeff, np.array(ks))
+        residuals = batch.residuals()
+        assert batch.roots.shape == (len(ks), 2 if model == "strain_rate" else 3)
+        for i, k in enumerate(ks):
+            one = solve_dispersion(model, coeff, k)
+            assert one.k == batch.k[i] == k
+            assert one.classification is batch.classification[i]
+            assert one.k_critical == batch.k_critical
+            assert _same_bits(one.roots, batch.roots[i])
+            assert _same_bits(one.discriminant, batch.discriminant[i])
+            assert _same_bits(one.max_real_part, batch.max_real_part[i])
+            assert one.is_oscillatory == batch.is_oscillatory[i]
+            assert _same_bits(one.residuals(), residuals[i])
+            if model == "strain_rate":
+                assert one.positive_real_root is None and batch.positive_real_root is None
+            else:
+                assert _same_bits(one.positive_real_root, batch.positive_real_root[i])
+
+    @given(
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.lists(_WAVENUMBER, min_size=1, max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_companion_start_matches_np_roots(self, gamma, ks):
+        # the stress-rate polish starts where the scalar np.roots call did
+        start = _companion_roots(gamma, np.array(ks))
+        for i, k in enumerate(ks):
+            if k * k / gamma != 0.0:
+                ref = np.roots([gamma, -1.0, 0.0, -k * k]).astype(complex)
+                assert _same_bits(start[i], ref)
+
+    def test_batch_fields_have_a_mode_axis(self):
+        ks = np.array([0.0, 1.0, 4.0])
+        res = strain_rate_dispersion(1.0, ks)
+        assert res.roots.shape == (3, 2) and res.residuals().shape == (3, 2)
+        assert list(res.classification) == [
+            Classification.MARGINALLY_STABLE, Classification.STABLE, Classification.STABLE]
+        assert res.is_oscillatory.tolist() == [False, True, False]
+        assert res.max_real_part[0] == 0.0 and np.all(res.max_real_part[1:] < 0.0)
+        assert res.discriminant.shape == (3,) and res.positive_real_root is None
+        res = stress_rate_dispersion(1.0, ks)
+        assert res.roots.shape == (3, 3)
+        assert res.positive_real_root[1] == pytest.approx(SUPERGOLDEN, rel=1e-15)
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            strain_rate_dispersion(1.0, np.ones((2, 2)))
+        with pytest.raises(InvalidParameterError):
+            stress_rate_dispersion(1.0, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("solver", [strain_rate_dispersion, stress_rate_dispersion])
+    @pytest.mark.parametrize("k", [1e160, [1.0, 1e160]])
+    def test_overflowing_wavenumber_rejected(self, solver, k):
+        # k*k is inf: the roots and residuals would be infinite, and the
+        # companion matrix could not be factored
+        with pytest.raises(InvalidParameterError, match="too large"):
+            solver(1.0, k)
+
+    def test_overflowing_companion_coefficient_rejected(self):
+        # k*k is finite, k*k/gamma is not
+        with pytest.raises(InvalidParameterError, match="too large"):
+            stress_rate_dispersion(1e-3, 1e154)
+
+    def test_underflowing_companion_coefficient(self):
+        # k*k/gamma rounds to 0 while k*k does not: the companion roots come
+        # out as {0, 0, 1/gamma}, and a 0 picked as the real rate never moves
+        k = 2.3e-162
+        assert k * k > 0.0 and k * k / 2.0 == 0.0
+        res = stress_rate_dispersion(2.0, k)
+        assert res.positive_real_root == 0.5
+        assert np.all(res.roots[1:] == 0.0)
 
 
 class TestModeEvolution:

@@ -9,6 +9,7 @@ import pytest
 
 from slve import (
     DegenerateEquilibriaError,
+    InvalidParameterError,
     Grid1D,
     NoKinkError,
     NoRealSpeedError,
@@ -177,6 +178,21 @@ class TestProfile:
         prof = kink_profile(saturating_problem("strain_rate", 1.0))
         assert np.max(np.abs(first_order_residual(prof))) < 1e-8
         assert prof.signed_speed == pytest.approx(-np.sqrt(2.0), rel=1e-12)
+
+    def test_nan_input_gives_nan(self):
+        # NaN fails every window mask, so it must not read unset memory
+        prof = kink_profile(saturating_problem())
+        assert np.isnan(prof.interpolant(np.nan))
+        xi = np.array([-1e9, np.nan, 0.0, np.nan, 1e9])
+        out = prof.interpolant(xi)
+        assert np.isnan(out[[1, 3]]).all()
+        assert out[[0, 2, 4]].tolist() == [0.0, prof.interpolant(0.0), 1.0]
+        assert np.isnan(prof.strain(xi)[1]) and np.isnan(prof.velocity(xi)[3])
+
+    @pytest.mark.parametrize("n_samples", [8, 9.5, np.inf, np.nan])
+    def test_bad_sample_count_rejected(self, n_samples):
+        with pytest.raises(InvalidParameterError, match="n_samples"):
+            kink_profile(saturating_problem(), n_samples=n_samples)
 
     def test_short_span_rejected(self):
         with pytest.raises(SpanTooShortError):
