@@ -315,8 +315,11 @@ def _validate_for_command(config: RunConfig) -> None:
             raise ConfigError("dispersion needs the stress_rate or strain_rate variant")
         if config.k_values is None:
             raise ConfigError("command 'dispersion' needs [dispersion] k_values")
-        try:  # the solvers' own check: finite, >= 0, k*k finite
-            dispersion._wavenumbers(config.k_values)
+        try:  # the solvers' own checks: finite, >= 0, k*k (and k*k/gamma) finite
+            ks, _ = dispersion._wavenumbers(config.k_values)
+            unit = core.dimensionless_params(config.params)
+            if unit.variant is core.Variant.STRESS_RATE:
+                dispersion._ksq_over_gamma(unit.coefficient, ks)
         except ValueError as exc:
             raise ConfigError(f"[dispersion] k_values rejected: {exc}") from exc
     elif command is Command.TWAVE:
@@ -358,15 +361,16 @@ def _cell_json(x):
 
 
 def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_cell_csv(x) for x in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        lines = [
-            json.dumps(dict(zip(header, (_cell_json(x) for x in row)))) for row in rows
-        ]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
+    """Write each row to the open file as it is formatted, one line each."""
+    with path.open("w") as fh:
+        if fmt == "csv":
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(_cell_csv(x) for x in row) + "\n" for row in rows)
+        else:
+            fh.writelines(
+                json.dumps(dict(zip(header, (_cell_json(x) for x in row)))) + "\n"
+                for row in rows
+            )
 
 
 def _array_rows(columns: Sequence[np.ndarray]) -> Iterable[tuple]:
@@ -403,11 +407,10 @@ def _solver_config(config: RunConfig) -> pde.SolverConfig:
 def _write_trajectory(out_dir: Path, traj: pde.Trajectory, fmt: str) -> str:
     """Write one row (t, x, v, eps, stress) per snapshot and node; return the name."""
     n, _, n_nodes = traj.fields.shape
-    values = traj.fields.transpose(0, 2, 1).reshape(n * n_nodes, 3)
-    columns = (np.repeat(traj.t, n_nodes), np.tile(traj.grid.nodes(), n), values)
-    rows = np.column_stack(columns).tolist()  # Python floats format fastest
+    columns = (np.repeat(traj.t, n_nodes), np.tile(traj.grid.nodes(), n),
+               *traj.fields.transpose(1, 0, 2).reshape(3, n * n_nodes))
     name = f"trajectory.{fmt}"
-    _write_table(out_dir / name, ["t", "x", "v", "eps", "stress"], rows, fmt)
+    _write_table(out_dir / name, ["t", "x", "v", "eps", "stress"], _array_rows(columns), fmt)
     return name
 
 

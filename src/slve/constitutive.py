@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from .errors import (
     InvalidHistoryError,
@@ -49,7 +49,6 @@ __all__ = [
     "custom_constitutive",
     "potential_from_response",
     "response_from_potential",
-    "compliance",
     "audit_dissipation",
     "invert",
     "invert_array",
@@ -141,16 +140,9 @@ def _saturating_callables(beta: float, a: float):
             return u * u / (1.0 + np.hypot(1.0, u)) / beta
 
     else:
-        scalar_value = _elementwise(raw_value)
-
-        def _h_scalar(t: float) -> float:
-            val, _ = quad(scalar_value, 0.0, abs(t), epsabs=1e-13, epsrel=1e-12)
-            return val
-
-        _h_vec = np.vectorize(_h_scalar, otypes=[float])
 
         def raw_antider(arr):
-            return _h_vec(arr)
+            return quad(raw_value, arr)
 
     def raw_inverse(arr):
         w = np.abs(arr)
@@ -251,17 +243,24 @@ def _fd_derivative(value: Callable) -> Callable:
     return raw
 
 
-def _quad_antiderivative(value: Callable) -> Callable:
-    def _scalar(t: float) -> float:
-        val, _ = quad(value, 0.0, t, epsabs=1e-13, epsrel=1e-12)
-        return val
+def quad(value: Callable, T) -> np.ndarray:
+    """H(T) = int_0^T h(s) ds for every entry of T, in one adaptive quadrature.
 
-    vec = np.vectorize(_scalar, otypes=[float])
-
-    def raw(arr):
-        return vec(arr)
-
-    return raw
+    The substitution s = t*x puts every integral on [0, 1], so a single
+    scipy.integrate.quad_vec call (adaptive Gauss-Kronrod) integrates
+    t*h(t*x) for the whole batch; its error is controlled in the max norm
+    over the batch.  value is called with arrays.  A non-finite entry gives
+    NaN, as the closed forms do.
+    """
+    t = np.asarray(T, dtype=float)
+    out = np.full(t.shape, np.nan)
+    finite = np.isfinite(t)
+    if finite.any():  # quad_vec refuses an empty integrand
+        t = t[finite]
+        out[finite], _ = quad_vec(
+            lambda x: t * value(t * x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, norm="max"
+        )
+    return out
 
 
 def custom_constitutive(
@@ -277,6 +276,7 @@ def custom_constitutive(
     inversion to be meaningful (not checkable globally; invert() fails loudly
     on a bad bracket instead).  Missing pieces are filled numerically:
     derivative by centered differences, antiderivative by quadrature from 0.
+    The callables are called with arrays and must work elementwise.
     """
     value = _elementwise(value)
     v0 = value(0.0)
@@ -284,7 +284,7 @@ def custom_constitutive(
         raise InvalidParameterError(f"a response function must vanish at T = 0, got h(0) = {v0}")
     derivative = _elementwise(derivative if derivative is not None else _fd_derivative(value))
     antiderivative = _elementwise(
-        antiderivative if antiderivative is not None else _quad_antiderivative(value)
+        antiderivative if antiderivative is not None else lambda arr: quad(value, arr)
     )
     inverse = _elementwise(inverse) if inverse is not None else None
     return ConstitutiveFunction(
@@ -378,11 +378,6 @@ def response_from_potential(pair: PotentialPair) -> ConstitutiveFunction:
     )
 
 
-def compliance(f: ConstitutiveFunction, T):
-    """Slope dh/dT: how much strain a unit of extra stress buys."""
-    return f.derivative(T)
-
-
 @dataclass(frozen=True)
 class DissipationAudit:
     """Sign check of the dissipation rate gamma*(T_t)^2 along a history."""
@@ -436,66 +431,87 @@ def audit_dissipation(gamma: float, stress_history) -> DissipationAudit:
     )
 
 
-def invert(f: ConstitutiveFunction, y: float) -> float:
-    """Solve h(T) = y for T.
+def invert(f: ConstitutiveFunction, y):
+    """Solve h(T) = y for T, for a scalar target or every entry of an array.
 
     Uses the closed-form inverse when the catalog provides one, otherwise
-    bracketing bisection refined by safeguarded Newton steps.  The result
-    satisfies |h(T) - y| < 1e-12 * max(1, |y|).
+    bracketing bisection refined by safeguarded Newton steps.  Each entry
+    runs its own iteration: it widens its own bracket and freezes once it
+    has converged, so a batch gives the bits of entry-by-entry calls.  Every
+    result satisfies |h(T) - y| < 1e-12 * max(1, |y|).  A scalar target
+    gives a float, an array an array of its shape; value and derivative are
+    called with arrays.
 
     Raises
     ------
+    InvalidParameterError
+        If a target is not finite.
     OutOfRangeError
         If |y| meets or exceeds the response bound (strain-limited responses
-        never attain their limit at finite stress).
+        never attain their limit at finite stress), or no bracket is found.
+    SlveError
+        If an entry does not converge in 200 iterations.
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise InvalidParameterError(f"target must be finite, got {y}")
-    if abs(y) >= f.bound:
+    y_in = np.asarray(y, dtype=float)
+    y = y_in.reshape(-1)
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise InvalidParameterError(f"target must be finite, got {y[~finite][0]}")
+    outside = np.abs(y) >= f.bound
+    if outside.any():
         raise OutOfRangeError(
-            f"target {y} is outside the attainable range (|h| < {f.bound})"
+            f"target {y[outside][0]} is outside the attainable range (|h| < {f.bound})"
         )
-    tol = 1e-12 * max(1.0, abs(y))
+    tol = 1e-12 * np.maximum(1.0, np.abs(y))
     if f.inverse is not None:
-        T = float(f.inverse(y))
-        if abs(float(f.value(T)) - y) < tol:
-            return T
-        # fall through and polish (defensive; the catalog inverses are exact)
+        T = np.array(f.inverse(y), dtype=float)
+        # polish what the closed form misses (defensive; the catalog inverses are exact)
+        todo = np.flatnonzero(~(np.abs(np.asarray(f.value(T)) - y) < tol))
     else:
-        T = 0.0
+        T = np.zeros_like(y)
+        todo = np.arange(y.size)
+    if todo.size:
+        T[todo] = _newton_bisection(f, y[todo], T[todo], tol[todo])
+    return float(T[0]) if y_in.ndim == 0 else T.reshape(y_in.shape)
 
-    # establish a bracket [lo, hi] with h(lo) <= y <= h(hi)
-    scale = max(1.0, abs(y) / max(f.beta, 1e-12))
+
+def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
+    """Bracketed, safeguarded Newton on every entry, from starts T."""
+    # each entry widens its own bracket [lo, hi] until h(lo) <= y <= h(hi)
+    scale = np.maximum(1.0, np.abs(y) / max(f.beta, 1e-12))
     lo, hi = -scale, scale
-    expansions = 0
-    while float(f.value(hi)) < y:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 600 or not math.isfinite(hi):
-            raise OutOfRangeError(f"target {y} appears to exceed the attainable range")
-    while float(f.value(lo)) > y:
-        lo *= 2.0
-        expansions += 1
-        if expansions > 600 or not math.isfinite(lo):
-            raise OutOfRangeError(f"target {y} appears to be below the attainable range")
+    expansions = np.zeros(y.size, dtype=int)
+    for end, short, side in ((hi, np.less, "exceed"), (lo, np.greater, "be below")):
+        grow = np.flatnonzero(short(f.value(end), y))
+        while grow.size:
+            end[grow] *= 2.0
+            expansions[grow] += 1
+            stuck = (expansions[grow] > 600) | ~np.isfinite(end[grow])
+            if stuck.any():
+                raise OutOfRangeError(
+                    f"target {y[grow[stuck][0]]} appears to {side} the attainable range"
+                )
+            grow = grow[short(f.value(end[grow]), y[grow])]
 
-    if not lo <= T <= hi:
-        T = 0.5 * (lo + hi)
+    T = np.where((lo <= T) & (T <= hi), T, 0.5 * (lo + hi))
+    active = np.arange(y.size)
     for _ in range(200):
-        r = float(f.value(T)) - y
-        if abs(r) < tol:
+        t = T[active]
+        r = np.asarray(f.value(t)) - y[active]
+        moving = ~(np.abs(r) < tol[active])  # a converged entry freezes
+        active, t, r = active[moving], t[moving], r[moving]
+        if not active.size:
             return T
-        if r > 0.0:
-            hi = T
-        else:
-            lo = T
-        slope = float(f.derivative(T))
-        T_new = T - r / slope if slope > 0.0 else 0.5 * (lo + hi)
-        if not (lo < T_new < hi):
-            T_new = 0.5 * (lo + hi)
-        T = T_new
-    raise SlveError(f"inversion did not converge for target {y}")
+        above = r > 0.0
+        hi[active[above]] = t[above]
+        lo[active[~above]] = t[~above]
+        slope = np.asarray(f.derivative(t))
+        mid = 0.5 * (lo[active] + hi[active])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = np.where(slope > 0.0, t - r / slope, mid)
+        inside = (lo[active] < step) & (step < hi[active])
+        T[active] = np.where(inside, step, mid)
+    raise SlveError(f"inversion did not converge for target {y[active[0]]}")
 
 
 def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
@@ -508,5 +524,4 @@ def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
         )
     if f.inverse is not None:
         return np.asarray(f.inverse(y), dtype=float)
-    flat = np.asarray([invert(f, float(v)) for v in y.ravel()])
-    return flat.reshape(y.shape)
+    return np.asarray(invert(f, y))

@@ -275,6 +275,19 @@ def strain_rate_dispersion(nu: float, k) -> DispersionResult:
     return _result(scalar, LinearModel.STRAIN_RATE, k, nu, roots, 2.0 / nu, disc, None)
 
 
+def _ksq_over_gamma(gamma: float, k: np.ndarray) -> np.ndarray:
+    """k*k/gamma for every k, refusing a k where it overflows a double: the
+    stress-rate companion matrix, and so every root, would not be finite."""
+    with np.errstate(over="ignore"):
+        ratio = k * k / gamma
+    if not np.all(np.isfinite(ratio)):
+        k_big = float(k[~np.isfinite(ratio)][0])
+        raise InvalidParameterError(
+            f"wavenumber {k_big} is too large: k*k/gamma overflows a double"
+        )
+    return ratio
+
+
 def _companion_roots(gamma: float, k: np.ndarray) -> np.ndarray:
     """np.roots([gamma, -1, 0, -k*k]) for every k at once, bit for bit.
 
@@ -285,21 +298,15 @@ def _companion_roots(gamma: float, k: np.ndarray) -> np.ndarray:
     [1/gamma, 0, 0]; this does so wherever k*k/gamma is 0, since a start of
     0 for the real rate would never leave 0.
     """
-    ksq = k * k
+    ratio = _ksq_over_gamma(gamma, k)
     companion = np.zeros((k.size, 3, 3))
     companion[:, 0, 0] = 1.0 / gamma
     companion[:, 0, 1] = -0.0
-    with np.errstate(over="ignore"):
-        companion[:, 0, 2] = ksq / gamma
-    if not np.all(np.isfinite(companion[:, 0, 2])):
-        k_big = float(k[~np.isfinite(companion[:, 0, 2])][0])
-        raise InvalidParameterError(
-            f"wavenumber {k_big} is too large: k*k/gamma overflows a double"
-        )
+    companion[:, 0, 2] = ratio
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     roots = np.zeros((k.size, 3), dtype=complex)
     roots[:, 0] = 1.0 / gamma
-    full = companion[:, 0, 2] != 0.0
+    full = ratio != 0.0
     roots[full] = np.linalg.eigvals(companion[full])
     return roots
 

@@ -3,9 +3,10 @@
 bench/tracing.py wraps module attributes by name and reads simulate's
 return value through len() and indexing; a renamed function or a changed
 return type would make traced benchmark runs fail.  These run a tiny
-simulate and energy series, and a tiny mode analysis, under the tracer and
-check that the layers the benchmark's self-test requires recorded calls, and
-that restore() puts every original back.
+simulate and energy series, a tiny mode analysis, and tiny runs of responses
+without closed forms under the tracer and check that the layers the
+benchmark's self-test requires recorded calls, and that restore() puts every
+original back.
 """
 
 import importlib
@@ -121,5 +122,40 @@ def test_tracer_sees_every_mode_analysis_layer(tracing, tmp_path):
     assert metrics["dispersion.strain_rate_dispersion.calls"] == 1
     assert metrics["dispersion.stress_rate_dispersion.calls"] == 1
     assert metrics["twave.profile_eval.calls"] <= 3
+    restored = [_lookup(m, p) for _, m, p in tracing.WRAPPED]
+    assert all(a is b for a, b in zip(originals, restored))
+
+
+def test_tracer_sees_every_general_response_layer(tracing):
+    # a custom response inverted by iteration, then two energy series whose
+    # antiderivatives come from quadrature (the custom one and a = 1.5)
+    originals = [_lookup(m, p) for _, m, p in tracing.WRAPPED]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        core = importlib.import_module("slve.core")
+        con = importlib.import_module("slve.constitutive")
+        pde = importlib.import_module("slve.pde")
+        lo = tracer.mark()
+        grid = core.Grid1D(length=2.0 * np.pi, n_cells=16)
+        params = core.ModelParams(variant="strain_rate", nu=0.5)
+        dt = 0.2 * grid.spacing**2 / 0.5
+        custom = con.custom_constitutive(lambda T: T / np.sqrt(1.0 + T * T),
+                                         derivative=lambda T: (1.0 + T * T) ** -1.5, bound=1.0)
+        sat = con.make_constitutive("saturating", beta=1.0, a=1.5)
+        n_reports = 0
+        for f in (custom, sat):
+            config = pde.SolverConfig(params=params, constitutive=f, dt=dt, t_final=8 * dt)
+            traj = pde.simulate(pde.gaussian_bump_state(grid, f, np.pi, 0.5, 0.4), config)
+            n_reports += len(pde.energy_series(traj, params, f))
+        metrics = tracer.layer_metrics(lo, tracer.mark())
+    finally:
+        tracer.restore()
+    assert n_reports > 0
+    for name in ("constitutive.quad", "constitutive.invert", "constitutive.invert_array",
+                 "constitutive.derivative"):
+        assert metrics[f"{name}.calls"] >= 1, name
+    # one array-wide quadrature per antiderivative call, none per node
+    assert metrics["constitutive.quad.calls"] == metrics["constitutive.antiderivative.calls"]
     restored = [_lookup(m, p) for _, m, p in tracing.WRAPPED]
     assert all(a is b for a, b in zip(originals, restored))

@@ -5,8 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from slve import ConfigError, core, solve_dispersion, stress_rate_dispersion, twave
-from slve.cli import Command, _write_table, main, parse_config, run
+from slve import ConfigError, core, pde, solve_dispersion, stress_rate_dispersion, twave
+from slve.cli import (
+    Command,
+    _build_initial,
+    _solver_config,
+    _write_table,
+    main,
+    parse_config,
+    run,
+)
 
 DISP_INI = """
 [run]
@@ -254,6 +262,25 @@ class TestRunSimulate:
         status = json.loads((tmp_path / "status.json").read_text())
         assert status["t_final"] == 0.4
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_table_equals_per_snapshot_rows(self, tmp_path, fmt):
+        # the same table formatted one snapshot and node at a time
+        config = parse_config(SIM_INI.format(out=tmp_path / "out") + f"format = {fmt}\n")
+        assert run(config).exit_code == 0
+        traj = pde.simulate(_build_initial(config), _solver_config(config))
+        header = ["t", "x", "v", "eps", "stress"]
+        rows = [
+            [float(t), float(x), float(v), float(eps), float(stress)]
+            for t, (vs, epss, stresses) in zip(traj.t, traj.fields)
+            for x, v, eps, stress in zip(traj.grid.nodes(), vs, epss, stresses)
+        ]
+        if fmt == "csv":
+            lines = [",".join(header)] + [",".join(format(x, ".17g") for x in r) for r in rows]
+        else:
+            lines = [json.dumps(dict(zip(header, r))) for r in rows]
+        written = (tmp_path / "out" / f"trajectory.{fmt}").read_text()
+        assert written == "".join(line + "\n" for line in lines)
+
     def test_blow_up_reported_with_time(self, tmp_path):
         text = SIM_INI.format(out=tmp_path).replace("t_final = 0.4", "t_final = 30.0")
         text = text.replace("kind = saturating", "kind = linear")
@@ -434,15 +461,20 @@ class TestMain:
         assert (out2 / "dispersion.csv").exists()
 
     @pytest.mark.parametrize(
-        "model",
-        ["variant = strain_rate\nnu = 1.0", "variant = stress_rate\ngamma = 1.0"],
-        ids=["strain_rate", "stress_rate"],
-    )
-    @pytest.mark.parametrize(
-        "k,reason", [("1e160", "too large"), ("-1.0", "finite and >= 0"), ("nan", "finite")]
+        "model,k,reason",
+        [
+            pytest.param(model, k, reason, id=f"{k}-{reason}-{name}")
+            for name, model in (("strain_rate", "variant = strain_rate\nnu = 1.0"),
+                                ("stress_rate", "variant = stress_rate\ngamma = 1.0"))
+            for k, reason in (("1e160", "too large"), ("-1.0", "finite and >= 0"),
+                              ("nan", "finite"))
+        ]
+        + [pytest.param("variant = stress_rate\ngamma = 1e-3", "1e154", "k*k/gamma overflows",
+                        id="1e154-k*k over gamma-stress_rate")],
     )
     def test_bad_wavenumber_exit_2(self, tmp_path, capsys, model, k, reason):
-        # at 1e160 k*k is inf: no finite root or residual to report
+        # at 1e160 k*k is inf: no finite root or residual to report; at 1e154
+        # k*k is finite but k*k/gamma is not for gamma = 1e-3
         ini = tmp_path / "run.ini"
         text = DISP_INI.format(out=tmp_path / "out")
         ini.write_text(text.replace("variant = strain_rate\nnu = 1.0", model))

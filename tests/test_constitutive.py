@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from slve import (
     DissipationAudit,
@@ -20,7 +21,6 @@ from slve import (
     OutOfRangeError,
     PotentialPair,
     audit_dissipation,
-    compliance,
     custom_constitutive,
     invert,
     invert_array,
@@ -45,7 +45,7 @@ class TestCatalog:
         assert h.antiderivative(1.0) == pytest.approx(0.30685281944005469, abs=1e-13)
         assert h.inverse(0.5) == pytest.approx(1.0, rel=1e-13)
         assert h.bound == 1.0
-        assert compliance(h, 1.0) == pytest.approx(0.25, rel=1e-12)
+        assert h.derivative(1.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_saturating_a2(self):
         h = make_constitutive("saturating", beta=1.0, a=2.0)
@@ -114,6 +114,41 @@ class TestCatalog:
         assert h(T) == pytest.approx(y, abs=1e-11)
 
 
+def _bounded(T):
+    return T / np.sqrt(1.0 + T * T)
+
+
+def _bounded_slope(T):
+    return (1.0 + T * T) ** -1.5
+
+
+def _s_shaped(T):
+    # flat at 0, steep, then flat again: plain Newton from T = 0 overshoots
+    return _bounded(0.01 * T + T**3)
+
+
+def _s_shaped_slope(T):
+    return (0.01 + 3.0 * T * T) * _bounded_slope(0.01 * T + T**3)
+
+
+# responses without a closed-form inverse: invert() iterates on them
+NO_INVERSE = {
+    "bounded": (custom_constitutive(_bounded, derivative=_bounded_slope, bound=1.0),
+                st.floats(min_value=-0.999999, max_value=0.999999)),
+    "s_shaped": (custom_constitutive(_s_shaped, derivative=_s_shaped_slope, bound=1.0),
+                 st.floats(min_value=-0.999, max_value=0.999)),
+    "cubic": (custom_constitutive(lambda T: T + T**3, derivative=lambda T: 1.0 + 3.0 * T**2),
+              st.floats(min_value=-1e6, max_value=1e6)),
+}
+
+
+@st.composite
+def _no_inverse_targets(draw):
+    name = draw(st.sampled_from(sorted(NO_INVERSE)))
+    f, targets = NO_INVERSE[name]
+    return f, np.array(draw(st.lists(targets, min_size=1, max_size=30)))
+
+
 class TestInvert:
     def test_out_of_range(self):
         h = make_constitutive("saturating", beta=1.0, a=1.0)
@@ -140,6 +175,81 @@ class TestInvert:
         h = make_constitutive("arctan", beta=1.0)
         with pytest.raises(OutOfRangeError):
             invert_array(h, np.array([0.0, 0.5, 1.0]))
+
+    @given(_no_inverse_targets())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_equals_single_calls_and_meets_tolerance(self, case):
+        f, y = case
+        T = invert(f, y)
+        assert T.shape == y.shape
+        # each entry iterates on its own: the batch gives the scalar bits
+        assert all(T[i] == invert(f, float(v)) for i, v in enumerate(y))
+        assert np.all(np.abs(np.asarray(f(T)) - y) < 1e-12 * np.maximum(1.0, np.abs(y)))
+
+    def test_batch_shape_and_empty(self):
+        f = NO_INVERSE["bounded"][0]
+        y = np.linspace(-0.9, 0.9, 6).reshape(2, 3)
+        assert invert(f, y).shape == (2, 3)
+        assert invert_array(f, y).shape == (2, 3)
+        assert invert(f, np.array([])).shape == (0,)
+        assert isinstance(invert(f, 0.5), float)
+
+    def test_batch_refuses_any_bad_entry(self):
+        f = NO_INVERSE["bounded"][0]
+        with pytest.raises(InvalidParameterError):
+            invert(f, np.array([0.1, np.nan, 0.2]))
+        with pytest.raises(OutOfRangeError):
+            invert(f, np.array([0.1, -1.0, 0.2]))
+
+    @given(st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_custom_agrees_with_its_catalog_twin(self, ys):
+        # T/sqrt(1+T^2) is saturating a = 2: iterated and closed-form inverses
+        # agree to the 1e-12 residual tolerance, carried to T through the slope
+        y = np.array(ys)
+        twin = make_constitutive("saturating", beta=1.0, a=2.0)
+        T_twin = invert(twin, y)
+        T = invert(NO_INVERSE["bounded"][0], y)
+        scale = np.maximum(1.0, np.abs(y)) / np.asarray(twin.derivative(T_twin))
+        assert np.all(np.abs(T - T_twin) <= 1e-12 * scale + 1e-15 * np.abs(T_twin))
+
+
+def _reference_antiderivative(f, T):
+    return np.array([quad(f, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200)[0] for t in T])
+
+
+class TestQuadrature:
+    @given(
+        st.floats(min_value=0.5, max_value=4.0),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_saturating_matches_per_node_quad(self, a, beta, ts):
+        h = make_constitutive("saturating", beta=beta, a=a)
+        T = np.array(ts)
+        H, ref = np.asarray(h.antiderivative(T)), _reference_antiderivative(h, T)
+        assert np.all(np.abs(H - ref) <= 1e-12 * max(1.0, np.max(np.abs(ref))) + 1e-13)
+
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_custom_matches_per_node_quad(self, ts):
+        f = custom_constitutive(lambda T: np.tanh(T) + 0.1 * np.arctan(T))
+        T = np.array(ts)
+        H, ref = np.asarray(f.antiderivative(T)), _reference_antiderivative(f, T)
+        assert np.all(np.abs(H - ref) <= 1e-12 * max(1.0, np.max(np.abs(ref))) + 1e-13)
+
+    @pytest.mark.parametrize(
+        "f",
+        [make_constitutive("saturating", beta=1.0, a=3.0), custom_constitutive(np.tanh)],
+        ids=["saturating_a3", "custom"],
+    )
+    def test_non_finite_gives_nan_and_empty_gives_empty(self, f):
+        H = np.asarray(f.antiderivative(np.array([np.nan, np.inf, -np.inf, 1.0])))
+        assert np.isnan(H[:3]).all() and np.isfinite(H[3])
+        assert np.isnan(f.antiderivative(np.nan)) and np.isnan(f.antiderivative(np.inf))
+        empty = f.antiderivative(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 class TestCustom:
