@@ -22,8 +22,8 @@ model, not an internal error), 4 a strain-rate run whose stress
 reconstruction reached the strain limit (the node and value are in the
 record), 1 any other model error.  After a blow-up or a strain-limit failure
 the snapshots recorded so far are written as the trajectory table.  Reruns of one
-config are byte-identical; floats are written with 17 significant digits so
-parsing them back loses nothing.
+config are byte-identical.  CSV floats carry 17 significant digits and JSONL
+floats are json's repr, so parsing either back loses nothing.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -334,10 +334,6 @@ def _validate_for_command(config: RunConfig) -> None:
             raise ConfigError(f"[twave] xi_span must be positive and finite, got {span}")
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _cell_csv(x) -> str:
     if x is None:
         return ""
@@ -346,7 +342,7 @@ def _cell_csv(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return _fmt_float(x)
+        return "%.17g" % x
     return str(x)
 
 
@@ -360,26 +356,42 @@ def _cell_json(x):
     return x
 
 
-def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> None:
-    """Write each row to the open file as it is formatted, one line each."""
-    with path.open("w") as fh:
-        if fmt == "csv":
-            fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(_cell_csv(x) for x in row) + "\n" for row in rows)
-        else:
-            fh.writelines(
-                json.dumps(dict(zip(header, (_cell_json(x) for x in row)))) + "\n"
-                for row in rows
-            )
+def _csv_cells(col) -> list:
+    """One chunk of a column as CSV cells: a float array in one pass."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return list(map("%.17g".__mod__, col.astype(float, copy=False).tolist()))
+    return list(map(_cell_csv, col.tolist() if isinstance(col, np.ndarray) else col))
 
 
-def _array_rows(columns: Sequence[np.ndarray]) -> Iterable[tuple]:
-    """Rows of Python scalars (they format fastest) from equal-length columns.
+def _json_cells(col) -> list:
+    """One chunk of a column as JSON values, spelled as json.dumps spells them."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f" and np.isfinite(col).all():
+        return list(map(float.__repr__, col.astype(float, copy=False).tolist()))
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    return [json.dumps(_cell_json(x)) for x in values]
 
-    Converting 1024 rows at a time keeps only their objects alive.
+
+_CHUNK_ROWS = 1024  # rows formatted at a time: only their strings are alive at once
+
+
+def _write_table(path: Path, header: Sequence[str], columns: Sequence, fmt: str) -> None:
+    """Write equal-length columns as CSV or JSONL, one line per row.
+
+    Float arrays are formatted a column at a time; strings, None, ints and
+    bools cell by cell.  CSV floats carry 17 significant digits; JSONL lines
+    are what json.dumps gives for each row's dict.
     """
-    for lo in range(0, len(columns[0]), 1024):
-        yield from zip(*(c[lo:lo + 1024].tolist() for c in columns))
+    if fmt == "csv":
+        head, cells = ",".join(header) + "\n", _csv_cells
+        line = ",".join(["%s"] * len(header)) + "\n"
+    else:
+        head, cells = "", _json_cells
+        line = "{" + ", ".join(json.dumps(h).replace("%", "%%") + ": %s" for h in header) + "}\n"
+    with path.open("w") as fh:
+        fh.write(head)
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = (cells(c[lo:lo + _CHUNK_ROWS]) for c in columns)
+            fh.writelines(map(line.__mod__, zip(*chunk)))
 
 
 def _build_initial(config: RunConfig) -> pde.SimState:
@@ -410,7 +422,7 @@ def _write_trajectory(out_dir: Path, traj: pde.Trajectory, fmt: str) -> str:
     columns = (np.repeat(traj.t, n_nodes), np.tile(traj.grid.nodes(), n),
                *traj.fields.transpose(1, 0, 2).reshape(3, n * n_nodes))
     name = f"trajectory.{fmt}"
-    _write_table(out_dir / name, ["t", "x", "v", "eps", "stress"], _array_rows(columns), fmt)
+    _write_table(out_dir / name, ["t", "x", "v", "eps", "stress"], columns, fmt)
     return name
 
 
@@ -429,13 +441,10 @@ def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict
     solver_config = _solver_config(config)
     traj = pde.simulate(_build_initial(config), solver_config)
     reports = pde.energy_series(traj, solver_config.params, config.response)
+    header = [field.name for field in fields(pde.EnergyReport)]
+    columns = [np.array([getattr(r, h) for r in reports], dtype=float) for h in header]
     name = f"energy.{config.fmt}"
-    _write_table(
-        out_dir / name,
-        ["t", "kinetic", "internal", "total", "dissipation_rate", "balance_residual"],
-        [[r.t, r.kinetic, r.internal, r.total, r.dissipation_rate, r.balance_residual] for r in reports],
-        config.fmt,
-    )
+    _write_table(out_dir / name, header, columns, config.fmt)
     extra = {
         "n_samples": len(traj),
         "max_balance_residual": max(r.balance_residual for r in reports),
@@ -448,24 +457,24 @@ def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict
 def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
     solver_config = _solver_config(config)
     traj = pde.simulate(_build_initial(config), solver_config)
-    gamma = solver_config.params.gamma
-    x = config.grid.nodes()
-    rows = []
-    worst = math.inf
-    total = 0.0
-    for j in range(config.grid.n_nodes):
-        audit = con.audit_dissipation(gamma, np.column_stack([traj.t, traj.stress[:, j]]))
-        worst = min(worst, audit.min_rate)
-        total += audit.total_dissipation
-        rows.append([j, float(x[j]), audit.min_rate, audit.total_dissipation, audit.passed])
+    # one history per node (a grid has at least 4), audited in one call
+    history = np.column_stack([traj.t, traj.stress])
+    del traj  # the history holds all the audit reads; free the run before auditing
+    audit = con.audit_dissipation(solver_config.params.gamma, history)
     name = f"audit.{config.fmt}"
     _write_table(
-        out_dir / name, ["node", "x", "min_rate", "total_dissipation", "passed"], rows, config.fmt
+        out_dir / name,
+        ["node", "x", "min_rate", "total_dissipation", "passed"],
+        [np.arange(config.grid.n_nodes), config.grid.nodes(),
+         audit.min_rate, audit.total_dissipation, audit.passed],
+        config.fmt,
     )
+    worst = float(audit.min_rate.min())
     extra = {
         "min_rate": worst,
-        "passed": bool(worst >= -1e-12),
-        "summed_dissipation": total,
+        "passed": worst >= -1e-12,
+        # summed node by node, in order, as the per-node loop did
+        "summed_dissipation": float(np.cumsum(audit.total_dissipation)[-1]),
     }
     return (name,), extra
 
@@ -482,9 +491,9 @@ def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], 
         res.k,
         np.array([c.value for c in res.classification], dtype=object),
         res.max_real_part,
-        (np.full(n_modes, None, dtype=object) if res.positive_real_root is None
+        (np.full(n_modes, None) if res.positive_real_root is None
          else res.positive_real_root),
-        np.full(n_modes, res.k_critical, dtype=object),
+        np.full(n_modes, res.k_critical),  # floats, or None for the stress-rate law
         res.discriminant,
         np.max(res.residuals(), axis=-1),
     ]
@@ -496,7 +505,7 @@ def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], 
                   if c in classes), Classification.STABLE)
     del res  # the columns hold every value; free the roots before formatting
     name = f"dispersion.{config.fmt}"
-    _write_table(out_dir / name, header, _array_rows(columns), config.fmt)
+    _write_table(out_dir / name, header, columns, config.fmt)
     extra = {
         "model": variant.value,
         "coefficient": coeff,
@@ -536,7 +545,7 @@ def _run_twave(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]
     extra["signed_speed"] = profile.signed_speed
     columns = (profile.xi, profile.T, profile.strain(profile.xi), profile.velocity(profile.xi))
     name = f"twave.{config.fmt}"
-    _write_table(out_dir / name, ["xi", "stress", "eps", "v"], _array_rows(columns), config.fmt)
+    _write_table(out_dir / name, ["xi", "stress", "eps", "v"], columns, config.fmt)
     return (name,), extra
 
 

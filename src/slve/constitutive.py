@@ -17,9 +17,10 @@ all normalized so dh/dT at 0 equals beta.  Each carries its derivative
 complementary potential rho*phi_c), and a monotone inverse where one exists
 in closed form.
 
-The dissipation audit checks the sign of the rate gamma*(T_t)^2 along a
-sampled stress history; it is nonnegative exactly when gamma >= 0, which is
-the admissibility condition for the stress-rate coefficient.
+The dissipation audit checks the sign of the rate gamma*(T_t)^2 along
+sampled stress histories, one or a whole run's nodes at once; it is
+nonnegative exactly when gamma >= 0, which is the admissibility condition
+for the stress-rate coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -380,54 +381,72 @@ def response_from_potential(pair: PotentialPair) -> ConstitutiveFunction:
 
 @dataclass(frozen=True)
 class DissipationAudit:
-    """Sign check of the dissipation rate gamma*(T_t)^2 along a history."""
+    """Sign check of the dissipation rate gamma*(T_t)^2 along histories.
+
+    One history gives float summaries and (n,) rates; N histories audited
+    at once give (N,) summaries, one per history, and (n, N) rates.
+    """
 
     times: np.ndarray
     rates: np.ndarray
-    min_rate: float
-    total_dissipation: float
-    passed: bool
+    min_rate: Union[float, np.ndarray]
+    total_dissipation: Union[float, np.ndarray]
+    passed: Union[bool, np.ndarray]
 
 
 def audit_dissipation(gamma: float, stress_history) -> DissipationAudit:
-    """Audit the stress-rate dissipation along a sampled history.
+    """Audit the stress-rate dissipation along sampled histories.
 
     Parameters
     ----------
     gamma : float
         Stress-rate coefficient; nonnegative values must audit clean.
-    stress_history : array-like, shape (n, 2)
-        Rows (t, T(t)); n >= 3 and t strictly increasing.
+    stress_history : array-like, shape (n, 1 + N)
+        Rows (t, T_0(t), ..., T_{N-1}(t)): N histories on shared times;
+        n >= 3 and t strictly increasing.  Shape (n, 2) is one history.
 
     Returns
     -------
     DissipationAudit
         Nodal rates gamma*(T_t)^2 with T_t from second-order one-sided/
         centered stencils, their minimum, the trapezoid total, and
-        passed = (min_rate >= -1e-12).
+        passed = (min_rate >= -1e-12): floats and a bool for one history,
+        (N,) arrays for N > 1.  Each history audits to the bits it gets
+        on its own.
     """
     if not math.isfinite(gamma) or gamma < 0.0:
         raise InvalidParameterError(
             f"gamma must be nonnegative (dissipation requires it), got {gamma}"
         )
     hist = np.asarray(stress_history, dtype=float)
-    if hist.ndim != 2 or hist.shape[1] != 2 or hist.shape[0] < 3:
+    if hist.ndim != 2 or hist.shape[1] < 2 or hist.shape[0] < 3:
         raise InvalidHistoryError(
-            f"stress history needs shape (n >= 3, 2), got {hist.shape}"
+            f"stress history needs shape (n >= 3, 1 + N >= 2), got {hist.shape}"
         )
-    t, T = hist[:, 0], hist[:, 1]
+    t = hist[:, 0]
     if not np.all(np.diff(t) > 0.0):
         raise InvalidHistoryError("history times must be strictly increasing")
-    T_t = np.gradient(T, t, edge_order=2)
-    rates = float(gamma) * T_t * T_t
-    total = float(np.trapezoid(rates, t))
-    min_rate = float(rates.min())
+    # one contiguous row per history, so each trapezoid sums in the order of
+    # a lone call; histories go in blocks of about 2**16 samples, which bounds
+    # the temporaries however long the run
+    rates = np.empty((hist.shape[1] - 1, len(t)))
+    total = np.empty(len(rates))
+    block = max(1, 2**16 // len(t))
+    for lo in range(0, len(rates), block):
+        T_t = np.gradient(hist[:, 1 + lo:1 + lo + block].T, t, axis=1, edge_order=2)
+        rates[lo:lo + block] = float(gamma) * T_t * T_t
+        total[lo:lo + block] = np.trapezoid(rates[lo:lo + block], t)
+    min_rate = rates.min(axis=1)
+    passed = min_rate >= -1e-12
+    if hist.shape[1] == 2:
+        rates, total = rates[0], float(total[0])
+        min_rate, passed = float(min_rate[0]), bool(passed[0])
     return DissipationAudit(
         times=t.copy(),
-        rates=rates,
+        rates=rates.T,
         min_rate=min_rate,
         total_dissipation=total,
-        passed=bool(min_rate >= -1e-12),
+        passed=passed,
     )
 
 

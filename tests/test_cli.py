@@ -1,11 +1,22 @@
 """Config parsing, command dispatch, output tables, and exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slve import ConfigError, core, pde, solve_dispersion, stress_rate_dispersion, twave
+from slve import (
+    ConfigError,
+    audit_dissipation,
+    core,
+    pde,
+    solve_dispersion,
+    stress_rate_dispersion,
+    twave,
+)
 from slve.cli import (
     Command,
     _build_initial,
@@ -15,6 +26,56 @@ from slve.cli import (
     parse_config,
     run,
 )
+
+
+def _reference_cell(x) -> str:
+    """One CSV cell from a Python value, formatted on its own."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return format(x, ".17g")
+    assert isinstance(x, str)
+    return x
+
+
+def _reference_table(header, rows, fmt) -> bytes:
+    """A table's bytes built one row and cell at a time from Python values."""
+    if fmt == "csv":
+        lines = [",".join(header)] + [",".join(map(_reference_cell, row)) for row in rows]
+    else:
+        lines = [json.dumps(dict(zip(header, row))) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1 / 3]
+_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+# cell strategy and the column type the writer is handed
+_COLUMN_KINDS = {
+    "float": (_FLOATS, lambda cells: np.array(cells, dtype=float)),
+    "int": (st.integers(-2**63, 2**63 - 1), lambda cells: np.array(cells, dtype=np.int64)),
+    "bool": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
+    "none": (st.none(), lambda cells: np.full(len(cells), None)),
+    "str": (st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+            lambda cells: np.array(cells, dtype=object)),
+    "optional_float": (st.none() | _FLOATS, lambda cells: np.array(cells, dtype=object)),
+    "float_list": (_FLOATS, list),
+}
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(0, 20))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=6))
+    cells = [draw(st.lists(_COLUMN_KINDS[kind][0], min_size=n_rows, max_size=n_rows))
+             for kind in kinds]
+    header = [f"{kind}%s{i}" for i, kind in enumerate(kinds)]  # a '%' must stay literal
+    columns = [_COLUMN_KINDS[kind][1](col) for kind, col in zip(kinds, cells)]
+    return header, columns, list(zip(*cells))
 
 DISP_INI = """
 [run]
@@ -239,16 +300,16 @@ class TestRunDispersion:
         rows = []
         for k in config.k_values:
             res = solve_dispersion(unit.variant, unit.coefficient, float(k))
-            row = [float(k), res.classification.value, res.max_real_part,
-                   res.positive_real_root, res.k_critical, res.discriminant,
-                   float(np.max(res.residuals()))]
+            root = res.positive_real_root
+            row = [float(k), res.classification.value, float(res.max_real_part),
+                   None if root is None else float(root), res.k_critical,
+                   float(res.discriminant), float(np.max(res.residuals()))]
             for r in res.roots:
                 row += [float(r.real), float(r.imag)]
             rows.append(row)
         header += [f"{part}_r{i}" for i in range(len(res.roots)) for part in ("re", "im")]
-        _write_table(tmp_path / "reference", header, rows, fmt)
         written = (tmp_path / "out" / f"dispersion.{fmt}").read_bytes()
-        assert written == (tmp_path / "reference").read_bytes()
+        assert written == _reference_table(header, rows, fmt)
 
 
 class TestRunSimulate:
@@ -274,12 +335,8 @@ class TestRunSimulate:
             for t, (vs, epss, stresses) in zip(traj.t, traj.fields)
             for x, v, eps, stress in zip(traj.grid.nodes(), vs, epss, stresses)
         ]
-        if fmt == "csv":
-            lines = [",".join(header)] + [",".join(format(x, ".17g") for x in r) for r in rows]
-        else:
-            lines = [json.dumps(dict(zip(header, r))) for r in rows]
-        written = (tmp_path / "out" / f"trajectory.{fmt}").read_text()
-        assert written == "".join(line + "\n" for line in lines)
+        written = (tmp_path / "out" / f"trajectory.{fmt}").read_bytes()
+        assert written == _reference_table(header, rows, fmt)
 
     def test_blow_up_reported_with_time(self, tmp_path):
         text = SIM_INI.format(out=tmp_path).replace("t_final = 0.4", "t_final = 30.0")
@@ -352,9 +409,8 @@ class TestRunTwave:
             [float(xi), float(T), float(profile.strain(xi)), float(profile.velocity(xi))]
             for xi, T in zip(profile.xi, profile.T)
         ]
-        _write_table(tmp_path / "reference", ["xi", "stress", "eps", "v"], rows, "csv")
         written = (tmp_path / "out" / "twave.csv").read_bytes()
-        assert written == (tmp_path / "reference").read_bytes()
+        assert written == _reference_table(["xi", "stress", "eps", "v"], rows, "csv")
 
 
 class TestRunEnergyAudit:
@@ -387,6 +443,28 @@ class TestRunEnergyAudit:
         assert lines[0] == "node,x,min_rate,total_dissipation,passed"
         assert len(lines) == 1 + 64
         assert lines[1].split(",")[-1] == "true"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_audit_table_equals_per_node_rows(self, tmp_path, fmt):
+        # the same table from one single-history audit per node
+        text = SIM_INI.replace("command = simulate", "command = audit")
+        config = parse_config(text.format(out=tmp_path / "out") + f"format = {fmt}\n")
+        result = run(config)
+        assert result.exit_code == 0
+        solver_config = _solver_config(config)
+        traj = pde.simulate(_build_initial(config), solver_config)
+        rows = []
+        summed = 0.0
+        for j, x in enumerate(config.grid.nodes().tolist()):
+            audit = audit_dissipation(
+                solver_config.params.gamma, np.column_stack([traj.t, traj.stress[:, j]]))
+            rows.append([j, x, audit.min_rate, audit.total_dissipation, audit.passed])
+            summed += audit.total_dissipation
+        header = ["node", "x", "min_rate", "total_dissipation", "passed"]
+        written = (tmp_path / "out" / f"audit.{fmt}").read_bytes()
+        assert written == _reference_table(header, rows, fmt)
+        assert result.record["min_rate"] == min(row[2] for row in rows)
+        assert result.record["summed_dissipation"] == summed
 
     @pytest.mark.parametrize(
         "variant,model",
@@ -506,3 +584,29 @@ class TestMain:
         assert code == 0
         record = json.loads(capsys.readouterr().out)
         assert record["n_modes"] == 1
+
+
+class TestWriteTable:
+    @given(_tables(), st.sampled_from(["csv", "jsonl"]))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_match_per_cell_reference(self, tmp_path_factory, table, fmt):
+        header, columns, rows = table
+        path = tmp_path_factory.mktemp("table") / "t"
+        _write_table(path, header, columns, fmt)
+        assert path.read_bytes() == _reference_table(header, rows, fmt)
+
+    @pytest.mark.parametrize("n_rows", [1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_rows_across_chunk_boundaries(self, tmp_path, n_rows, fmt):
+        rng = np.random.default_rng(n_rows)
+        floats = rng.normal(size=n_rows) * 10.0 ** rng.integers(-320, 308, n_rows)
+        floats[::97] = math.nan
+        labels = ["a", "b,c", "%d"]
+        cells = [floats.tolist(), list(range(n_rows)),
+                 [labels[i % 3] for i in range(n_rows)],
+                 [None if i % 5 else float(i) for i in range(n_rows)]]
+        columns = [floats, np.arange(n_rows), np.array(cells[2], dtype=object),
+                   np.array(cells[3], dtype=object)]
+        header = ["x", "i", "label", "maybe"]
+        _write_table(tmp_path / "t", header, columns, fmt)
+        assert (tmp_path / "t").read_bytes() == _reference_table(header, list(zip(*cells)), fmt)

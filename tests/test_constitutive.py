@@ -339,6 +339,24 @@ class TestAudit:
         with pytest.raises(InvalidHistoryError):
             audit_dissipation(0.1, bad)
 
+    @pytest.mark.parametrize("n,n_hist", [(3, 2), (9, 5), (200, 7), (1001, 40)])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_block_equals_per_history_calls(self, n, n_hist, uniform):
+        # one call over N histories gives each history the bits of its own call
+        rng = np.random.default_rng(n)
+        t = np.linspace(0.0, 2.0, n) if uniform else np.cumsum(rng.uniform(0.01, 1.0, n))
+        stresses = rng.normal(size=(n, n_hist)) * 10.0 ** rng.uniform(-3, 3, n_hist)
+        block = audit_dissipation(0.7, np.column_stack([t, stresses]))
+        assert block.rates.shape == (n, n_hist)
+        assert block.min_rate.shape == block.total_dissipation.shape == (n_hist,)
+        for j in range(n_hist):
+            one = audit_dissipation(0.7, np.column_stack([t, stresses[:, j]]))
+            assert isinstance(one.total_dissipation, float) and isinstance(one.passed, bool)
+            assert block.total_dissipation[j] == one.total_dissipation
+            assert block.min_rate[j] == one.min_rate
+            assert block.passed[j] == one.passed
+            assert np.array_equal(block.rates[:, j], one.rates)
+
     @given(st.floats(min_value=0.0, max_value=2.0), st.integers(min_value=3, max_value=40))
     @settings(max_examples=40, deadline=None)
     def test_rate_never_negative(self, gamma, n):
