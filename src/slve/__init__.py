@@ -39,8 +39,6 @@ from .core import (
     integrate_field,
     nondimensionalize,
     redimensionalize,
-    second_derivative,
-    spatial_derivative,
 )
 from .dispersion import (
     Classification,
@@ -122,8 +120,6 @@ __all__ = [
     "dimensionless_params",
     "integrate_field",
     "first_derivative",
-    "second_derivative",
-    "spatial_derivative",
     # constitutive
     "Kind",
     "ConstitutiveFunction",

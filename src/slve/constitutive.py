@@ -15,7 +15,13 @@ The catalog:
 all normalized so dh/dT at 0 equals beta.  Each carries its derivative
 (the compliance), its antiderivative H(T) = int_0^T h(s) ds (the stored
 complementary potential rho*phi_c), and a monotone inverse where one exists
-in closed form.
+in closed form.  For a = 1 and a = 2 the saturating value, derivative and
+inverse are branch-free closed forms in u = beta*T:
+
+    a = 1:  u/(1 + |u|),     beta/(1 + |u|)**2,     w/(beta*(1 - |w|))
+    a = 2:  u/hypot(1, u),   beta/(1 + u**2)**1.5,  w/(beta*sqrt((1-w)(1+w)))
+
+any other a splits small and large |u| so that |u|**a never overflows.
 
 The dissipation audit checks the sign of the rate gamma*(T_t)^2 along
 sampled stress histories, one or a whole run's nodes at once; it is
@@ -103,7 +109,9 @@ class ConstitutiveFunction:
         return self.value(T)
 
 
-def _saturating_callables(beta: float, a: float):
+def _saturating_masked(beta: float, a: float):
+    """Value, derivative and inverse for any exponent a, each split into a
+    small-|u| and a large-|u| branch by a boolean mask."""
     p = (a + 1.0) / a
 
     def raw_value(arr):
@@ -127,27 +135,57 @@ def _saturating_callables(beta: float, a: float):
         out[~small] = ub ** (-(a + 1.0)) * (1.0 + ub ** (-a)) ** (-p)
         return beta * out
 
+    def raw_inverse(arr):
+        w = np.abs(arr)
+        return np.sign(arr) * w / (beta * (1.0 - w**a) ** (1.0 / a))
+
+    return raw_value, raw_deriv, raw_inverse
+
+
+def _saturating_callables(beta: float, a: float):
+    # a = 1 and a = 2 have branch-free closed forms; the derivatives divide
+    # one factor at a time so that no power of a huge |u| overflows
     if a == 1.0:
+
+        def raw_value(arr):
+            u = beta * arr
+            return u / (1.0 + np.abs(u))
+
+        def raw_deriv(arr):
+            s = 1.0 + beta * np.abs(arr)
+            return beta / s / s
 
         def raw_antider(arr):
             u = beta * np.abs(arr)
             return (u - np.log1p(u)) / beta
 
+        def raw_inverse(arr):
+            return arr / (beta * (1.0 - np.abs(arr)))
+
     elif a == 2.0:
+
+        def raw_value(arr):
+            u = beta * arr
+            return u / np.hypot(1.0, u)
+
+        def raw_deriv(arr):
+            r = np.hypot(1.0, beta * arr)
+            return beta / r / r / r
 
         def raw_antider(arr):
             u = beta * np.abs(arr)
             # sqrt(1+u^2)-1 without cancellation at small u
             return u * u / (1.0 + np.hypot(1.0, u)) / beta
 
+        def raw_inverse(arr):
+            # (1-w)(1+w) keeps the digits that 1 - w*w loses near |w| = 1
+            return arr / (beta * np.sqrt((1.0 - arr) * (1.0 + arr)))
+
     else:
+        raw_value, raw_deriv, raw_inverse = _saturating_masked(beta, a)
 
         def raw_antider(arr):
             return quad(raw_value, arr)
-
-    def raw_inverse(arr):
-        w = np.abs(arr)
-        return np.sign(arr) * w / (beta * (1.0 - w**a) ** (1.0 / a))
 
     return raw_value, raw_deriv, raw_antider, raw_inverse
 

@@ -42,9 +42,7 @@ __all__ = [
     "redimensionalize",
     "dimensionless_params",
     "integrate_field",
-    "spatial_derivative",
     "first_derivative",
-    "second_derivative",
 ]
 
 
@@ -282,42 +280,3 @@ def first_derivative(values: np.ndarray, spacing: float, boundary: Boundary | st
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * spacing)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * spacing)
     return out
-
-
-def second_derivative(values: np.ndarray, spacing: float, boundary: Boundary | str) -> np.ndarray:
-    """Second-order second derivative on nodal values (array kernel)."""
-    dx2 = spacing * spacing
-    if _is_periodic(boundary):
-        ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
-        return (ghost[2:] - 2.0 * values + ghost[:-2]) / dx2
-    out = np.empty(np.shape(values), np.result_type(values, dx2))
-    out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / dx2
-    out[0] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2] - values[3]) / dx2
-    out[-1] = (2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]) / dx2
-    return out
-
-
-def spatial_derivative(field: Field, order: int = 1) -> Field:
-    """First or second spatial derivative of a field.
-
-    Periodic grids use centered stencils with wraparound; dirichlet grids use
-    centered stencils inside and one-sided second-order stencils at the two
-    endpoints, so the result is second-order accurate everywhere.
-
-    Parameters
-    ----------
-    field : Field
-    order : int
-        1 or 2.
-
-    Returns
-    -------
-    Field on the same grid.
-    """
-    if order == 1:
-        out = first_derivative(field.values, field.grid.spacing, field.grid.boundary)
-    elif order == 2:
-        out = second_derivative(field.values, field.grid.spacing, field.grid.boundary)
-    else:
-        raise InvalidParameterError(f"derivative order must be 1 or 2, got {order}")
-    return Field(out, field.grid)

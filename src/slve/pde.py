@@ -8,8 +8,11 @@ and differ in the constitutive closure.  As first-order systems:
 
     stress-rate  (unknowns v, eps, T):   T_t = (h(T) - eps) / gamma
     strain-rate  (unknowns v, eps):      T   = g^{-1}(eps + nu * v_x)
-                                         eps_t = (g(T) - eps) / nu
+                                         eps_t = v_x
     elastic      (unknowns v, T):        T_t = v_x / h'(T),  eps = h(T)
+
+The strain-rate closure eps + nu*eps_t = g(T) is the stress reconstruction
+itself, so that model's strain follows the kinematics alone.
 
 Solvers assume the dimensionless unit form rho = mu = length_scale = 1
 produced by core.dimensionless_params (rho is kept explicit in the formulas,
@@ -249,9 +252,8 @@ def _make_rhs(
             T = _reconstruct_stress(f, eps + nu * vx)
             out = np.empty_like(Y)
             out[0] = first_derivative(T, dx, bdy) / rho
-            # algebraically (g(T) - eps)/nu; this form keeps the small-nu
-            # cancellation confined to the inversion residual
-            out[1] = vx + (f.value(T) - eps - nu * vx) / nu
+            # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
+            out[1] = vx
             if pinned:
                 out[:, 0] = 0.0
                 out[:, -1] = 0.0

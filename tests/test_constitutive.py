@@ -7,10 +7,14 @@ saturating a=3: H(1) = 0.45146882299423685   (adaptive quadrature)
 arctan beta=2:  h(1) = 0.80381347609541280, H(1) = 0.56206414047224750
 """
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from slve import (
@@ -28,6 +32,7 @@ from slve import (
     potential_from_response,
     response_from_potential,
 )
+from slve.constitutive import _saturating_masked
 
 
 class TestCatalog:
@@ -112,6 +117,75 @@ class TestCatalog:
         h = make_constitutive(kind, beta=beta, a=1.0)
         T = invert(h, y)
         assert h(T) == pytest.approx(y, abs=1e-11)
+
+
+# stresses from 0 through subnormals to 1e300, and moderate ones densely
+_STRESSES = arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=64),
+    elements=st.one_of(
+        st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=-50.0, max_value=50.0)
+    ),
+)
+# attainable strains, including the last few floats below |w| = 1
+_STRAINS = arrays(
+    np.float64,
+    st.integers(min_value=1, max_value=64),
+    elements=st.one_of(
+        st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=1, max_value=2**20).map(lambda k: 1.0 - k * 2.0**-53),
+        st.integers(min_value=1, max_value=2**20).map(lambda k: k * 2.0**-53 - 1.0),
+    ),
+)
+
+
+@contextlib.contextmanager
+def _no_runtime_warning():
+    # underflow to subnormals or zero is the intended tail of the derivative
+    with warnings.catch_warnings(), np.errstate(over="warn", divide="warn", invalid="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+
+
+class TestSaturatingClosedForms:
+    """a = 1 and a = 2 take branch-free closed forms; the masked two-branch
+    path every other a takes is their reference."""
+
+    @given(st.sampled_from([1.0, 2.0]), st.floats(min_value=0.1, max_value=10.0), _STRESSES)
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_derivative_match_masked_branch(self, a, beta, T):
+        h = make_constitutive("saturating", beta=beta, a=a)
+        ref_value, ref_deriv, _ = _saturating_masked(beta, a)
+        with _no_runtime_warning():
+            value, deriv = h.value(T), h.derivative(T)
+            odd, even = h.value(-T), h.derivative(-T)
+        ref = ref_value(T)
+        assert np.all(np.abs(value - ref) <= 4.0 * np.spacing(np.abs(ref)))
+        # relative, floored at the smallest normal float: a derivative that
+        # underflows to a subnormal carries fewer digits than 2e-15 asks
+        ref = ref_deriv(T)
+        floor = np.maximum(np.abs(ref), np.finfo(float).tiny)
+        assert np.all(np.abs(deriv - ref) <= 2e-15 * floor)
+        assert np.array_equal(odd, -value) and np.array_equal(even, deriv)
+        assert h.value(0.0) == 0.0 and h.inverse(0.0) == 0.0
+
+    @given(st.sampled_from([1.0, 2.0]), st.floats(min_value=0.1, max_value=10.0), _STRAINS)
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_residual(self, a, beta, w):
+        h = make_constitutive("saturating", beta=beta, a=a)
+        with _no_runtime_warning():
+            T = h.inverse(w)
+            back = h.value(T)
+            odd = h.inverse(-w)
+        assert np.all(np.isfinite(T))
+        assert np.all(np.abs(back - w) < 1e-12 * np.maximum(1.0, np.abs(w)))
+        # T itself to a few ulp (subnormals to the smallest normal float):
+        # the same formula in extended precision
+        W, B = w.astype(np.longdouble), np.longdouble(beta)
+        exact = W / (B * (1 - np.abs(W))) if a == 1.0 else W / (B * np.sqrt((1 - W) * (1 + W)))
+        assert np.all(np.abs(T - exact) <= 1e-15 * np.maximum(np.abs(exact), np.finfo(float).tiny))
+        assert np.array_equal(odd, -T)
+        assert np.array_equal(invert_array(h, w), T)
 
 
 def _bounded(T):

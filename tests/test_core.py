@@ -18,8 +18,6 @@ from slve import (
     integrate_field,
     nondimensionalize,
     redimensionalize,
-    second_derivative,
-    spatial_derivative,
 )
 
 
@@ -143,9 +141,7 @@ class TestDerivatives:
         g = Grid1D(length=2 * np.pi, n_cells=256)
         x = g.nodes()
         d1 = first_derivative(np.sin(x), g.spacing, g.boundary)
-        d2 = second_derivative(np.sin(x), g.spacing, g.boundary)
         assert np.max(np.abs(d1 - np.cos(x))) < 1e-3
-        assert np.max(np.abs(d2 + np.sin(x))) < 1e-3
 
     def test_dirichlet_exact_on_quadratics(self):
         # one-sided ends are second order, so quadratics differentiate exactly
@@ -154,14 +150,6 @@ class TestDerivatives:
         v = 2.0 * x**2 - 3.0 * x + 1.0
         d1 = first_derivative(v, g.spacing, g.boundary)
         assert np.max(np.abs(d1 - (4.0 * x - 3.0))) < 1e-12
-
-    def test_dirichlet_second_derivative_ends(self):
-        g = Grid1D(length=1.0, n_cells=16, boundary="dirichlet_zero")
-        x = g.nodes()
-        v = x**2
-        d2 = second_derivative(v, g.spacing, g.boundary)
-        assert d2[0] == pytest.approx(2.0, abs=1e-9)
-        assert d2[-1] == pytest.approx(2.0, abs=1e-9)
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet_zero"])
     def test_first_derivative_second_order(self, boundary):
@@ -179,14 +167,6 @@ class TestDerivatives:
         assert order[0] == pytest.approx(2.0, abs=0.3)
         assert order[1] == pytest.approx(2.0, abs=0.3)
 
-    def test_spatial_derivative_wrapper(self):
-        g = Grid1D(length=2 * np.pi, n_cells=128)
-        f = Field.from_function(g, np.cos)
-        d2 = spatial_derivative(f, order=2)
-        assert np.max(np.abs(d2.values + np.cos(g.nodes()))) < 2e-3
-        with pytest.raises(InvalidParameterError):
-            spatial_derivative(f, order=3)
-
     def test_skew_adjointness_periodic(self):
         # sum u*(D1 v) = -sum (D1 u)*v on periodic grids; the exact discrete
         # energy identity rests on this
@@ -197,7 +177,7 @@ class TestDerivatives:
         rhs = -np.sum(first_derivative(u, g.spacing, g.boundary) * v)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    @pytest.mark.parametrize("derivative", [first_derivative, second_derivative])
+    @pytest.mark.parametrize("derivative", [first_derivative])
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_integer_input_matches_float(self, derivative, boundary):
         ints = np.array([0, 1, 3, 4, 7, 8])
@@ -205,13 +185,13 @@ class TestDerivatives:
         assert out.dtype == np.float64
         assert np.array_equal(out, derivative(ints.astype(float), 1.0, boundary))
 
-    @pytest.mark.parametrize("derivative", [first_derivative, second_derivative])
+    @pytest.mark.parametrize("derivative", [first_derivative])
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_string_boundary_matches_member(self, derivative, boundary):
         v = np.sin(2.0 * np.pi * np.arange(8) / 8)
         assert np.array_equal(derivative(v, 1.0, boundary.value), derivative(v, 1.0, boundary))
 
-    @pytest.mark.parametrize("derivative", [first_derivative, second_derivative])
+    @pytest.mark.parametrize("derivative", [first_derivative])
     def test_unknown_boundary_rejected(self, derivative):
         with pytest.raises(InvalidParameterError, match="nonsense"):
             derivative(np.arange(8.0), 1.0, "nonsense")
@@ -226,13 +206,10 @@ class TestDerivatives:
     )
     @settings(max_examples=200, deadline=None)
     def test_periodic_stencils_match_roll_reference(self, v, spacing):
-        # the slice kernels must equal the np.roll formulas bit for bit,
+        # the slice kernel must equal the np.roll formula bit for bit,
         # overflow to inf/nan included
         periodic = Boundary.PERIODIC
         with np.errstate(over="ignore", invalid="ignore"):
             d1_ref = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * spacing)
-            d2_ref = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (spacing * spacing)
             d1 = first_derivative(v, spacing, periodic)
-            d2 = second_derivative(v, spacing, periodic)
         assert np.array_equal(d1, d1_ref, equal_nan=True)
-        assert np.array_equal(d2, d2_ref, equal_nan=True)

@@ -15,8 +15,10 @@ from slve import (
     SolverConfig,
     StrainLimitExceededError,
     Trajectory,
+    custom_constitutive,
     energy_series,
     gaussian_bump_state,
+    invert,
     make_constitutive,
     relax_stress,
     simulate,
@@ -114,7 +116,8 @@ class TestFastPathMatchesReference:
 
     def test_strain_rate_simulate_matches_reference_rk4(self):
         # reference: np.roll stencil, v_x taken separately for the stress,
-        # out-of-place RK4 stage sums; the fast path must agree bit for bit
+        # eps_t = v_x, out-of-place RK4 stage sums; the fast path must agree
+        # bit for bit
         g = periodic_grid(48)
         gfun = make_constitutive("saturating", beta=1.0, a=2.0)
         nu, dx = 0.5, g.spacing
@@ -138,7 +141,7 @@ class TestFastPathMatchesReference:
             v, eps = Y
             vx = d1(v)
             T = stress(v, eps)
-            return np.array([d1(T), vx + (gfun.value(T) - eps - nu * vx) / nu])
+            return np.array([d1(T), vx])
 
         Y = np.array([st0.v.values, st0.eps.values])
         ref = [Y]
@@ -157,6 +160,68 @@ class TestFastPathMatchesReference:
             assert np.array_equal(s.v.values, Yr[0])
             assert np.array_equal(s.eps.values, Yr[1])
             assert np.array_equal(s.stress.values, stress(Yr[0], Yr[1]))
+
+    @pytest.mark.parametrize(
+        "gfun, rel",
+        [
+            (make_constitutive("saturating", beta=1.0, a=2.0), 1e-14),
+            (make_constitutive("saturating", beta=1.0, a=1.5), 1e-14),
+            # no inverse: the residual form carried the Newton residual over nu
+            (
+                custom_constitutive(
+                    lambda T: T / np.sqrt(1.0 + T * T),
+                    derivative=lambda T: (1.0 + T * T) ** -1.5,
+                    bound=1.0,
+                ),
+                1e-11,
+            ),
+        ],
+        ids=["saturating_a2", "saturating_a1.5", "custom_no_inverse"],
+    )
+    def test_strain_rate_simulate_matches_residual_form(self, gfun, rel):
+        # eps_t = v_x equals the relaxation form v_x + (g(T) - eps - nu*v_x)/nu
+        # up to the inversion's rounding; a hand-written RK4 on that form
+        # stays within rel of the largest field
+        g = periodic_grid(32)
+        nu, dx = 0.5, g.spacing
+        dt = 0.2 * dx * dx / nu
+        st0 = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
+        cfg = SolverConfig(
+            params=ModelParams(variant="strain_rate", nu=nu),
+            constitutive=gfun,
+            dt=dt,
+            t_final=96 * dt,
+            output_stride=32,
+        )
+
+        def d1(u):
+            return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+
+        def stress(v, eps):
+            return invert(gfun, eps + nu * d1(v))
+
+        def rhs(Y):
+            v, eps = Y
+            vx = d1(v)
+            T = stress(v, eps)
+            return np.array([d1(T), vx + (gfun.value(T) - eps - nu * vx) / nu])
+
+        Y = np.array([st0.v.values, st0.eps.values])
+        ref = [Y]
+        for i in range(96):
+            k1 = rhs(Y)
+            k2 = rhs(Y + 0.5 * dt * k1)
+            k3 = rhs(Y + 0.5 * dt * k2)
+            k4 = rhs(Y + dt * k3)
+            Y = Y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (i + 1) % 32 == 0:
+                ref.append(Y)
+
+        traj = simulate(st0, cfg)
+        expected = np.array([[v, eps, stress(v, eps)] for v, eps in ref])
+        assert traj.fields.shape == expected.shape
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(traj.fields - expected)) <= rel * scale
 
 
 class TestTrajectory:
