@@ -118,11 +118,15 @@ def _saturating_masked(beta: float, a: float):
         u = beta * np.abs(arr)
         out = np.empty_like(u)
         small = u < 1.0
+        large = ~small
         us = u[small]
         out[small] = us * (1.0 + us**a) ** (-1.0 / a)
-        ub = u[~small]
+        ub = u[large]
         # rewrite avoids overflow of u**a for large |T|
-        out[~small] = (1.0 + ub ** (-a)) ** (-1.0 / a)
+        out[large] = (1.0 + ub ** (-a)) ** (-1.0 / a)
+        # an infinite |T| gives NaN, as the a in {1, 2} closed forms and the
+        # antiderivatives do
+        out[u == np.inf] = np.nan
         return np.sign(arr) * out
 
     def raw_deriv(arr):
@@ -574,7 +578,7 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
 def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
     """Vectorized invert(); the closed-form inverse when available."""
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) >= f.bound):
+    if (np.abs(y) >= f.bound).any():
         bad = float(y[np.argmax(np.abs(y))])
         raise OutOfRangeError(
             f"target {bad} is outside the attainable range (|h| < {f.bound})"

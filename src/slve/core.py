@@ -269,14 +269,32 @@ def _is_periodic(boundary: Boundary | str) -> bool:
     return boundary == Boundary.PERIODIC
 
 
-def first_derivative(values: np.ndarray, spacing: float, boundary: Boundary | str) -> np.ndarray:
-    """Second-order first derivative on nodal values (array kernel)."""
-    if _is_periodic(boundary):
-        ghost = np.concatenate((values[-1:], values, values[:1]))  # wrapped ends
-        return (ghost[2:] - ghost[:-2]) / (2.0 * spacing)
-    # the dtype the periodic arithmetic yields: integer input gives floats
-    out = np.empty(np.shape(values), np.result_type(values, 2.0 * spacing))
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * spacing)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * spacing)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * spacing)
+def first_derivative(
+    values: np.ndarray, spacing: float, boundary: Boundary | str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Second-order first derivative on nodal values (array kernel).
+
+    out, if given, is a float array of the shape of values that shares no
+    memory with it; the derivative is written there and returned, with the
+    bits of the allocating call.
+    """
+    periodic = boundary is Boundary.PERIODIC or _is_periodic(boundary)
+    values = np.asarray(values)
+    width = 2.0 * spacing
+    if out is None:
+        # integer input gives floats, as the arithmetic below does
+        out = np.empty(values.shape, np.result_type(values, width))
+    elif out.shape != values.shape or np.shares_memory(out, values):
+        raise InvalidParameterError(
+            f"out must have shape {values.shape} and share no memory with values"
+        )
+    inner = out[1:-1]
+    np.subtract(values[2:], values[:-2], out=inner)
+    inner /= width
+    if periodic:  # wrapped ends
+        out[0] = (values[1] - values[-1]) / width
+        out[-1] = (values[0] - values[-2]) / width
+    else:
+        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / width
+        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / width
     return out

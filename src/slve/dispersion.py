@@ -436,16 +436,17 @@ def evolve_single_mode(
     if mode.model is LinearModel.STRAIN_RATE:
         y = np.array([mode.amplitude, 0.0], dtype=complex)
 
-        def rhs(state):
-            return np.array([state[1], -coeff * ksq * state[1] - ksq * state[0]])
+        def rhs(state, out):
+            out[0] = state[1]
+            out[1] = -coeff * ksq * state[1] - ksq * state[0]
 
     else:
         y = np.array([mode.amplitude, 0.0, 0.0], dtype=complex)
 
-        def rhs(state):
-            return np.array(
-                [state[1], state[2], (state[2] + ksq * state[0]) / coeff]
-            )
+        def rhs(state, out):
+            out[0] = state[1]
+            out[1] = state[2]
+            out[2] = (state[2] + ksq * state[0]) / coeff
 
     times = [0.0]
     amps = [y[0]]

@@ -29,6 +29,15 @@ explicit stability ceiling
 
 (a dt above the ceiling is a configuration error, not a warning).
 
+Every time integration (simulate, relax_stress and
+dispersion.evolve_single_mode) steps through one RK4 loop, _march.  A
+right-hand side is called as rhs(Y, out) and writes dY/dt into out.
+_march allocates its workspace once per run: the four stage slopes, the
+stage state and two result buffers used in alternation.  The stage sums
+and the stencils write into these buffers; only the response calls and the
+blow-up check make temporaries of their own.  A yielded state is valid only
+until the next iteration, so callers copy what they keep.
+
 Energy: with stored density rho*omega = T*eps - H(T) (stress-rate, elastic)
 or T*g(T) - G1(T) (strain-rate), total energy obeys
 
@@ -222,8 +231,9 @@ def _reconstruct_stress(f: ConstitutiveFunction, target: np.ndarray) -> np.ndarr
 
 def _make_rhs(
     variant: Variant, f: ConstitutiveFunction, params: ModelParams, grid: Grid1D
-) -> Callable[[np.ndarray], np.ndarray]:
-    """RHS on stacked rows: (v, eps, T), (v, eps), or (v, T) by variant."""
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """RHS rhs(Y, out) on stacked rows: (v, eps, T), (v, eps), or (v, T) by
+    variant; it writes the rows of dY/dt into out."""
     dx = grid.spacing
     bdy = grid.boundary
     rho = params.rho
@@ -232,44 +242,43 @@ def _make_rhs(
     if variant is Variant.STRESS_RATE:
         gamma = params.gamma
 
-        def rhs(Y):
+        def rhs(Y, out):
             v, eps, T = Y
-            out = np.empty_like(Y)
-            out[0] = first_derivative(T, dx, bdy) / rho
-            out[1] = first_derivative(v, dx, bdy)
-            out[2] = (f.value(T) - eps) / gamma
+            first_derivative(T, dx, bdy, out[0])
+            out[0] /= rho
+            first_derivative(v, dx, bdy, out[1])
+            np.subtract(f.value(T), eps, out=out[2])
+            out[2] /= gamma
             if pinned:
                 out[:, 0] = 0.0
                 out[:, -1] = 0.0
-            return out
 
     elif variant is Variant.STRAIN_RATE:
         nu = params.nu
+        target = np.empty(grid.n_nodes)
 
-        def rhs(Y):
+        def rhs(Y, out):
             v, eps = Y
-            vx = first_derivative(v, dx, bdy)
-            T = _reconstruct_stress(f, eps + nu * vx)
-            out = np.empty_like(Y)
-            out[0] = first_derivative(T, dx, bdy) / rho
             # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
-            out[1] = vx
+            vx = first_derivative(v, dx, bdy, out[1])
+            T = _reconstruct_stress(f, np.add(eps, np.multiply(vx, nu, out=target), out=target))
+            first_derivative(T, dx, bdy, out[0])
+            out[0] /= rho
             if pinned:
                 out[:, 0] = 0.0
                 out[:, -1] = 0.0
-            return out
 
     else:
 
-        def rhs(Y):
+        def rhs(Y, out):
             v, T = Y
-            out = np.empty_like(Y)
-            out[0] = first_derivative(T, dx, bdy) / rho
-            out[1] = first_derivative(v, dx, bdy) / f.derivative(T)
+            first_derivative(T, dx, bdy, out[0])
+            out[0] /= rho
+            first_derivative(v, dx, bdy, out[1])
+            out[1] /= f.derivative(T)
             if pinned:
                 out[:, 0] = 0.0
                 out[:, -1] = 0.0
-            return out
 
     return rhs
 
@@ -303,17 +312,16 @@ def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -
     raise BlowUpError(t=float(t), max_abs_stress=max_abs)
 
 
-def _rk4_step(rhs, Y, h):
-    # Y + (h/6)*(k1 + 2*k2 + 2*k3 + k4) in the out-of-place operation order,
-    # stages in one scratch buffer; the result is allocated after the stage
-    # temporaries (summing into k1 raised peak memory of per-step snapshots)
-    k1 = rhs(Y)
-    stage = np.empty_like(Y)
-    k2 = rhs(np.add(Y, np.multiply(k1, 0.5 * h, out=stage), out=stage))
-    k3 = rhs(np.add(Y, np.multiply(k2, 0.5 * h, out=stage), out=stage))
-    k4 = rhs(np.add(Y, np.multiply(k3, h, out=stage), out=stage))
-    out = k1 + 2.0 * k2
-    out += 2.0 * k3
+def _rk4_step(rhs, Y, h, work, out):
+    # Y + (h/6)*(k1 + 2*k2 + 2*k3 + k4) into out, in the out-of-place
+    # operation order, with the stages and their sums in the buffers of work
+    k1, k2, k3, k4, stage = work
+    rhs(Y, k1)
+    rhs(np.add(Y, np.multiply(k1, 0.5 * h, out=stage), out=stage), k2)
+    rhs(np.add(Y, np.multiply(k2, 0.5 * h, out=stage), out=stage), k3)
+    rhs(np.add(Y, np.multiply(k3, h, out=stage), out=stage), k4)
+    np.add(k1, np.multiply(k2, 2.0, out=out), out=out)
+    out += np.multiply(k3, 2.0, out=stage)
     out += k4
     out *= h / 6.0
     out += Y
@@ -352,13 +360,18 @@ def _snapshot_count(config: SolverConfig) -> int:
 def _march(rhs, Y: np.ndarray, t_final: float, dt: float) -> Iterator[Tuple[float, np.ndarray]]:
     """Fixed-step RK4 from t = 0 to t_final, yielding (t, Y) after each step.
 
-    The last step is shortened to land on t_final exactly, and the last t
+    rhs(Y, out) writes dY/dt into out.  The stage buffers and two result
+    buffers, used in alternation, are allocated once per run, so each
+    yielded Y is valid only until the next iteration: keep a copy.  The
+    last step is shortened to land on t_final exactly, and the last t
     yielded is t_final itself.  The times are checked when iteration starts.
     """
     dt, t_final = _checked_times(dt, t_final)
     n_full, n_total, remainder = _landing(dt, t_final)
+    work = [np.empty_like(Y) for _ in range(5)]
+    spare = [np.empty_like(Y), np.empty_like(Y)]
     for i in range(n_total):
-        Y = _rk4_step(rhs, Y, dt if i < n_full else remainder)
+        Y = _rk4_step(rhs, Y, dt if i < n_full else remainder, work, spare[i % 2])
         yield (t_final if i == n_total - 1 else (i + 1) * dt), Y
 
 
@@ -565,8 +578,9 @@ def relax_stress(
     # at least 1-d, so the in-place RK4 stage sums have arrays to write into
     eps_arr, T = np.atleast_1d(eps_arr, T)
 
-    def rhs(Tv):
-        return (np.asarray(h.value(Tv)) - eps_arr) / gamma
+    def rhs(Tv, out):
+        np.subtract(h.value(Tv), eps_arr, out=out)
+        out /= gamma
 
     with np.errstate(over="ignore", invalid="ignore"):
         for _, T in _march(rhs, T, t_final, dt):

@@ -67,6 +67,16 @@ class TestCatalog:
         assert np.isfinite(big) and big == pytest.approx(1.0, rel=1e-12)
         assert h(-1e200) == pytest.approx(-1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("T", [np.inf, -np.inf])
+    def test_saturating_infinite_stress_gives_nan(self, a, T):
+        # one rule for every exponent, as for the antiderivative
+        h = make_constitutive("saturating", beta=1.0, a=a)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(h.value(T)) and np.isnan(h.antiderivative(T))
+            values = h.value(np.array([T, 0.5, 1e300]))
+        assert np.isnan(values[0]) and np.all(np.isfinite(values[1:]))
+
     def test_arctan(self):
         h = make_constitutive("arctan", beta=2.0)
         assert h.derivative(0.0) == pytest.approx(2.0, rel=1e-14)

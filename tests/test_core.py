@@ -185,6 +185,39 @@ class TestDerivatives:
         assert out.dtype == np.float64
         assert np.array_equal(out, derivative(ints.astype(float), 1.0, boundary))
 
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("dtype", [float, int])
+    def test_out_gives_the_bits_of_the_allocating_call(self, boundary, dtype):
+        rng = np.random.default_rng(3)
+        v = (rng.normal(size=12) * 100).astype(dtype)
+        out = np.full(12, np.nan)
+        assert first_derivative(v, 0.3, boundary, out) is out
+        assert np.array_equal(out, first_derivative(v, 0.3, boundary))
+        # rows of stacked blocks, in and out
+        Y, dY = np.stack([v, 2 * v, 3 * v]), np.zeros((2, 12))
+        first_derivative(Y[1], 0.3, boundary, dY[1])
+        assert np.array_equal(dY[1], first_derivative(2 * v, 0.3, boundary))
+        assert np.all(dY[0] == 0.0)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_out_overlapping_values_rejected(self, boundary):
+        v = np.arange(12.0) ** 2
+        with pytest.raises(InvalidParameterError, match="share no memory"):
+            first_derivative(v, 1.0, boundary, v)
+        block = np.zeros(13)
+        block[1:] = v
+        with pytest.raises(InvalidParameterError, match="share no memory"):
+            first_derivative(block[1:], 1.0, boundary, block[:-1])
+        # rows of one block do not overlap, so they are accepted
+        Y = np.stack([v, v])
+        first_derivative(Y[0], 1.0, boundary, Y[1])
+        assert np.array_equal(Y[1], first_derivative(v, 1.0, boundary))
+
+    @pytest.mark.parametrize("shape", [(11,), (13,), (1, 12)])
+    def test_out_of_the_wrong_shape_rejected(self, shape):
+        with pytest.raises(InvalidParameterError, match="shape"):
+            first_derivative(np.arange(12.0), 1.0, "periodic", np.empty(shape))
+
     @pytest.mark.parametrize("derivative", [first_derivative])
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_string_boundary_matches_member(self, derivative, boundary):

@@ -6,10 +6,12 @@ import pytest
 from slve import (
     BlowUpError,
     Field,
+    FourierMode,
     Grid1D,
     InvalidParameterError,
     InvalidStepError,
     InvalidWindowError,
+    LinearModel,
     ModelParams,
     SimState,
     SolverConfig,
@@ -17,6 +19,7 @@ from slve import (
     Trajectory,
     custom_constitutive,
     energy_series,
+    evolve_single_mode,
     gaussian_bump_state,
     invert,
     make_constitutive,
@@ -161,6 +164,72 @@ class TestFastPathMatchesReference:
             assert np.array_equal(s.eps.values, Yr[1])
             assert np.array_equal(s.stress.values, stress(Yr[0], Yr[1]))
 
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet_zero"])
+    @pytest.mark.parametrize(
+        "params", [ModelParams(variant="stress_rate", gamma=0.5), ModelParams(variant="elastic")],
+        ids=["stress_rate", "elastic"],
+    )
+    def test_simulate_matches_reference_rk4(self, params, boundary):
+        # reference: np.roll or one-sided end stencils, out-of-place RHS and
+        # RK4 stage sums; simulate must agree bit for bit, the landing step
+        # included
+        g = Grid1D(length=L, n_cells=48, boundary=boundary)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        dx = g.spacing
+        dt = 0.4 * dx
+        st0 = gaussian_bump_state(g, h, center=np.pi, width=0.5, amplitude=0.8)
+        cfg = SolverConfig(params=params, constitutive=h, dt=dt, t_final=40.5 * dt, output_stride=10)
+
+        def d1(u):
+            if boundary == "periodic":
+                return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+            du = np.empty_like(u)
+            du[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+            du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
+            du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
+            return du
+
+        if params.variant == "stress_rate":
+            def rhs(Y):
+                v, eps, T = Y
+                return np.array([d1(T) / params.rho, d1(v), (h.value(T) - eps) / params.gamma])
+
+            Y = np.array([st0.v.values, st0.eps.values, st0.stress.values])
+
+            def snap(Y):
+                return Y
+
+        else:
+            def rhs(Y):
+                v, T = Y
+                return np.array([d1(T) / params.rho, d1(v) / h.derivative(T)])
+
+            Y = np.array([st0.v.values, st0.stress.values])
+
+            def snap(Y):
+                return np.array([Y[0], h.value(Y[1]), Y[1]])
+
+        def pinned(dY):
+            if boundary == "dirichlet_zero":
+                dY[:, 0] = 0.0
+                dY[:, -1] = 0.0
+            return dY
+
+        ref = [snap(Y)]
+        for i, step in enumerate([dt] * 40 + [cfg.t_final - 40 * dt]):
+            k1 = pinned(rhs(Y))
+            k2 = pinned(rhs(Y + 0.5 * step * k1))
+            k3 = pinned(rhs(Y + 0.5 * step * k2))
+            k4 = pinned(rhs(Y + step * k3))
+            Y = Y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (i + 1) % 10 == 0 or i == 40:
+                ref.append(snap(Y))
+
+        traj = simulate(st0, cfg)
+        assert len(traj) == len(ref) == 6
+        assert np.all(traj.fields == np.array(ref))
+        assert traj.t[-1] == cfg.t_final
+
     @pytest.mark.parametrize(
         "gfun, rel",
         [
@@ -222,6 +291,53 @@ class TestFastPathMatchesReference:
         assert traj.fields.shape == expected.shape
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(traj.fields - expected)) <= rel * scale
+
+
+class TestNoBufferLeaks:
+    """_march reuses its buffers, so nothing a run returns may point at them."""
+
+    @pytest.mark.parametrize(
+        "params", [ModelParams(variant="strain_rate", nu=0.5), ModelParams(variant="elastic")],
+        ids=["strain_rate", "elastic"],
+    )
+    def test_trajectory_shares_no_memory_with_the_march_buffers(self, monkeypatch, params):
+        import slve.pde
+
+        seen = []
+        original = slve.pde._march
+
+        def recording(*args):
+            for t, Y in original(*args):
+                seen.append(Y)
+                yield t, Y
+
+        monkeypatch.setattr(slve.pde, "_march", recording)
+        g = periodic_grid(32)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        cfg = SolverConfig(params=params, constitutive=h, dt=1e-3, t_final=5.5e-3)
+        traj = simulate(gaussian_bump_state(g, h, np.pi, 0.5, 0.4), cfg)
+        assert len(traj) == len(seen) + 1 == 7
+        assert not any(np.shares_memory(traj.fields, Y) or np.shares_memory(traj.t, Y) for Y in seen)
+        # the snapshots differ, so no row was recorded as a reference to a buffer
+        assert all(np.any(a != b) for a, b in zip(traj.v[1:], traj.v[2:]))
+
+    def test_relax_stress_arrays_are_independent(self):
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        eps = np.array([0.1, 0.2, 0.3])
+        a = relax_stress(h, eps, 0.5, t_final=0.1, dt=1e-2)
+        a_copy = a.copy()
+        b = relax_stress(h, -eps, 0.5, t_final=0.1, dt=1e-2)
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, a_copy) and np.array_equal(b, -a)
+
+    @pytest.mark.parametrize("model", list(LinearModel))
+    def test_mode_amplitudes_survive_the_rest_of_the_march(self, model):
+        mode = FourierMode(k=2.0, amplitude=1.0, model=model)
+        # amplitudes recorded early must keep their values while the march goes on
+        short = evolve_single_mode(mode, 0.7, t_final=0.05, dt=1e-2)
+        full = evolve_single_mode(mode, 0.7, t_final=0.5, dt=1e-2)
+        assert np.array_equal(full.amplitudes[: len(short.amplitudes)], short.amplitudes)
+        assert len(set(full.amplitudes.tolist())) == len(full.amplitudes)
 
 
 class TestTrajectory:
