@@ -38,18 +38,12 @@ from .core import (
     first_derivative,
     integrate_field,
     nondimensionalize,
-    redimensionalize,
 )
 from .dispersion import (
     Classification,
     DispersionResult,
-    FourierMode,
     LinearModel,
-    ModeTrajectory,
-    evolve_single_mode,
-    fit_growth_rate,
     fit_mode_rates,
-    growth_rate_curve,
     locate_critical_wavenumber,
     solve_dispersion,
     strain_rate_dispersion,
@@ -99,7 +93,6 @@ from .twave import (
     kink_profile,
     make_problem,
     reduction_kappa,
-    second_order_residual,
     unified_reduction_check,
     wave_speed,
 )
@@ -116,7 +109,6 @@ __all__ = [
     "ModelParams",
     "NondimScales",
     "nondimensionalize",
-    "redimensionalize",
     "dimensionless_params",
     "integrate_field",
     "first_derivative",
@@ -135,16 +127,11 @@ __all__ = [
     # dispersion
     "LinearModel",
     "Classification",
-    "FourierMode",
     "DispersionResult",
-    "ModeTrajectory",
     "solve_dispersion",
     "strain_rate_dispersion",
     "stress_rate_dispersion",
-    "growth_rate_curve",
     "locate_critical_wavenumber",
-    "evolve_single_mode",
-    "fit_growth_rate",
     "fit_mode_rates",
     # pde
     "SimState",
@@ -172,7 +159,6 @@ __all__ = [
     "kink_exists",
     "kink_profile",
     "first_order_residual",
-    "second_order_residual",
     "unified_reduction_check",
     "kink_initial_state",
     # errors

@@ -39,7 +39,6 @@ __all__ = [
     "ModelParams",
     "NondimScales",
     "nondimensionalize",
-    "redimensionalize",
     "dimensionless_params",
     "integrate_field",
     "first_derivative",
@@ -219,21 +218,6 @@ def nondimensionalize(params: ModelParams) -> NondimScales:
         stress_scale=mu,
         nu_bar=params.nu / L * speed,
         gamma_bar=params.gamma * mu / L * speed,
-    )
-
-
-def redimensionalize(scales: NondimScales, variant: Variant | str) -> ModelParams:
-    """Invert `nondimensionalize`: rebuild the dimensional parameters."""
-    mu = scales.stress_scale
-    L = scales.x_scale
-    rho = mu * (scales.t_scale / L) ** 2
-    return ModelParams(
-        variant=variant,
-        rho=rho,
-        mu=mu,
-        length_scale=L,
-        nu=scales.nu_bar * scales.t_scale,
-        gamma=scales.gamma_bar * scales.t_scale / mu,
     )
 
 

@@ -27,6 +27,12 @@ two to be an exact conjugate pair.
 Both solvers take one wavenumber or a 1-D array of them and solve an array
 in one vectorized pass, with the same operations per mode; a scalar call is
 the length-1 batch, so the two agree bit for bit.
+
+On a periodic grid the centred stencil of pde.simulate turns k into
+kappa = sin(k dx)/dx, so a run with a linear response carries each spatial
+mode at exactly these rates taken at kappa, one RK4 polynomial per step.
+fit_mode_rates recovers the rates from a sampled mode history, and
+locate_critical_wavenumber finds k_c from the root classification alone.
 """
 
 from __future__ import annotations
@@ -40,21 +46,15 @@ import numpy as np
 
 from .core import Variant
 from .errors import InvalidParameterError
-from .pde import _march
 
 __all__ = [
     "LinearModel",
     "Classification",
-    "FourierMode",
     "DispersionResult",
-    "ModeTrajectory",
     "strain_rate_dispersion",
     "stress_rate_dispersion",
     "solve_dispersion",
-    "growth_rate_curve",
-    "evolve_single_mode",
     "locate_critical_wavenumber",
-    "fit_growth_rate",
     "fit_mode_rates",
 ]
 
@@ -90,23 +90,6 @@ def _coerce_model(model) -> LinearModel:
         return LinearModel(str(model) + "_linear")
     except ValueError:
         raise InvalidParameterError(f"no linearized model named {model!r}") from None
-
-
-@dataclass(frozen=True)
-class FourierMode:
-    """One spatial Fourier mode of a linearized model."""
-
-    model: LinearModel
-    k: float
-    amplitude: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "model", _coerce_model(self.model))
-        k = float(self.k)
-        if not math.isfinite(k) or k < 0.0:
-            raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
 
 
 @dataclass(frozen=True)
@@ -367,18 +350,6 @@ def solve_dispersion(model, coeff: float, k) -> DispersionResult:
     return stress_rate_dispersion(coeff, k)
 
 
-def growth_rate_curve(model, coeff: float, k_values) -> np.ndarray:
-    """Max Re r over the supplied wavenumbers.
-
-    Returns an (n, 2) float array of rows (k, max real part).  For the
-    strain-rate model the second column is <= 0 everywhere; for the
-    stress-rate model it is the positive real root, which grows without
-    bound as k does.
-    """
-    k_values = np.asarray(k_values, dtype=float).ravel()
-    return np.column_stack([k_values, solve_dispersion(model, coeff, k_values).max_real_part])
-
-
 def locate_critical_wavenumber(nu: float, tol: float = 1e-8) -> float:
     """Bisect for the wavenumber where the root pair stops oscillating.
 
@@ -403,74 +374,6 @@ def locate_critical_wavenumber(nu: float, tol: float = 1e-8) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class ModeTrajectory:
-    """Complex amplitude samples of one evolved mode."""
-
-    times: np.ndarray
-    amplitudes: np.ndarray
-
-
-def evolve_single_mode(
-    mode: FourierMode, coeff: float, t_final: float, dt: float
-) -> ModeTrajectory:
-    """Integrate one mode's amplitude ODE with classical fourth-order RK.
-
-    The mode starts at the given amplitude with vanishing time derivatives,
-    a(0) = amplitude, a'(0) = 0 (and a''(0) = 0 for the stress-rate model).
-    Samples are emitted at every step; the last step is shortened to land on
-    t_final exactly.
-
-    Raises
-    ------
-    InvalidStepError for a non-finite dt, dt <= 0 or dt > t_final;
-    InvalidParameterError for a non-finite or non-positive t_final.
-    """
-    coeff = float(coeff)
-    if not math.isfinite(coeff) or coeff <= 0.0:
-        raise InvalidParameterError(f"coefficient must be positive, got {coeff}")
-
-    ksq = mode.k * mode.k
-    if mode.model is LinearModel.STRAIN_RATE:
-        y = np.array([mode.amplitude, 0.0], dtype=complex)
-
-        def rhs(state, out):
-            out[0] = state[1]
-            out[1] = -coeff * ksq * state[1] - ksq * state[0]
-
-    else:
-        y = np.array([mode.amplitude, 0.0, 0.0], dtype=complex)
-
-        def rhs(state, out):
-            out[0] = state[1]
-            out[1] = state[2]
-            out[2] = (state[2] + ksq * state[0]) / coeff
-
-    times = [0.0]
-    amps = [y[0]]
-    for t, y in _march(rhs, y, t_final, dt):
-        times.append(t)
-        amps.append(y[0])
-    return ModeTrajectory(times=np.asarray(times), amplitudes=np.asarray(amps))
-
-
-def fit_growth_rate(times, values, fit_start: Optional[float] = None) -> float:
-    """Least-squares slope of log|values| over the tail of a history.
-
-    fit_start defaults to the midpoint time, which discards the transient
-    while subdominant modes die off (or are outgrown).
-    """
-    t = np.asarray(times, dtype=float)
-    mag = np.abs(np.asarray(values))
-    if fit_start is None:
-        fit_start = t[len(t) // 2]
-    mask = (t >= fit_start) & (mag > 0.0)
-    if mask.sum() < 2:
-        raise InvalidParameterError("not enough samples beyond fit_start")
-    slope, _ = np.polyfit(t[mask], np.log(mag[mask]), 1)
-    return float(slope)
 
 
 def fit_mode_rates(times, values, n_modes: int = 2) -> np.ndarray:

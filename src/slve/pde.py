@@ -29,14 +29,20 @@ explicit stability ceiling
 
 (a dt above the ceiling is a configuration error, not a warning).
 
-Every time integration (simulate, relax_stress and
-dispersion.evolve_single_mode) steps through one RK4 loop, _march.  A
-right-hand side is called as rhs(Y, out) and writes dY/dt into out.
-_march allocates its workspace once per run: the four stage slopes, the
-stage state and two result buffers used in alternation.  The stage sums
-and the stencils write into these buffers; only the response calls and the
-blow-up check make temporaries of their own.  A yielded state is valid only
-until the next iteration, so callers copy what they keep.
+Both time integrations, simulate and relax_stress, step through one RK4
+loop, _march.  A right-hand side is called as rhs(Y, out) and writes dY/dt
+into out.  _march allocates its workspace once per run: the four stage
+slopes, the stage state and two result buffers used in alternation.  The
+stage sums and the stencils write into these buffers; only the response
+calls and the blow-up check make temporaries of their own.  A yielded state
+is valid only until the next iteration, so callers copy what they keep.
+
+With a linear response on a periodic grid the scheme is a linear
+recurrence: a step of length h multiplies each spatial Fourier mode by
+R(h M), where R(z) = 1 + z + z**2/2 + z**3/6 + z**4/24 and M is the
+variant's symbol at the stencil's wavenumber kappa = sin(k dx)/dx, whose
+eigenvalues are the dispersion rates at kappa.  The Nyquist mode has
+kappa = 0, so the strain-rate scheme leaves a checkerboard untouched.
 
 Energy: with stored density rho*omega = T*eps - H(T) (stress-rate, elastic)
 or T*g(T) - G1(T) (strain-rate), total energy obeys
@@ -303,7 +309,7 @@ def _write_snapshot(out: np.ndarray, Y: np.ndarray, config: SolverConfig, grid: 
 
 def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -> None:
     # NaN and inf fail the comparison too (the threshold itself is finite)
-    if np.max(np.abs(Y)) <= threshold:
+    if np.maximum.reduce(np.abs(Y), axis=None) <= threshold:
         return
     # stress row for the variants that carry one; largest state entry else
     row = Y if variant is Variant.STRAIN_RATE else Y[-1]
@@ -543,6 +549,8 @@ def single_mode_state(
     turns; pinned grids take sin(k x) and need k*length to be a whole number
     of half-turns, so the ends stay at zero.
     """
+    if not math.isfinite(k):
+        raise InvalidParameterError(f"k must be finite, got {k}")
     x = grid.nodes()
     if grid.boundary is Boundary.PERIODIC:
         turns = k * grid.length / (2.0 * math.pi)

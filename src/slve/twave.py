@@ -61,7 +61,6 @@ __all__ = [
     "kink_exists",
     "kink_profile",
     "first_order_residual",
-    "second_order_residual",
     "unified_reduction_check",
     "kink_initial_state",
 ]
@@ -400,35 +399,13 @@ def kink_profile(
     )
 
 
-def _stencil_xi(profile: KinkProfile, h: float) -> np.ndarray:
-    half = float(profile.xi[-1])
-    xi = profile.xi
-    return xi[(xi >= -half + 2.05 * h) & (xi <= half - 2.05 * h)]
-
-
 def first_order_residual(profile: KinkProfile, h: float = 0.01) -> np.ndarray:
     """kappa*T' - B(T) at the samples, T' from a 5-point centered stencil."""
-    xi = _stencil_xi(profile, h)
+    half = float(profile.xi[-1])
+    xi = profile.xi[(profile.xi >= -half + 2.05 * h) & (profile.xi <= half - 2.05 * h)]
     f = profile.interpolant
     d1 = (-f(xi + 2 * h) + 8 * f(xi + h) - 8 * f(xi - h) + f(xi - 2 * h)) / (12 * h)
     return profile.kappa_signed * d1 - np.asarray(balance_function(profile.problem, f(xi)))
-
-
-def second_order_residual(profile: KinkProfile, h: float = 0.02) -> np.ndarray:
-    """T' - kappa*T'' - c^2*(f(T))' at the samples, one more differentiation."""
-    xi = _stencil_xi(profile, h)
-    p = profile.problem
-    f = profile.interpolant
-
-    def comp(s):
-        return np.asarray(p.f.value(f(s)), dtype=float)
-
-    d1 = (-f(xi + 2 * h) + 8 * f(xi + h) - 8 * f(xi - h) + f(xi - 2 * h)) / (12 * h)
-    d2 = (
-        -f(xi + 2 * h) + 16 * f(xi + h) - 30 * f(xi) + 16 * f(xi - h) - f(xi - 2 * h)
-    ) / (12 * h * h)
-    dc = (-comp(xi + 2 * h) + 8 * comp(xi + h) - 8 * comp(xi - h) + comp(xi - 2 * h)) / (12 * h)
-    return d1 - profile.kappa_signed * d2 - p.c_squared * dc
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,10 @@ from slve import (
     Grid1D,
     InvalidParameterError,
     ModelParams,
-    Variant,
     dimensionless_params,
     first_derivative,
     integrate_field,
     nondimensionalize,
-    redimensionalize,
 )
 
 
@@ -103,14 +101,18 @@ class TestScaling:
         assert nondimensionalize(p2).gamma_bar == pytest.approx(1.0)
 
     def test_roundtrip(self):
-        p = ModelParams(
-            variant="stress_rate", rho=2.7, mu=13.0, length_scale=0.4, gamma=0.035
+        # the scales match their closed forms, and the closed forms solved
+        # back for rho and gamma give the material again
+        rho, mu, L, gamma = 2.7, 13.0, 0.4, 0.035
+        sc = nondimensionalize(
+            ModelParams(variant="stress_rate", rho=rho, mu=mu, length_scale=L, gamma=gamma)
         )
-        back = redimensionalize(nondimensionalize(p), Variant.STRESS_RATE)
-        assert back.rho == pytest.approx(p.rho, rel=1e-14)
-        assert back.mu == pytest.approx(p.mu, rel=1e-14)
-        assert back.length_scale == pytest.approx(p.length_scale, rel=1e-14)
-        assert back.gamma == pytest.approx(p.gamma, rel=1e-14)
+        assert sc.x_scale == L and sc.stress_scale == mu
+        assert sc.t_scale == pytest.approx(L * np.sqrt(rho / mu), rel=1e-14)
+        assert sc.gamma_bar == pytest.approx(gamma * mu / L * np.sqrt(mu / rho), rel=1e-14)
+        assert sc.nu_bar == 0.0
+        assert sc.stress_scale * (sc.t_scale / sc.x_scale) ** 2 == pytest.approx(rho, rel=1e-14)
+        assert sc.gamma_bar * sc.t_scale / sc.stress_scale == pytest.approx(gamma, rel=1e-14)
 
     def test_dimensionless_params_are_unit_scale(self):
         p = ModelParams(variant="strain_rate", rho=3.0, mu=7.0, length_scale=2.0, nu=0.9)

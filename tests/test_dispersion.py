@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from slve import (
     Classification,
-    FourierMode,
+    Grid1D,
     InvalidParameterError,
     InvalidStepError,
     LinearModel,
-    evolve_single_mode,
-    fit_growth_rate,
+    ModelParams,
+    SolverConfig,
     fit_mode_rates,
-    growth_rate_curve,
     locate_critical_wavenumber,
+    make_constitutive,
+    simulate,
+    single_mode_state,
     solve_dispersion,
     strain_rate_dispersion,
     stress_rate_dispersion,
@@ -27,6 +29,11 @@ from slve import (
 from slve.dispersion import _companion_roots
 
 SUPERGOLDEN = 1.4655712318767682  # bisection oracle for r^3 = r^2 + 1
+
+# negative, NaN and infinite wavenumbers, alone and inside an array
+BAD_WAVENUMBERS = [-2.0, np.nan, np.inf, -np.inf] + [
+    np.array([1.0, bad, 3.0]) for bad in (-2.0, np.nan, np.inf)
+]
 
 
 def bisect_positive_root(gamma, k, lo, hi):
@@ -90,8 +97,9 @@ class TestStrainRateQuadratic:
     def test_bad_nu_rejected(self):
         with pytest.raises(InvalidParameterError):
             strain_rate_dispersion(0.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            strain_rate_dispersion(1.0, -2.0)
+        for k in BAD_WAVENUMBERS:
+            with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+                strain_rate_dispersion(1.0, k)
 
 
 class TestStressRateCubic:
@@ -142,6 +150,9 @@ class TestStressRateCubic:
             stress_rate_dispersion(-1.0, 1.0)
         with pytest.raises(InvalidParameterError):
             stress_rate_dispersion(0.0, 1.0)
+        for k in BAD_WAVENUMBERS:
+            with pytest.raises(InvalidParameterError, match="finite and >= 0"):
+                stress_rate_dispersion(1.0, k)
 
 
 class TestResiduals:
@@ -175,11 +186,11 @@ class TestWrapperAndCurve:
 
     def test_growth_rate_curve_shapes_and_monotonicity(self):
         ks = np.linspace(0.0, 20.0, 41)
-        curve = growth_rate_curve("stress_rate", 1.0, ks)
-        assert curve.shape == (41, 2)
-        assert np.all(np.diff(curve[:, 1]) > 0.0)  # growth rate increases with k
-        curve2 = growth_rate_curve("strain_rate", 1.0, ks)
-        assert np.all(curve2[1:, 1] < 0.0)
+        growth = solve_dispersion("stress_rate", 1.0, ks).max_real_part
+        assert growth.shape == (41,)
+        assert np.all(np.diff(growth) > 0.0)  # growth rate increases with k
+        decay = solve_dispersion("strain_rate", 1.0, ks).max_real_part
+        assert decay[0] == 0.0 and np.all(decay[1:] < 0.0)
 
     def test_locate_critical_wavenumber(self):
         for nu in (0.5, 1.0, 2.0, 4.0):
@@ -290,89 +301,43 @@ class TestBatch:
 
 
 class TestModeEvolution:
-    def test_strain_rate_decay_rate(self):
-        # oscillatory mode: the recurrence fit resolves the conjugate pair,
-        # where a log-envelope slope would be biased by the |cos| wiggle
-        mode = FourierMode(model="strain_rate", k=1.0)
-        traj = evolve_single_mode(mode, 1.0, t_final=20.0, dt=1e-2)
-        sel = slice(0, 1601)
-        rates = fit_mode_rates(traj.times[sel], traj.amplitudes[sel], 2)
-        assert rates[0].real == pytest.approx(-0.5, rel=0.01)
-        assert abs(rates[0].imag) == pytest.approx(np.sqrt(3.0) / 2.0, rel=0.01)
+    """One Fourier mode of the stress marched by simulate; how each grid
+    mode grows or decays is checked in tests/test_pde.py against R(dt M)."""
 
-    def test_strain_rate_overdamped_decay_rate(self):
-        # k above critical: both rates real, tail slope is the slow one
-        mode = FourierMode(model="strain_rate", k=4.0)
-        traj = evolve_single_mode(mode, 1.0, t_final=8.0, dt=1e-3)
-        rate = fit_growth_rate(traj.times, np.abs(traj.amplitudes))
-        assert rate == pytest.approx(-8.0 + 4.0 * np.sqrt(3.0), rel=0.01)
+    @staticmethod
+    def config(dt, t_final):
+        return SolverConfig(params=ModelParams(variant="strain_rate", nu=0.5),
+                            constitutive=make_constitutive("linear"), dt=dt, t_final=t_final)
 
-    def test_stress_rate_growth_rate(self):
-        mode = FourierMode(model="stress_rate", k=1.0)
-        traj = evolve_single_mode(mode, 1.0, t_final=25.0, dt=1e-3)
-        rate = fit_growth_rate(traj.times, np.abs(traj.amplitudes))
-        assert rate == pytest.approx(SUPERGOLDEN, rel=0.01)
+    @staticmethod
+    def mode(k=2.0):
+        # 8 cells on [0, 2 pi): the strain-rate ceiling min(dx/2, dx^2/(4 nu)) is 0.31
+        return single_mode_state(Grid1D(length=2 * np.pi, n_cells=8),
+                                 make_constitutive("linear"), k=k, amplitude=0.1)
 
     def test_invalid_steps_rejected(self):
-        mode = FourierMode(model="strain_rate", k=1.0)
-        with pytest.raises(InvalidStepError):
-            evolve_single_mode(mode, 1.0, t_final=1.0, dt=0.0)
-        with pytest.raises(InvalidStepError):
-            evolve_single_mode(mode, 1.0, t_final=1.0, dt=2.0)
-        with pytest.raises(InvalidStepError):
-            evolve_single_mode(mode, 1.0, t_final=1.0, dt=np.nan)
-        with pytest.raises(InvalidParameterError):
-            evolve_single_mode(mode, 1.0, t_final=np.inf, dt=0.1)
-        with pytest.raises(InvalidParameterError):
-            evolve_single_mode(mode, 1.0, t_final=np.nan, dt=0.1)
+        for dt, t_final, error in [
+            (0.0, 1.0, InvalidStepError),
+            (2.0, 1.0, InvalidStepError),
+            (np.nan, 1.0, InvalidStepError),
+            (0.1, np.inf, InvalidParameterError),
+            (0.1, np.nan, InvalidParameterError),
+        ]:
+            with pytest.raises(error):
+                simulate(self.mode(), self.config(dt, t_final))
 
     def test_exact_landing(self):
-        mode = FourierMode(model="strain_rate", k=2.0)
-        traj = evolve_single_mode(mode, 1.0, t_final=1.0, dt=0.3)
-        assert traj.times[-1] == 1.0
+        traj = simulate(self.mode(), self.config(0.3, 1.0))
+        assert traj.t[-1] == 1.0
         # no shortened step: 3*0.1 rounds to 0.30000000000000004
-        traj = evolve_single_mode(mode, 1.0, t_final=0.3, dt=0.1)
-        assert len(traj.times) == 4
-        assert traj.times[-1] == 0.3
-
-    @pytest.mark.parametrize(
-        "model,coeff,k", [("strain_rate", 0.7, 1.5), ("stress_rate", 0.4, 2.0)]
-    )
-    def test_matches_reference_rk4(self, model, coeff, k):
-        # reference: out-of-place RK4 on the mode ODE, landing step included
-        ksq = k * k
-        if model == "strain_rate":
-            y = np.array([0.3 + 0.1j, 0.0], dtype=complex)
-
-            def rhs(s):
-                return np.array([s[1], -coeff * ksq * s[1] - ksq * s[0]])
-
-        else:
-            y = np.array([0.3 + 0.1j, 0.0, 0.0], dtype=complex)
-
-            def rhs(s):
-                return np.array([s[1], s[2], (s[2] + ksq * s[0]) / coeff])
-
-        dt = 0.01
-        t_final = 40.5 * dt
-        ref = [y[0]]
-        for h in [dt] * 40 + [t_final - 40 * dt]:
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ref.append(y[0])
-
-        mode = FourierMode(model=model, k=k, amplitude=0.3 + 0.1j)
-        traj = evolve_single_mode(mode, coeff, t_final=t_final, dt=dt)
-        assert np.array_equal(traj.amplitudes, np.array(ref))
-        assert np.array_equal(traj.times[:-1], np.arange(41) * dt)
-        assert traj.times[-1] == t_final
+        traj = simulate(self.mode(), self.config(0.1, 0.3))
+        assert len(traj) == 4
+        assert traj.t[-1] == 0.3
 
     def test_negative_k_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            FourierMode(model="strain_rate", k=-1.0)
+        for k in [-2.0, np.nan, np.inf]:
+            with pytest.raises(InvalidParameterError):
+                self.mode(k)
 
 
 class TestRateFitting:
@@ -394,7 +359,3 @@ class TestRateFitting:
         t = np.array([0.0, 0.1, 0.25, 0.3])
         with pytest.raises(InvalidParameterError):
             fit_mode_rates(t, np.ones_like(t), 2)
-
-    def test_fit_growth_rate_on_pure_exponential(self):
-        t = np.linspace(0.0, 5.0, 100)
-        assert fit_growth_rate(t, np.exp(0.7 * t)) == pytest.approx(0.7, rel=1e-10)

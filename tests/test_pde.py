@@ -1,33 +1,36 @@
 """Method-of-lines solvers, energy accounting, and initial data."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from slve import (
     BlowUpError,
     Field,
-    FourierMode,
     Grid1D,
     InvalidParameterError,
     InvalidStepError,
     InvalidWindowError,
-    LinearModel,
     ModelParams,
     SimState,
     SolverConfig,
     StrainLimitExceededError,
     Trajectory,
+    Variant,
     custom_constitutive,
     energy_series,
-    evolve_single_mode,
+    first_derivative,
     gaussian_bump_state,
     invert,
     make_constitutive,
     relax_stress,
     simulate,
     single_mode_state,
+    solve_dispersion,
     stability_ceiling,
     stored_energy_density,
+    stress_rate_dispersion,
     total_energy,
     zero_state,
 )
@@ -297,8 +300,10 @@ class TestNoBufferLeaks:
     """_march reuses its buffers, so nothing a run returns may point at them."""
 
     @pytest.mark.parametrize(
-        "params", [ModelParams(variant="strain_rate", nu=0.5), ModelParams(variant="elastic")],
-        ids=["strain_rate", "elastic"],
+        "params",
+        [ModelParams(variant="stress_rate", gamma=0.7), ModelParams(variant="strain_rate", nu=0.5),
+         ModelParams(variant="elastic")],
+        ids=["stress_rate", "strain_rate", "elastic"],
     )
     def test_trajectory_shares_no_memory_with_the_march_buffers(self, monkeypatch, params):
         import slve.pde
@@ -329,15 +334,6 @@ class TestNoBufferLeaks:
         b = relax_stress(h, -eps, 0.5, t_final=0.1, dt=1e-2)
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, a_copy) and np.array_equal(b, -a)
-
-    @pytest.mark.parametrize("model", list(LinearModel))
-    def test_mode_amplitudes_survive_the_rest_of_the_march(self, model):
-        mode = FourierMode(k=2.0, amplitude=1.0, model=model)
-        # amplitudes recorded early must keep their values while the march goes on
-        short = evolve_single_mode(mode, 0.7, t_final=0.05, dt=1e-2)
-        full = evolve_single_mode(mode, 0.7, t_final=0.5, dt=1e-2)
-        assert np.array_equal(full.amplitudes[: len(short.amplitudes)], short.amplitudes)
-        assert len(set(full.amplitudes.tolist())) == len(full.amplitudes)
 
 
 class TestTrajectory:
@@ -436,6 +432,11 @@ class TestStepper:
         cfg = SolverConfig(params=p, constitutive=h, dt=0.03, t_final=0.1)
         states = simulate(zero_state(g), cfg)
         assert states[-1].t == pytest.approx(0.1, abs=1e-15)
+        # no shortened step: 3*0.1 rounds to 0.30000000000000004
+        cfg = SolverConfig(params=p, constitutive=h, dt=0.1, t_final=0.3)
+        states = simulate(zero_state(periodic_grid(16)), cfg)
+        assert len(states) == 4
+        assert states.t[-1] == 0.3
 
     @pytest.mark.parametrize(
         "variant,kw,expect",
@@ -487,6 +488,32 @@ class TestStepper:
         assert isinstance(partial, Trajectory) and len(partial) >= 1
         assert partial.t[-1] < ei.value.t
         assert np.max(np.abs(partial.stress)) <= 100.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_non_finite_state_is_a_blow_up(self, variant, bad):
+        import slve.pde
+
+        n_rows = 3 if variant is Variant.STRESS_RATE else 2
+        Y = np.full((n_rows, 8), 0.25)
+        Y[0, 1] = -0.9  # the largest entry, in v
+        Y[-1, 2] = 0.75  # the largest of the last row: the stress but for strain-rate
+        slve.pde._check_blowup(Y, 0.5, variant, 1.0)  # finite and below the threshold
+        # the stress row for the variants that carry one, every entry otherwise
+        reported = 0.9 if variant is Variant.STRAIN_RATE else 0.75
+        for row in (0, n_rows - 1):
+            Yb = Y.copy()
+            Yb[row, 5] = bad
+            with pytest.raises(BlowUpError) as ei:
+                slve.pde._check_blowup(Yb, 0.5, variant, 1.0)
+            assert ei.value.t == 0.5
+            assert ei.value.max_abs_stress == reported
+        # a stress row without a finite entry reports an infinite stress
+        Yb = Y.copy()
+        Yb[-1] = bad
+        with pytest.raises(BlowUpError) as ei:
+            slve.pde._check_blowup(Yb, 0.5, variant, 1.0)
+        assert ei.value.max_abs_stress == (0.9 if variant is Variant.STRAIN_RATE else np.inf)
 
     def test_strain_limit_carries_node_and_partial_history(self):
         # the first RK4 stage of this steep bump pushes eps + nu*v_x past 1
@@ -540,6 +567,148 @@ class TestStepper:
         # end stress never moves: it keeps the (tiny) initial tail value
         assert final.stress.values[0] == st0.stress.values[0]
         assert final.stress.values[-1] == st0.stress.values[-1]
+
+
+def grid_kappa(grid):
+    """Modified wavenumbers sin(k dx)/dx of the rfft modes k = 0 .. N/2."""
+    k = 2.0 * np.pi * np.arange(grid.n_cells // 2 + 1) / grid.length
+    return np.sin(k * grid.spacing) / grid.spacing
+
+
+def symbol(variant, coeff, kappa):
+    """M(kappa), shape (m, r, r): d/dt of the Fourier coefficients of the
+    rows simulate evolves, for rho = 1 and the response h(T) = T.  The
+    centred stencil takes each mode to i*kappa times itself."""
+    ik = 1j * np.asarray(kappa, dtype=float)
+    o = np.zeros_like(ik)
+    if variant == "stress_rate":  # (v, eps, T): T_t = (T - eps)/gamma
+        rows = [[o, o, ik], [ik, o, o], [o, o - 1.0 / coeff, o + 1.0 / coeff]]
+    elif variant == "strain_rate":  # (v, eps): T = eps + nu*v_x
+        rows = [[ik * ik * coeff, ik], [ik, o]]
+    else:  # (v, T)
+        rows = [[o, ik], [ik, o]]
+    return np.moveaxis(np.array(rows), -1, 0)
+
+
+def rk4_polynomial(Z):
+    """R(Z) = I + Z + Z^2/2 + Z^3/6 + Z^4/24 for a stack of matrices."""
+    Z2 = Z @ Z
+    Z3 = Z2 @ Z
+    return np.eye(Z.shape[-1]) + Z + Z2 / 2.0 + Z3 / 6.0 + (Z3 @ Z) / 24.0
+
+
+class TestDiscreteDispersion:
+    """With h(T) = T on a periodic grid, simulate is a linear recurrence:
+    every RK4 step of length h takes the Fourier coefficients c of mode k
+    to R(h M(kappa)) c, kappa = sin(k dx)/dx, and the eigenvalues of M(kappa)
+    are the dispersion roots at kappa."""
+
+    CASES = {
+        # variant: (parameters, dt as a function of dx, full steps)
+        "stress_rate": (ModelParams(variant="stress_rate", gamma=1.0), lambda dx: 0.4 * dx, 100),
+        "strain_rate": (ModelParams(variant="strain_rate", nu=0.5), lambda dx: 0.4 * dx * dx, 300),
+        "elastic": (ModelParams(variant="elastic"), lambda dx: 0.4 * dx, 300),
+    }
+
+    @pytest.mark.parametrize("landing", [False, True], ids=["exact", "landing"])
+    @pytest.mark.parametrize("stride", [1, 7], ids=["stride1", "stride7"])
+    @pytest.mark.parametrize("variant", list(CASES))
+    def test_every_mode_follows_rk4(self, variant, stride, landing):
+        params, step, n_full = self.CASES[variant]
+        coeff = params.coefficient
+        g = periodic_grid(64)
+        dt = step(g.spacing)
+        t_final = (n_full + 0.5 if landing else n_full) * dt
+        lin = make_constitutive("linear")
+        rng = np.random.default_rng(11)
+        # every mode excited, the Nyquist one included
+        v, eps, T = (Field(1e-3 * rng.standard_normal(g.n_nodes), g) for _ in range(3))
+        cfg = SolverConfig(params=params, constitutive=lin, dt=dt, t_final=t_final,
+                           output_stride=stride, blowup_threshold=1e12)
+        traj = simulate(SimState(0.0, v, eps, T), cfg)
+
+        kappa = grid_kappa(g)
+        M = symbol(variant, coeff, kappa)
+        # the symbol's eigenvalues are the dispersion roots at kappa
+        eig = np.linalg.eigvals(M)
+        if variant == "elastic":
+            roots = np.stack([1j * kappa, -1j * kappa], axis=1)
+        else:
+            roots = solve_dispersion(variant, coeff, kappa).roots.astype(complex)
+        # each mode's roots against its eigenvalues in their best order
+        gap = np.min(
+            [np.max(np.abs(eig[:, list(perm)] - roots), axis=1)
+             for perm in itertools.permutations(range(roots.shape[1]))],
+            axis=0,
+        )
+        assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(roots).max(axis=1)))
+
+        # march the coefficients of the evolved rows, snapshot by snapshot
+        evolved = {"stress_rate": [0, 1, 2], "strain_rate": [0, 1], "elastic": [0, 2]}[variant]
+        c = np.fft.rfft(traj.fields[0][evolved], axis=-1).T[..., None]  # (m, r, 1)
+        steps = [dt] * n_full + ([t_final - n_full * dt] if landing else [])
+        factor = {h: rk4_polynomial(h * M) for h in set(steps)}
+        expected = [c]
+        for i, h in enumerate(steps, 1):
+            c = factor[h] @ c
+            if i % stride == 0 or i == len(steps):
+                expected.append(c)
+        assert len(traj) == len(expected)
+        assert traj.t[-1] == t_final
+
+        for fields, c in zip(traj.fields, expected):
+            got = np.fft.rfft(fields, axis=-1)
+            want = np.empty_like(got)
+            want[evolved] = c[..., 0].T
+            if variant == "strain_rate":  # the reconstructed stress eps + nu*v_x
+                want[2] = want[1] + coeff * 1j * kappa * want[0]
+            elif variant == "elastic":  # the strain h(T) = T
+                want[1] = want[2]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+    def test_nyquist_mode_is_invisible_to_the_strain_rate_scheme(self):
+        # N even: the centred stencil sends the checkerboard to 0, so kappa = 0,
+        # M = 0 and R = I; the strain-rate scheme neither damps nor moves it,
+        # and the dissipation sum of (D1 T)^2 does not see it
+        g = periodic_grid(64)
+        checker = (-1.0) ** np.arange(g.n_nodes)
+        assert np.all(first_derivative(checker, g.spacing, g.boundary) == 0.0)
+        p = ModelParams(variant="strain_rate", nu=0.5)
+        dt = 0.2 * g.spacing**2 / p.nu
+        assert np.array_equal(rk4_polynomial(dt * symbol("strain_rate", p.nu, [0.0]))[0], np.eye(2))
+        lin = make_constitutive("linear")
+        st0 = SimState(0.0, Field(0.3 * checker, g), Field(0.2 * checker, g), Field(0.0 * checker, g))
+        cfg = SolverConfig(params=p, constitutive=lin, dt=dt, t_final=300 * dt, output_stride=30)
+        traj = simulate(st0, cfg)
+        assert len(traj) == 11
+        assert np.all(traj.v == 0.3 * checker) and np.all(traj.eps == 0.2 * checker)
+        assert np.all(traj.stress == 0.2 * checker)
+        reports = energy_series(traj, p, lin)
+        assert all(r.dissipation_rate == 0.0 and r.balance_residual == 0.0 for r in reports)
+
+    def test_stress_rate_growth_is_capped_at_the_grid_scale(self):
+        # kappa = sin(k dx)/dx peaks at 1/dx (k dx = pi/2) and the growing
+        # root rises with kappa, so no grid mode outgrows the root at 1/dx;
+        # that cap rises as dx shrinks, so the fastest grid mode blows up
+        # sooner on a finer grid
+        lin = make_constitutive("linear")
+        p = ModelParams(variant="stress_rate", gamma=1.0)
+        caps, blow_up_times = [], []
+        for n in (32, 64, 128):
+            g = periodic_grid(n)
+            rates = stress_rate_dispersion(p.gamma, grid_kappa(g)).positive_real_root
+            cap = stress_rate_dispersion(p.gamma, 1.0 / g.spacing).positive_real_root
+            assert np.argmax(rates) == n // 4
+            assert np.max(rates) == pytest.approx(cap, rel=1e-15)
+            caps.append(cap)
+            fastest = single_mode_state(g, lin, k=n / 4, amplitude=1e-6)
+            cfg = SolverConfig(params=p, constitutive=lin, dt=0.005, t_final=10.0,
+                               output_stride=100, blowup_threshold=1.0)
+            with pytest.raises(BlowUpError) as ei:
+                simulate(fastest, cfg)
+            blow_up_times.append(ei.value.t)
+        assert caps[0] < caps[1] < caps[2]
+        assert blow_up_times[0] > blow_up_times[1] > blow_up_times[2]
 
 
 class TestEnergy:

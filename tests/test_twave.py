@@ -25,7 +25,6 @@ from slve import (
     make_constitutive,
     make_problem,
     reduction_kappa,
-    second_order_residual,
     unified_reduction_check,
     wave_speed,
 )
@@ -169,10 +168,6 @@ class TestProfile:
     def test_first_order_residual_small(self):
         prof = kink_profile(saturating_problem())
         assert np.max(np.abs(first_order_residual(prof))) < 1e-8
-
-    def test_second_order_residual_small(self):
-        prof = kink_profile(saturating_problem())
-        assert np.max(np.abs(second_order_residual(prof))) < 1e-6
 
     def test_strain_rate_variant_profile(self):
         prof = kink_profile(saturating_problem("strain_rate", 1.0))
