@@ -42,7 +42,6 @@ from .core import (
 from .dispersion import (
     Classification,
     DispersionResult,
-    LinearModel,
     fit_mode_rates,
     locate_critical_wavenumber,
     solve_dispersion,
@@ -125,7 +124,6 @@ __all__ = [
     "invert",
     "invert_array",
     # dispersion
-    "LinearModel",
     "Classification",
     "DispersionResult",
     "solve_dispersion",

@@ -9,6 +9,11 @@ Commands: simulate, dispersion, twave, audit, energy.  The config is INI
 text (see the section schema in _SCHEMA); unknown sections or keys are
 rejected, as are values violating a model precondition (a negative gamma,
 for instance, fails the nonnegative-dissipation requirement gamma >= 0).
+For simulate, energy and audit the parser builds the unit-form solver
+config and the initial state once, so a step over the stability ceiling or
+an [initial] shape the grid cannot hold (a single_mode k that does not fit
+the length, a non-positive width, a non-finite center) is refused before
+the output directory is made.
 
 Material parameters are given dimensionally in [model]; the front end
 nondimensionalizes once and runs every solver in the unit form, so [grid]
@@ -16,14 +21,15 @@ lengths, [solver] times and all table output are in scaled units.
 
 Outcomes are machine-parsable: each run writes its tables plus status.json
 into the output directory and prints the same status record to stdout.
-Exit codes: 0 ok, 2 bad config, 3 blow-up of an unstable run (the time of
-blow-up is in the record; this is an expected outcome for the stress-rate
-model, not an internal error), 4 a strain-rate run whose stress
-reconstruction reached the strain limit (the node and value are in the
-record), 1 any other model error.  After a blow-up or a strain-limit failure
-the snapshots recorded so far are written as the trajectory table.  Reruns of one
-config are byte-identical.  CSV floats carry 17 significant digits and JSONL
-floats are json's repr, so parsing either back loses nothing.
+Exit codes: 0 ok, 2 bad config (refused before anything runs), 3 blow-up
+of an unstable run (the time of blow-up is in the record; this is an
+expected outcome for the stress-rate model, not an internal error), 4 a
+strain-rate run whose stress reconstruction reached the strain limit (the
+node and value are in the record), 1 any other model error.  After a
+blow-up or a strain-limit failure the snapshots recorded so far are written
+as the trajectory table.  Reruns of one config are byte-identical.  CSV
+floats carry 17 significant digits and JSONL floats are json's repr, so
+parsing either back loses nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ import numpy as np
 from . import constitutive as con
 from . import core, dispersion, pde, twave
 from .dispersion import Classification, solve_dispersion
-from .errors import BlowUpError, ConfigError, SlveError, StrainLimitExceededError
+from .errors import (BlowUpError, ConfigError, InvalidParameterError, SlveError,
+                     StrainLimitExceededError)
 
 __all__ = ["Command", "RunConfig", "RunResult", "parse_config", "run", "main"]
 
@@ -71,15 +78,6 @@ _SCHEMA: Dict[str, Tuple[str, ...]] = {
 
 
 @dataclass
-class InitialSpec:
-    type: str
-    center: Optional[float]
-    width: float
-    amplitude: float
-    k: Optional[float]
-
-
-@dataclass
 class TwaveSpec:
     t_minus: float
     t_plus: float
@@ -95,11 +93,8 @@ class RunConfig:
     params: core.ModelParams
     response: con.ConstitutiveFunction
     grid: Optional[core.Grid1D]
-    dt: Optional[float]
-    t_final: Optional[float]
-    output_stride: int
-    blowup_threshold: float
-    initial: Optional[InitialSpec]
+    solver: Optional[pde.SolverConfig]  # unit form; simulate, energy and audit only
+    initial: Optional[pde.SimState]  # likewise
     k_values: Optional[np.ndarray]
     twave: Optional[TwaveSpec]
     out_dir: str
@@ -135,35 +130,19 @@ def _get(cp, section: str, key: str, default=None) -> Optional[str]:
     return default
 
 
-def _get_float(cp, section: str, key: str, default=None, required: bool = False):
+def _get_number(cp, section: str, key: str, default=None, required: bool = False,
+                kind=float):
+    """The key's value as a float (or kind=int), default when it is absent."""
     raw = _get(cp, section, key)
     if raw is None:
         if required:
             raise ConfigError(f"missing required key '{key}' in section [{section}]")
         return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
-
-
-def _get_int(cp, section: str, key: str, default=None, required: bool = False):
-    raw = _get(cp, section, key)
-    if raw is None:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
-
-
-def _require_section(cp, section: str, command: Command) -> None:
-    if not cp.has_section(section):
-        raise ConfigError(
-            f"command '{command.value}' needs a [{section}] section"
-        )
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from None
 
 
 def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = None) -> RunConfig:
@@ -195,11 +174,11 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     try:
         params = core.ModelParams(
             variant=variant_raw,
-            rho=_get_float(cp, "model", "rho", 1.0),
-            mu=_get_float(cp, "model", "mu", 1.0),
-            length_scale=_get_float(cp, "model", "length_scale", 1.0),
-            nu=_get_float(cp, "model", "nu", 0.0),
-            gamma=_get_float(cp, "model", "gamma", 0.0),
+            rho=_get_number(cp, "model", "rho", 1.0),
+            mu=_get_number(cp, "model", "mu", 1.0),
+            length_scale=_get_number(cp, "model", "length_scale", 1.0),
+            nu=_get_number(cp, "model", "nu", 0.0),
+            gamma=_get_number(cp, "model", "gamma", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"[model] rejected: {exc}") from exc
@@ -208,8 +187,8 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     try:
         response = con.make_constitutive(
             kind,
-            beta=_get_float(cp, "constitutive", "beta", 1.0),
-            a=_get_float(cp, "constitutive", "a", 1.0),
+            beta=_get_number(cp, "constitutive", "beta", 1.0),
+            a=_get_number(cp, "constitutive", "a", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"[constitutive] rejected: {exc}") from exc
@@ -218,25 +197,22 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     if cp.has_section("grid"):
         try:
             grid = core.Grid1D(
-                length=_get_float(cp, "grid", "length", required=True),
-                n_cells=_get_int(cp, "grid", "n_cells", required=True),
+                length=_get_number(cp, "grid", "length", required=True),
+                n_cells=_get_number(cp, "grid", "n_cells", required=True, kind=int),
                 boundary=_get(cp, "grid", "boundary", "periodic"),
             )
         except ValueError as exc:
             raise ConfigError(f"[grid] rejected: {exc}") from exc
 
-    initial = None
+    # [initial] and [solver] values are read for every command; the stepping
+    # commands build them into their initial state and solver config below
+    shape = None
     if cp.has_section("initial"):
-        itype = _get(cp, "initial", "type", "zero")
-        if itype not in ("zero", "gaussian_bump", "single_mode"):
-            raise ConfigError(f"[initial] type = {itype!r} is not a known shape")
-        initial = InitialSpec(
-            type=itype,
-            center=_get_float(cp, "initial", "center"),
-            width=_get_float(cp, "initial", "width", 1.0),
-            amplitude=_get_float(cp, "initial", "amplitude", 1.0),
-            k=_get_float(cp, "initial", "k"),
-        )
+        shape = {"type": _get(cp, "initial", "type", "zero")}
+        if shape["type"] not in ("zero", "gaussian_bump", "single_mode"):
+            raise ConfigError(f"[initial] type = {shape['type']!r} is not a known shape")
+        for key, default in (("center", None), ("width", 1.0), ("amplitude", 1.0), ("k", None)):
+            shape[key] = _get_number(cp, "initial", key, default)
 
     k_values = None
     raw_ks = _get(cp, "dispersion", "k_values")
@@ -253,25 +229,32 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     twave_spec = None
     if cp.has_section("twave"):
         twave_spec = TwaveSpec(
-            t_minus=_get_float(cp, "twave", "t_minus", required=True),
-            t_plus=_get_float(cp, "twave", "t_plus", required=True),
-            xi_span=_get_float(cp, "twave", "xi_span", 200.0),
-            n_samples=_get_int(cp, "twave", "n_samples", 2001),
+            t_minus=_get_number(cp, "twave", "t_minus", required=True),
+            t_plus=_get_number(cp, "twave", "t_plus", required=True),
+            xi_span=_get_number(cp, "twave", "xi_span", 200.0),
+            n_samples=_get_number(cp, "twave", "n_samples", 2001, kind=int),
         )
 
     fmt = _get(cp, "output", "format", "csv")
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"[output] format must be csv or jsonl, got {fmt!r}")
 
+    steps = dict(
+        dt=_get_number(cp, "solver", "dt"),
+        t_final=_get_number(cp, "solver", "t_final"),
+        output_stride=_get_number(cp, "solver", "output_stride", 1, kind=int),
+        blowup_threshold=_get_number(cp, "solver", "blowup_threshold", 1e6),
+    )
+    solver = initial = None
+    if command in (Command.SIMULATE, Command.AUDIT, Command.ENERGY):
+        solver, initial = _stepping_inputs(command, params, response, grid, steps, shape)
+
     config = RunConfig(
         command=command,
         params=params,
         response=response,
         grid=grid,
-        dt=_get_float(cp, "solver", "dt"),
-        t_final=_get_float(cp, "solver", "t_final"),
-        output_stride=_get_int(cp, "solver", "output_stride", 1),
-        blowup_threshold=_get_float(cp, "solver", "blowup_threshold", 1e6),
+        solver=solver,
         initial=initial,
         k_values=k_values,
         twave=twave_spec,
@@ -282,35 +265,59 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     return config
 
 
+def _stepping_inputs(
+    command: Command,
+    params: core.ModelParams,
+    response: con.ConstitutiveFunction,
+    grid: Optional[core.Grid1D],
+    steps: dict,
+    shape: Optional[dict],
+) -> Tuple[pde.SolverConfig, pde.SimState]:
+    """The unit-form solver config and the initial state a stepping command runs."""
+    if grid is None:
+        raise ConfigError(f"command '{command.value}' needs a [grid] section")
+    if steps["dt"] is None or steps["t_final"] is None:
+        raise ConfigError(f"command '{command.value}' needs [solver] dt and t_final")
+    if shape is None:
+        raise ConfigError(f"command '{command.value}' needs an [initial] section")
+    if shape["type"] == "single_mode" and shape["k"] is None:
+        raise ConfigError("[initial] type single_mode needs a wavenumber k")
+    if command is Command.AUDIT and params.variant is not core.Variant.STRESS_RATE:
+        # the audited rate gamma*(T_t)**2 is identically 0 without a gamma
+        raise ConfigError(
+            f"audit checks the stress-rate dissipation gamma*(T_t)**2 and needs "
+            f"the stress_rate variant, got {params.variant.value}"
+        )
+    # solver-level checks (positivity, dt ceiling) run against the
+    # dimensionless coefficients the solver will actually see
+    try:
+        solver = pde.SolverConfig(
+            params=core.dimensionless_params(params), constitutive=response, **steps
+        )
+        pde._check_step(solver, grid)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] rejected: {exc}") from exc
+    if command is not Command.SIMULATE and pde._snapshot_count(solver) < 3:
+        raise ConfigError(
+            f"{command.value} needs at least 3 output samples; lower output_stride or dt"
+        )
+    try:
+        if shape["type"] == "zero":
+            initial = pde.zero_state(grid)
+        elif shape["type"] == "gaussian_bump":
+            center = 0.5 * grid.length if shape["center"] is None else shape["center"]
+            initial = pde.gaussian_bump_state(
+                grid, response, center, shape["width"], shape["amplitude"])
+        else:
+            initial = pde.single_mode_state(grid, response, shape["k"], shape["amplitude"])
+    except InvalidParameterError as exc:
+        raise ConfigError(f"[initial] rejected: {exc}") from exc
+    return solver, initial
+
+
 def _validate_for_command(config: RunConfig) -> None:
     command = config.command
-    if command in (Command.SIMULATE, Command.AUDIT, Command.ENERGY):
-        if config.grid is None:
-            raise ConfigError(f"command '{command.value}' needs a [grid] section")
-        if config.dt is None or config.t_final is None:
-            raise ConfigError(f"command '{command.value}' needs [solver] dt and t_final")
-        if config.initial is None:
-            raise ConfigError(f"command '{command.value}' needs an [initial] section")
-        if config.initial.type == "single_mode" and config.initial.k is None:
-            raise ConfigError("[initial] type single_mode needs a wavenumber k")
-        if command is Command.AUDIT and config.params.variant is not core.Variant.STRESS_RATE:
-            # the audited rate gamma*(T_t)**2 is identically 0 without a gamma
-            raise ConfigError(
-                f"audit checks the stress-rate dissipation gamma*(T_t)**2 and needs "
-                f"the stress_rate variant, got {config.params.variant.value}"
-            )
-        # solver-level checks (positivity, dt ceiling) run against the
-        # dimensionless coefficients the solver will actually see
-        try:
-            solver_config = _solver_config(config)
-            pde._check_step(solver_config, config.grid)
-        except ValueError as exc:
-            raise ConfigError(f"[solver] rejected: {exc}") from exc
-        if command is not Command.SIMULATE and pde._snapshot_count(solver_config) < 3:
-            raise ConfigError(
-                f"{command.value} needs at least 3 output samples; lower output_stride or dt"
-            )
-    elif command is Command.DISPERSION:
+    if command is Command.DISPERSION:
         if config.params.variant is core.Variant.ELASTIC:
             raise ConfigError("dispersion needs the stress_rate or strain_rate variant")
         if config.k_values is None:
@@ -394,28 +401,6 @@ def _write_table(path: Path, header: Sequence[str], columns: Sequence, fmt: str)
             fh.writelines(map(line.__mod__, zip(*chunk)))
 
 
-def _build_initial(config: RunConfig) -> pde.SimState:
-    spec = config.initial
-    grid = config.grid
-    if spec.type == "zero":
-        return pde.zero_state(grid)
-    if spec.type == "gaussian_bump":
-        center = spec.center if spec.center is not None else 0.5 * grid.length
-        return pde.gaussian_bump_state(grid, config.response, center, spec.width, spec.amplitude)
-    return pde.single_mode_state(grid, config.response, spec.k, spec.amplitude)
-
-
-def _solver_config(config: RunConfig) -> pde.SolverConfig:
-    return pde.SolverConfig(
-        params=core.dimensionless_params(config.params),
-        constitutive=config.response,
-        dt=config.dt,
-        t_final=config.t_final,
-        output_stride=config.output_stride,
-        blowup_threshold=config.blowup_threshold,
-    )
-
-
 def _write_trajectory(out_dir: Path, traj: pde.Trajectory, fmt: str) -> str:
     """Write one row (t, x, v, eps, stress) per snapshot and node; return the name."""
     n, _, n_nodes = traj.fields.shape
@@ -427,7 +412,7 @@ def _write_trajectory(out_dir: Path, traj: pde.Trajectory, fmt: str) -> str:
 
 
 def _run_simulate(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
-    traj = pde.simulate(_build_initial(config), _solver_config(config))
+    traj = pde.simulate(config.initial, config.solver)
     name = _write_trajectory(out_dir, traj, config.fmt)
     extra = {
         "n_samples": len(traj),
@@ -438,9 +423,8 @@ def _run_simulate(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], di
 
 
 def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
-    solver_config = _solver_config(config)
-    traj = pde.simulate(_build_initial(config), solver_config)
-    reports = pde.energy_series(traj, solver_config.params, config.response)
+    traj = pde.simulate(config.initial, config.solver)
+    reports = pde.energy_series(traj, config.solver.params, config.response)
     header = [field.name for field in fields(pde.EnergyReport)]
     columns = [np.array([getattr(r, h) for r in reports], dtype=float) for h in header]
     name = f"energy.{config.fmt}"
@@ -455,12 +439,11 @@ def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict
 
 
 def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
-    solver_config = _solver_config(config)
-    traj = pde.simulate(_build_initial(config), solver_config)
+    traj = pde.simulate(config.initial, config.solver)
     # one history per node (a grid has at least 4), audited in one call
     history = np.column_stack([traj.t, traj.stress])
     del traj  # the history holds all the audit reads; free the run before auditing
-    audit = con.audit_dissipation(solver_config.params.gamma, history)
+    audit = con.audit_dissipation(config.solver.params.gamma, history)
     name = f"audit.{config.fmt}"
     _write_table(
         out_dir / name,
@@ -574,26 +557,20 @@ def run(config: RunConfig) -> RunResult:
     }
     try:
         files, extra = runners[config.command](config, out_dir)
+        status, exit_code = "ok", 0
     except (BlowUpError, StrainLimitExceededError) as exc:
+        # the snapshots recorded before the failure are the evidence
         partial = getattr(exc, "partial", None)
-        files = [_write_trajectory(out_dir, partial, config.fmt)] if partial else []
+        files = (_write_trajectory(out_dir, partial, config.fmt),) if partial else ()
         if isinstance(exc, BlowUpError):
             status, exit_code = "blow_up", 3
-            where = {"t": exc.t, "max_abs_stress": exc.max_abs_stress}
+            extra = {"t": exc.t, "max_abs_stress": exc.max_abs_stress}
         else:
             status, exit_code = "strain_limit", 4
-            where = {"node": exc.node, "value": exc.value}
-        record = dict(base)
-        record.update({"status": status, **where, "files": list(files)})
-        (out_dir / "status.json").write_text(json.dumps(record, indent=2) + "\n")
-        return RunResult(status=status, exit_code=exit_code, files=tuple(files), record=record)
-
-    record = dict(base)
-    record["status"] = "ok"
-    record.update(extra)
-    record["files"] = list(files)
+            extra = {"node": exc.node, "value": exc.value}
+    record = {**base, "status": status, **extra, "files": list(files)}
     (out_dir / "status.json").write_text(json.dumps(record, indent=2) + "\n")
-    return RunResult(status="ok", exit_code=0, files=tuple(files), record=record)
+    return RunResult(status=status, exit_code=exit_code, files=tuple(files), record=record)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -626,27 +603,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides[("output", "directory")] = args.out
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        record = {"status": "error", "category": "config", "message": str(exc)}
-        print(json.dumps(record))
-        return 2
-
-    try:
-        config = parse_config(text, overrides)
-        result = run(config)
-    except ConfigError as exc:
-        record = {"status": "error", "category": "config", "message": str(exc)}
-        print(json.dumps(record))
-        return 2
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:  # an unreadable file is a config error too
+            raise ConfigError(str(exc)) from exc
+        result = run(parse_config(text, overrides))
     except SlveError as exc:
-        record = {
-            "status": "error",
-            "category": type(exc).__name__,
-            "message": str(exc),
-        }
-        print(json.dumps(record))
-        return 1
+        bad_config = isinstance(exc, ConfigError)
+        category = "config" if bad_config else type(exc).__name__
+        print(json.dumps({"status": "error", "category": category, "message": str(exc)}))
+        return 2 if bad_config else 1
 
     print(json.dumps(result.record))
     return result.exit_code

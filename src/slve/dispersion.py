@@ -48,7 +48,6 @@ from .core import Variant
 from .errors import InvalidParameterError
 
 __all__ = [
-    "LinearModel",
     "Classification",
     "DispersionResult",
     "strain_rate_dispersion",
@@ -66,30 +65,10 @@ _DBL_MAX = np.finfo(float).max
 IMAG_TOL = 1e-12
 
 
-class LinearModel(str, enum.Enum):
-    STRESS_RATE = "stress_rate_linear"
-    STRAIN_RATE = "strain_rate_linear"
-
-
 class Classification(str, enum.Enum):
     STABLE = "stable"
     MARGINALLY_STABLE = "marginally_stable"
     UNSTABLE = "unstable"
-
-
-def _coerce_model(model) -> LinearModel:
-    if isinstance(model, LinearModel):
-        return model
-    if isinstance(model, Variant):
-        model = model.value + "_linear"
-    try:
-        return LinearModel(model)
-    except ValueError:
-        pass
-    try:
-        return LinearModel(str(model) + "_linear")
-    except ValueError:
-        raise InvalidParameterError(f"no linearized model named {model!r}") from None
 
 
 @dataclass(frozen=True)
@@ -111,7 +90,7 @@ class DispersionResult:
     is_oscillatory and residuals() then work along the last axis.
     """
 
-    model: LinearModel
+    model: Variant
     k: float
     coeff: float
     roots: np.ndarray
@@ -134,7 +113,7 @@ class DispersionResult:
     def residuals(self) -> np.ndarray:
         """|p(r)| per root, evaluated in extended precision."""
         k = np.asarray(self.k, dtype=_LD)[..., None]
-        if self.model is LinearModel.STRAIN_RATE:
+        if self.model is Variant.STRAIN_RATE:
             b = _LD(self.coeff) * k * k
             c = k * k
             vals = (self.roots + b) * self.roots + c
@@ -255,7 +234,7 @@ def strain_rate_dispersion(nu: float, k) -> DispersionResult:
     r2 = cr / r1  # r1 < 0 for every k > 0
     roots[real] = _newton(np.hstack([r2, r1]), _quadratic(br, cr), 3)
 
-    return _result(scalar, LinearModel.STRAIN_RATE, k, nu, roots, 2.0 / nu, disc, None)
+    return _result(scalar, Variant.STRAIN_RATE, k, nu, roots, 2.0 / nu, disc, None)
 
 
 def _ksq_over_gamma(gamma: float, k: np.ndarray) -> np.ndarray:
@@ -336,18 +315,25 @@ def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
         )
 
     positive = r_real.astype(float)
-    return _result(scalar, LinearModel.STRESS_RATE, k, gamma, roots, None, disc, positive)
+    return _result(scalar, Variant.STRESS_RATE, k, gamma, roots, None, disc, positive)
 
 
 def solve_dispersion(model, coeff: float, k) -> DispersionResult:
     """Model-switching wrapper over the two dispersion solvers.
 
-    k is a scalar or a 1-D array, as for the solvers themselves.
+    model is the strain_rate or stress_rate Variant, or its string value;
+    the elastic variant has no rate term and so no dispersion here.  k is a
+    scalar or a 1-D array, as for the solvers themselves.
     """
-    model = _coerce_model(model)
-    if model is LinearModel.STRAIN_RATE:
+    try:
+        model = Variant(model)
+    except ValueError:
+        raise InvalidParameterError(f"no linearized model named {model!r}") from None
+    if model is Variant.STRAIN_RATE:
         return strain_rate_dispersion(coeff, k)
-    return stress_rate_dispersion(coeff, k)
+    if model is Variant.STRESS_RATE:
+        return stress_rate_dispersion(coeff, k)
+    raise InvalidParameterError("the elastic variant has no rate term to linearize")
 
 
 def locate_critical_wavenumber(nu: float, tol: float = 1e-8) -> float:

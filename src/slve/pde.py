@@ -533,8 +533,10 @@ def gaussian_bump_state(
     grid: Grid1D, f: ConstitutiveFunction, center: float, width: float, amplitude: float
 ) -> SimState:
     """Stress bump amplitude*exp(-((x-center)/width)**2) on the manifold."""
-    if width <= 0.0:
+    if not width > 0.0:
         raise InvalidParameterError(f"width must be positive, got {width}")
+    if not math.isfinite(center):  # at an infinite center the bump would be all zero
+        raise InvalidParameterError(f"center must be finite, got {center}")
     x = grid.nodes()
     T0 = amplitude * np.exp(-(((x - center) / width) ** 2))
     return _manifold_state(grid, f, T0)

@@ -19,8 +19,6 @@ from slve import (
 )
 from slve.cli import (
     Command,
-    _build_initial,
-    _solver_config,
     _write_table,
     main,
     parse_config,
@@ -328,7 +326,7 @@ class TestRunSimulate:
         # the same table formatted one snapshot and node at a time
         config = parse_config(SIM_INI.format(out=tmp_path / "out") + f"format = {fmt}\n")
         assert run(config).exit_code == 0
-        traj = pde.simulate(_build_initial(config), _solver_config(config))
+        traj = pde.simulate(config.initial, config.solver)
         header = ["t", "x", "v", "eps", "stress"]
         rows = [
             [float(t), float(x), float(v), float(eps), float(stress)]
@@ -451,8 +449,8 @@ class TestRunEnergyAudit:
         config = parse_config(text.format(out=tmp_path / "out") + f"format = {fmt}\n")
         result = run(config)
         assert result.exit_code == 0
-        solver_config = _solver_config(config)
-        traj = pde.simulate(_build_initial(config), solver_config)
+        solver_config = config.solver
+        traj = pde.simulate(config.initial, solver_config)
         rows = []
         summed = 0.0
         for j, x in enumerate(config.grid.nodes().tolist()):
@@ -575,6 +573,46 @@ class TestMain:
         assert main(["twave", "--config", str(ini)]) == 2
         record = json.loads(capsys.readouterr().out)
         assert record["category"] == "config" and key in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "initial,reason",
+        [
+            ("type = single_mode\nk = 1.5", "does not fit the periodic length"),
+            ("type = gaussian_bump\nwidth = -1", "width must be positive"),
+            ("type = gaussian_bump\ncenter = nan", "center must be finite"),
+            ("type = gaussian_bump\ncenter = inf", "center must be finite"),
+        ],
+        ids=["single_mode-k-1.5", "width--1", "center-nan", "center-inf"],
+    )
+    def test_bad_initial_values_exit_2(self, tmp_path, capsys, initial, reason):
+        # the initial state is built while parsing, before the output directory
+        ini = tmp_path / "run.ini"
+        text = SIM_INI.format(out=tmp_path / "out")
+        start = text.index("[initial]")
+        end = text.index("[output]")
+        ini.write_text(text[:start] + f"[initial]\n{initial}\n\n" + text[end:])
+        assert main(["simulate", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert "[initial]" in record["message"] and reason in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section,value",
+        [("[solver]", "dt = abc"), ("[initial]", "type = bogus")],
+        ids=["solver-dt-abc", "initial-type-bogus"],
+    )
+    def test_solver_and_initial_values_checked_for_dispersion(
+        self, tmp_path, capsys, section, value
+    ):
+        # dispersion runs neither, but their values are still refused when bad
+        ini = tmp_path / "run.ini"
+        ini.write_text(DISP_INI.format(out=tmp_path / "out") + f"\n{section}\n{value}\n")
+        assert main(["dispersion", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert value.split()[-1] in record["message"]
         assert not (tmp_path / "out").exists()
 
     def test_k_override_narrows_mode_list(self, tmp_path, capsys):

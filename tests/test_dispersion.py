@@ -14,9 +14,9 @@ from slve import (
     Grid1D,
     InvalidParameterError,
     InvalidStepError,
-    LinearModel,
     ModelParams,
     SolverConfig,
+    Variant,
     fit_mode_rates,
     locate_critical_wavenumber,
     make_constitutive,
@@ -180,9 +180,15 @@ class TestResiduals:
 class TestWrapperAndCurve:
     def test_wrapper_accepts_strings(self):
         res = solve_dispersion("strain_rate", 1.0, 1.0)
-        assert res.model is LinearModel.STRAIN_RATE
-        res2 = solve_dispersion("stress_rate_linear", 1.0, 1.0)
+        assert res.model is Variant.STRAIN_RATE
+        res2 = solve_dispersion("stress_rate", 1.0, 1.0)
+        assert res2.model is Variant.STRESS_RATE
         assert res2.positive_real_root == pytest.approx(SUPERGOLDEN, rel=1e-14)
+        same = solve_dispersion(Variant.STRESS_RATE, 1.0, 1.0)
+        assert same.positive_real_root == res2.positive_real_root
+        for model in ("elastic", Variant.ELASTIC, "stress_rate_linear"):
+            with pytest.raises(InvalidParameterError):
+                solve_dispersion(model, 1.0, 1.0)
 
     def test_growth_rate_curve_shapes_and_monotonicity(self):
         ks = np.linspace(0.0, 20.0, 41)

@@ -859,6 +859,12 @@ class TestInitialData:
         h = make_constitutive("linear")
         with pytest.raises(InvalidParameterError):
             gaussian_bump_state(g, h, center=np.pi, width=0.0, amplitude=0.1)
+        with pytest.raises(InvalidParameterError, match="width"):
+            gaussian_bump_state(g, h, center=np.pi, width=np.nan, amplitude=0.1)
+        # an infinite center would give the all-zero state without a complaint
+        for center in (np.inf, -np.inf, np.nan):
+            with pytest.raises(InvalidParameterError, match="center"):
+                gaussian_bump_state(g, h, center=center, width=0.5, amplitude=0.1)
 
 
 class TestRelaxStress:
