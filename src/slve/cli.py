@@ -22,10 +22,11 @@ lengths, [solver] times and all table output are in scaled units.
 Outcomes are machine-parsable: each run writes its tables plus status.json
 into the output directory and prints the same status record to stdout.
 Exit codes: 0 ok, 2 bad config (refused before anything runs), 3 blow-up
-of an unstable run (the time of blow-up is in the record; this is an
-expected outcome for the stress-rate model, not an internal error), 4 a
-strain-rate run whose stress reconstruction reached the strain limit (the
-node and value are in the record), 1 any other model error.  After a
+of an unstable run (the time of blow-up and the field and node of the first
+bad entry are in the record; this is an expected outcome for the
+stress-rate model, not an internal error), 4 a strain-rate run whose stress
+reconstruction reached the strain limit (the node and value are in the
+record), 1 any other model error.  After a
 blow-up or a strain-limit failure the snapshots recorded so far are written
 as the trajectory table.  Reruns of one config are byte-identical.  CSV
 floats carry 17 significant digits and JSONL floats are json's repr, so
@@ -41,6 +42,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -381,6 +383,18 @@ def _json_cells(col) -> list:
 _CHUNK_ROWS = 1024  # rows formatted at a time: only their strings are alive at once
 
 
+def _row_format(header: Sequence[str], specs: Sequence[str], fmt: str) -> Tuple[str, str]:
+    """A table's head text and its row template, one % conversion per column.
+
+    CSV rows are the converted cells joined by commas; JSONL rows are objects
+    whose keys are the header names as json.dumps spells them.
+    """
+    if fmt == "csv":
+        return ",".join(header) + "\n", ",".join(specs) + "\n"
+    keys = (json.dumps(h).replace("%", "%%") for h in header)
+    return "", "{" + ", ".join(f"{k}: {spec}" for k, spec in zip(keys, specs)) + "}\n"
+
+
 def _write_table(path: Path, header: Sequence[str], columns: Sequence, fmt: str) -> None:
     """Write equal-length columns as CSV or JSONL, one line per row.
 
@@ -388,12 +402,8 @@ def _write_table(path: Path, header: Sequence[str], columns: Sequence, fmt: str)
     bools cell by cell.  CSV floats carry 17 significant digits; JSONL lines
     are what json.dumps gives for each row's dict.
     """
-    if fmt == "csv":
-        head, cells = ",".join(header) + "\n", _csv_cells
-        line = ",".join(["%s"] * len(header)) + "\n"
-    else:
-        head, cells = "", _json_cells
-        line = "{" + ", ".join(json.dumps(h).replace("%", "%%") + ": %s" for h in header) + "}\n"
+    head, line = _row_format(header, ["%s"] * len(header), fmt)
+    cells = _csv_cells if fmt == "csv" else _json_cells
     with path.open("w") as fh:
         fh.write(head)
         for lo in range(0, len(columns[0]), _CHUNK_ROWS):
@@ -402,12 +412,20 @@ def _write_table(path: Path, header: Sequence[str], columns: Sequence, fmt: str)
 
 
 def _write_trajectory(out_dir: Path, traj: pde.Trajectory, fmt: str) -> str:
-    """Write one row (t, x, v, eps, stress) per snapshot and node; return the name."""
-    n, _, n_nodes = traj.fields.shape
-    columns = (np.repeat(traj.t, n_nodes), np.tile(traj.grid.nodes(), n),
-               *traj.fields.transpose(1, 0, 2).reshape(3, n * n_nodes))
+    """Write one row (t, x, v, eps, stress) per snapshot and node; return the name.
+
+    Each time is formatted once per snapshot and each node once per run; the
+    field values go into the row template as numbers.  A Trajectory is
+    finite, so repr spells each JSONL float as json.dumps does.
+    """
+    number = "%.17g" if fmt == "csv" else "%r"
+    head, line = _row_format(["t", "x", "v", "eps", "stress"], ["%s", "%s"] + [number] * 3, fmt)
+    xs = list(map(number.__mod__, traj.grid.nodes().tolist()))
     name = f"trajectory.{fmt}"
-    _write_table(out_dir / name, ["t", "x", "v", "eps", "stress"], columns, fmt)
+    with (out_dir / name).open("w") as fh:
+        fh.write(head)
+        for t, rows in zip(traj.t.tolist(), traj.fields):
+            fh.writelines(map(line.__mod__, zip(repeat(number % t), xs, *rows.tolist())))
     return name
 
 
@@ -564,7 +582,8 @@ def run(config: RunConfig) -> RunResult:
         files = (_write_trajectory(out_dir, partial, config.fmt),) if partial else ()
         if isinstance(exc, BlowUpError):
             status, exit_code = "blow_up", 3
-            extra = {"t": exc.t, "max_abs_stress": exc.max_abs_stress}
+            extra = {"t": exc.t, "max_abs_stress": exc.max_abs_stress,
+                     "field": exc.field, "node": exc.node}
         else:
             status, exit_code = "strain_limit", 4
             extra = {"node": exc.node, "value": exc.value}

@@ -234,16 +234,22 @@ def dimensionless_params(params: ModelParams) -> ModelParams:
     )
 
 
-def integrate_field(field: Field) -> float:
-    """Trapezoid-rule integral of a field over its grid.
+def _trapezoid(values: np.ndarray, grid: Grid1D):
+    """Trapezoid rule along the last axis: one integral per row of nodal values.
 
     On a periodic grid the two endpoint half-weights merge, so the rule is
-    the plain spacing-weighted nodal sum.
+    the plain spacing-weighted nodal sum.  Each row is summed on its own, so
+    it gets the bits of a one-row call.
     """
-    dx = field.grid.spacing
-    if field.grid.boundary is Boundary.PERIODIC:
-        return float(dx * field.values.sum())
-    return float(np.trapezoid(field.values, dx=dx))
+    dx = grid.spacing
+    if grid.boundary is Boundary.PERIODIC:
+        return dx * values.sum(axis=-1)
+    return np.trapezoid(values, dx=dx, axis=-1)
+
+
+def integrate_field(field: Field) -> float:
+    """Trapezoid-rule integral of a field over its grid."""
+    return float(_trapezoid(field.values, field.grid))
 
 
 def _is_periodic(boundary: Boundary | str) -> bool:

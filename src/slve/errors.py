@@ -46,14 +46,18 @@ class InvalidWindowError(SlveError, ValueError):
 
 
 class BlowUpError(SlveError):
-    """Simulation left the finite (or configured) range; carries the time."""
+    """Simulation left the finite (or configured) range; carries the time and
+    the field ('v', 'eps' or 'stress') and node of the first bad entry."""
 
-    def __init__(self, t: float, max_abs_stress: float):
+    def __init__(self, t: float, max_abs_stress: float, field: str, node: int):
         super().__init__(
-            f"solution blew up at t = {t:.6g} (max |stress| = {max_abs_stress:.6g})"
+            f"solution blew up at t = {t:.6g} in {field} at node {node} "
+            f"(max |stress| = {max_abs_stress:.6g})"
         )
         self.t = t
         self.max_abs_stress = max_abs_stress
+        self.field = field
+        self.node = node
 
 
 class DegenerateEquilibriaError(SlveError, ValueError):

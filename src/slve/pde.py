@@ -82,6 +82,7 @@ from .core import (
     Grid1D,
     ModelParams,
     Variant,
+    _trapezoid,
     first_derivative,
     integrate_field,
 )
@@ -311,11 +312,14 @@ def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -
     # NaN and inf fail the comparison too (the threshold itself is finite)
     if np.maximum.reduce(np.abs(Y), axis=None) <= threshold:
         return
+    # the first bad entry in row order names the field and the node
+    row, node = divmod(int(np.argmin(np.abs(Y) <= threshold)), Y.shape[1])
     # stress row for the variants that carry one; largest state entry else
-    row = Y if variant is Variant.STRAIN_RATE else Y[-1]
-    finite = row[np.isfinite(row)]
+    stress = Y if variant is Variant.STRAIN_RATE else Y[-1]
+    finite = stress[np.isfinite(stress)]
     max_abs = float(np.max(np.abs(finite))) if finite.size else math.inf
-    raise BlowUpError(t=float(t), max_abs_stress=max_abs)
+    field = ("v", "eps", "stress")[_EVOLVED[variant][row]]
+    raise BlowUpError(t=float(t), max_abs_stress=max_abs, field=field, node=node)
 
 
 def _rk4_step(rhs, Y, h, work, out):
@@ -461,14 +465,21 @@ class EnergyReport:
     balance_residual: float
 
 
-def _dissipation_rate(state: SimState, params: ModelParams, f: ConstitutiveFunction) -> float:
+def _dissipation_rates(T, eps, params: ModelParams, f: ConstitutiveFunction, grid: Grid1D):
+    """Dissipation rate of each row of stresses T and strains eps, shape (r, N)."""
     if params.variant is Variant.STRESS_RATE:
-        T_t = (np.asarray(f.value(state.stress.values)) - state.eps.values) / params.gamma
-        return float(integrate_field(Field(params.gamma * T_t * T_t, state.grid)))
+        T_t = (np.asarray(f.value(T)) - eps) / params.gamma
+        return _trapezoid(params.gamma * T_t * T_t, grid)
     if params.variant is Variant.STRAIN_RATE:
-        T_x = first_derivative(state.stress.values, state.grid.spacing, state.grid.boundary)
-        return float(integrate_field(Field(T_x * T_x, state.grid))) * params.nu / params.rho
-    return 0.0
+        T_x = np.empty(T.shape)
+        for row, out in zip(T, T_x):
+            first_derivative(row, grid.spacing, grid.boundary, out=out)
+        return _trapezoid(T_x * T_x, grid) * params.nu / params.rho
+    return np.zeros(len(T))
+
+
+# nodal values per field in one block of energy reports (one row at least)
+_REPORT_BLOCK = 2**12
 
 
 def energy_series(
@@ -480,35 +491,38 @@ def energy_series(
     neighbors a centered dE/dt; balance_residual = |dE/dt + dissipation_rate|
     vanishes for the exact dynamics.  Samples next to the shortened landing
     step have no centered stencil and are skipped.
+
+    Each snapshot's total is one total_energy call.  The reports' energies
+    and dissipation rates come from blocks of at most _REPORT_BLOCK nodal
+    values per field: one stored_energy_density call per block, so a
+    response without a closed-form antiderivative makes one quadrature per
+    block; each report keeps the bits of a one-snapshot evaluation, except
+    that such a quadrature shares its adaptive subdivision across the block.
     """
     if len(traj) < 3:
         raise InvalidWindowError(f"energy series needs >= 3 states, got {len(traj)}")
-    t = traj.t.tolist()
-    totals = [total_energy(state, params, f) for state in traj]
-    reports = []
-    for i in range(1, len(t) - 1):
-        d1, d2 = t[i] - t[i - 1], t[i + 1] - t[i]
-        if abs(d1 - d2) > 1e-9 * max(d1, d2):
-            continue
-        mid = traj[i]
-        kinetic = float(integrate_field(Field(0.5 * params.rho * mid.v.values**2, mid.grid)))
-        stored = stored_energy_density(params.variant, f, mid.stress.values, mid.eps.values)
-        internal = float(integrate_field(Field(stored, mid.grid)))
-        dEdt = (totals[i + 1] - totals[i - 1]) / (d1 + d2)
-        dissipation = _dissipation_rate(mid, params, f)
-        reports.append(
-            EnergyReport(
-                t=t[i],
-                kinetic=kinetic,
-                internal=internal,
-                total=kinetic + internal,
-                dissipation_rate=dissipation,
-                balance_residual=abs(dEdt + dissipation),
-            )
-        )
-    if not reports:
+    totals = np.array([total_energy(state, params, f) for state in traj])
+    steps = np.diff(traj.t)
+    d1, d2 = steps[:-1], steps[1:]
+    uniform = np.abs(d1 - d2) <= 1e-9 * np.maximum(d1, d2)
+    if not uniform.any():
         raise InvalidWindowError("no uniformly spaced interior sample in the run")
-    return reports
+    dEdt = ((totals[2:] - totals[:-2]) / (d1 + d2))[uniform]
+    mids = np.flatnonzero(uniform) + 1
+    grid = traj.grid
+    rows = max(1, _REPORT_BLOCK // grid.n_nodes)
+    kinetic, internal, dissipation = [], [], []
+    for lo in range(0, mids.size, rows):
+        v, eps, T = traj.fields[mids[lo:lo + rows]].transpose(1, 0, 2)
+        kinetic += _trapezoid(0.5 * params.rho * v**2, grid).tolist()
+        internal += _trapezoid(stored_energy_density(params.variant, f, T, eps), grid).tolist()
+        dissipation += _dissipation_rates(T, eps, params, f, grid).tolist()
+    residual = np.abs(dEdt + dissipation).tolist()
+    return [
+        EnergyReport(t=t, kinetic=k, internal=u, total=k + u, dissipation_rate=d,
+                     balance_residual=r)
+        for t, k, u, d, r in zip(traj.t[mids].tolist(), kinetic, internal, dissipation, residual)
+    ]
 
 
 def zero_state(grid: Grid1D) -> SimState:

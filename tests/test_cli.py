@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slve import (
+    BlowUpError,
     ConfigError,
     audit_dissipation,
     core,
@@ -47,6 +48,16 @@ def _reference_table(header, rows, fmt) -> bytes:
     else:
         lines = [json.dumps(dict(zip(header, row))) for row in rows]
     return "".join(line + "\n" for line in lines).encode()
+
+
+def _reference_trajectory_table(traj, fmt) -> bytes:
+    """A trajectory table's bytes, one snapshot and node at a time."""
+    rows = [
+        [float(t), float(x), float(v), float(eps), float(stress)]
+        for t, (vs, epss, stresses) in zip(traj.t, traj.fields)
+        for x, v, eps, stress in zip(traj.grid.nodes(), vs, epss, stresses)
+    ]
+    return _reference_table(["t", "x", "v", "eps", "stress"], rows, fmt)
 
 
 _SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
@@ -327,19 +338,40 @@ class TestRunSimulate:
         config = parse_config(SIM_INI.format(out=tmp_path / "out") + f"format = {fmt}\n")
         assert run(config).exit_code == 0
         traj = pde.simulate(config.initial, config.solver)
-        header = ["t", "x", "v", "eps", "stress"]
-        rows = [
-            [float(t), float(x), float(v), float(eps), float(stress)]
-            for t, (vs, epss, stresses) in zip(traj.t, traj.fields)
-            for x, v, eps, stress in zip(traj.grid.nodes(), vs, epss, stresses)
-        ]
         written = (tmp_path / "out" / f"trajectory.{fmt}").read_bytes()
-        assert written == _reference_table(header, rows, fmt)
+        assert written == _reference_trajectory_table(traj, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("case", ["pinned", "blow_up"])
+    def test_pinned_and_partial_tables_equal_per_snapshot_rows(self, tmp_path, case, fmt):
+        # a pinned grid stores N = n_cells + 1 nodes; after exit 3 the table
+        # is the partial trajectory the blow-up carries
+        text = SIM_INI.format(out=tmp_path / "out") + f"format = {fmt}\n"
+        if case == "pinned":
+            text = text.replace("n_cells = 64\n", "n_cells = 64\nboundary = dirichlet_zero\n")
+        else:
+            text = text.replace("t_final = 0.4", "t_final = 30.0")
+            text = text.replace("kind = saturating", "kind = linear")
+        config = parse_config(text)
+        result = run(config)
+        if case == "pinned":
+            assert result.exit_code == 0
+            traj = pde.simulate(config.initial, config.solver)
+            assert traj.fields.shape[-1] == 65
+        else:
+            assert result.exit_code == 3
+            with pytest.raises(BlowUpError) as ei:
+                pde.simulate(config.initial, config.solver)
+            traj = ei.value.partial
+            assert 1 < len(traj) < 150
+        written = (tmp_path / "out" / f"trajectory.{fmt}").read_bytes()
+        assert written == _reference_trajectory_table(traj, fmt)
 
     def test_blow_up_reported_with_time(self, tmp_path):
         text = SIM_INI.format(out=tmp_path).replace("t_final = 0.4", "t_final = 30.0")
         text = text.replace("kind = saturating", "kind = linear")
-        result = run(parse_config(text))
+        config = parse_config(text)
+        result = run(config)
         assert result.exit_code == 3 and result.status == "blow_up"
         assert 0.0 < result.record["t"] < 30.0
         assert result.record["max_abs_stress"] > 0.0
@@ -347,6 +379,12 @@ class TestRunSimulate:
         assert (tmp_path / "trajectory.csv").exists()
         status = json.loads((tmp_path / "status.json").read_text())
         assert status["status"] == "blow_up"
+        # the field and node of the first bad entry of the failing state
+        with pytest.raises(BlowUpError) as ei:
+            pde.simulate(config.initial, config.solver)
+        assert status["field"] == ei.value.field in ("v", "eps", "stress")
+        assert status["node"] == ei.value.node and 0 <= status["node"] < 64
+        assert status["t"] == ei.value.t
 
     def test_strain_limit_keeps_node_and_partial_trajectory(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"

@@ -1,5 +1,6 @@
 """Method-of-lines solvers, energy accounting, and initial data."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -501,19 +502,31 @@ class TestStepper:
         slve.pde._check_blowup(Y, 0.5, variant, 1.0)  # finite and below the threshold
         # the stress row for the variants that carry one, every entry otherwise
         reported = 0.9 if variant is Variant.STRAIN_RATE else 0.75
-        for row in (0, n_rows - 1):
+        # the evolved rows: (v, eps, stress), (v, eps) or (v, stress)
+        last = "eps" if variant is Variant.STRAIN_RATE else "stress"
+        for row, field in ((0, "v"), (n_rows - 1, last)):
             Yb = Y.copy()
             Yb[row, 5] = bad
             with pytest.raises(BlowUpError) as ei:
                 slve.pde._check_blowup(Yb, 0.5, variant, 1.0)
             assert ei.value.t == 0.5
             assert ei.value.max_abs_stress == reported
+            assert (ei.value.field, ei.value.node) == (field, 5)
+            assert f"in {field} at node 5" in str(ei.value)
         # a stress row without a finite entry reports an infinite stress
         Yb = Y.copy()
         Yb[-1] = bad
         with pytest.raises(BlowUpError) as ei:
             slve.pde._check_blowup(Yb, 0.5, variant, 1.0)
         assert ei.value.max_abs_stress == (0.9 if variant is Variant.STRAIN_RATE else np.inf)
+        assert (ei.value.field, ei.value.node) == (last, 0)
+        # the first bad entry in row order is named, past the threshold or not finite
+        Yb = Y.copy()
+        Yb[-1, 2] = bad
+        Yb[0, 6] = -1.5
+        with pytest.raises(BlowUpError) as ei:
+            slve.pde._check_blowup(Yb, 0.5, variant, 1.0)
+        assert (ei.value.field, ei.value.node) == ("v", 6)
 
     def test_strain_limit_carries_node_and_partial_history(self):
         # the first RK4 stage of this steep bump pushes eps + nu*v_x past 1
@@ -785,42 +798,110 @@ class TestEnergy:
     )
     def test_energy_series_matches_per_window_reference(self, variant, kw, dt):
         # reference: each report evaluated on its own 3-state window, the two
-        # neighbor totals recomputed per window, as energy reports once were
-        grid = periodic_grid(64)
+        # neighbor totals recomputed per window, as energy reports once were;
+        # dirichlet_zero takes the trapezoid weights, and at N = 512 the
+        # reports span a full and a partial block
+        import slve.pde
+
         f = make_constitutive("saturating", beta=1.0, a=2.0)
         p = ModelParams(variant=variant, **kw)
+        for boundary, n_cells in (("periodic", 64), ("dirichlet_zero", 64), ("periodic", 512)):
+            grid = Grid1D(length=L, n_cells=n_cells, boundary=boundary)
+            step = dt * (64 / n_cells) ** (2 if variant == "strain_rate" else 1)
+            cfg = SolverConfig(params=p, constitutive=f, dt=step, t_final=30.5 * step,
+                               output_stride=3)
+            states = simulate(gaussian_bump_state(grid, f, np.pi, 0.5, 0.4), cfg)
+
+            def integral(values):
+                if boundary == "periodic":
+                    return float(grid.spacing * np.sum(values))
+                return float(np.trapezoid(values, dx=grid.spacing))
+
+            def derivative(T):
+                width = 2.0 * grid.spacing
+                if boundary == "periodic":
+                    return (np.roll(T, -1) - np.roll(T, 1)) / width
+                ends = [(-3.0 * T[0] + 4.0 * T[1] - T[2]) / width,
+                        (3.0 * T[-1] - 4.0 * T[-2] + T[-3]) / width]
+                return np.concatenate([ends[:1], (T[2:] - T[:-2]) / width, ends[1:]])
+
+            def reference(prev_s, mid_s, next_s):
+                d1, d2 = mid_s.t - prev_s.t, next_s.t - mid_s.t
+                T, eps = mid_s.stress.values, mid_s.eps.values
+                kinetic = integral(0.5 * p.rho * mid_s.v.values**2)
+                internal = integral(stored_energy_density(variant, f, T, eps))
+                if variant == "stress_rate":
+                    T_t = (f.value(T) - eps) / p.gamma
+                    diss = integral(p.gamma * T_t * T_t)
+                elif variant == "strain_rate":
+                    T_x = derivative(T)
+                    diss = integral(T_x * T_x) * p.nu / p.rho
+                else:
+                    diss = 0.0
+                dEdt = (total_energy(next_s, p, f) - total_energy(prev_s, p, f)) / (d1 + d2)
+                return (mid_s.t, kinetic, internal, kinetic + internal, diss, abs(dEdt + diss))
+
+            windows = [states[i - 1 : i + 2] for i in range(1, len(states) - 1)]
+            # the last interior sample borders the shortened landing step
+            expected = [reference(*w) for w in windows[:-1]]
+            got = [
+                (r.t, r.kinetic, r.internal, r.total, r.dissipation_rate, r.balance_residual)
+                for r in energy_series(states, p, f)
+            ]
+            assert len(got) == len(expected) == 9
+            # one block of reports at N = 64; a full and a partial one at N = 512
+            rows = slve.pde._REPORT_BLOCK // grid.n_nodes
+            assert (rows < 9 < 2 * rows) if n_cells == 512 else (9 <= rows)
+            for g_row, e_row in zip(got, expected):
+                assert g_row == e_row
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("response", ["saturating_a1.5", "custom"])
+    def test_quadrature_reports_match_per_report_evaluation(self, variant, response):
+        # a response without a closed-form antiderivative integrates a whole
+        # block in one quad_vec call, whose adaptive subdivision (norm="max")
+        # is shared by the block: each report's energies then move in the
+        # last bits against a one-snapshot evaluation (about 2.3e-15 relative
+        # for the a = 1.5 strain-rate and elastic runs here), not past 1e-13
+        if response == "custom":
+            f = custom_constitutive(lambda T: T / np.sqrt(1.0 + T * T),
+                                    derivative=lambda T: (1.0 + T * T) ** -1.5, bound=1.0)
+        else:
+            f = make_constitutive("saturating", beta=1.0, a=1.5)
+        calls = []
+
+        def antiderivative(T):
+            calls.append(np.size(T))
+            return f.antiderivative(T)
+
+        counted = dataclasses.replace(f, antiderivative=antiderivative)
+        grid = periodic_grid(512)
+        p = ModelParams(variant=variant, **{"stress_rate": dict(gamma=1.0),
+                                            "strain_rate": dict(nu=1.0)}.get(variant, {}))
+        dt = 0.2 * grid.spacing**2 if variant is Variant.STRAIN_RATE else 0.2 * grid.spacing
         cfg = SolverConfig(params=p, constitutive=f, dt=dt, t_final=30.5 * dt, output_stride=3)
-        states = simulate(gaussian_bump_state(grid, f, np.pi, 0.5, 0.4), cfg)
-
-        def integral(values):
-            return float(grid.spacing * np.sum(values))
-
-        def reference(prev_s, mid_s, next_s):
-            d1, d2 = mid_s.t - prev_s.t, next_s.t - mid_s.t
-            T, eps = mid_s.stress.values, mid_s.eps.values
-            kinetic = integral(0.5 * p.rho * mid_s.v.values**2)
-            internal = integral(stored_energy_density(variant, f, T, eps))
-            if variant == "stress_rate":
-                T_t = (f.value(T) - eps) / p.gamma
-                diss = integral(p.gamma * T_t * T_t)
-            elif variant == "strain_rate":
-                T_x = (np.roll(T, -1) - np.roll(T, 1)) / (2.0 * grid.spacing)
-                diss = integral(T_x * T_x) * p.nu / p.rho
+        traj = simulate(gaussian_bump_state(grid, f, np.pi, 0.5, 0.4), cfg)
+        reports = energy_series(traj, p, counted)
+        assert len(reports) == 9
+        # one per snapshot total, then one per block of 8 reports: 8 and 1
+        assert calls == [grid.n_nodes] * len(traj) + [8 * grid.n_nodes, grid.n_nodes]
+        dx = grid.spacing
+        for i, r in enumerate(reports, 1):
+            st = traj[i]
+            T, eps = st.stress.values, st.eps.values
+            kinetic = dx * np.sum(0.5 * st.v.values**2)
+            internal = dx * np.sum(stored_energy_density(variant, f, T, eps))
+            if variant is Variant.STRESS_RATE:
+                diss = dx * np.sum((f.value(T) - eps) ** 2)
+            elif variant is Variant.STRAIN_RATE:
+                diss = dx * np.sum(first_derivative(T, dx, grid.boundary) ** 2)
             else:
                 diss = 0.0
-            dEdt = (total_energy(next_s, p, f) - total_energy(prev_s, p, f)) / (d1 + d2)
-            return (mid_s.t, kinetic, internal, kinetic + internal, diss, abs(dEdt + diss))
-
-        windows = [states[i - 1 : i + 2] for i in range(1, len(states) - 1)]
-        # the last interior sample borders the shortened landing step
-        expected = [reference(*w) for w in windows[:-1]]
-        got = [
-            (r.t, r.kinetic, r.internal, r.total, r.dissipation_rate, r.balance_residual)
-            for r in energy_series(states, p, f)
-        ]
-        assert len(got) == len(expected) == 9
-        for g_row, e_row in zip(got, expected):
-            assert g_row == e_row
+            dEdt = (total_energy(traj[i + 1], p, f) - total_energy(traj[i - 1], p, f)) / (
+                traj.t[i + 1] - traj.t[i - 1])
+            expected = (st.t, kinetic, internal, kinetic + internal, diss, abs(dEdt + diss))
+            got = (r.t, r.kinetic, r.internal, r.total, r.dissipation_rate, r.balance_residual)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_elastic_variant_conserves_energy(self):
         grid = periodic_grid(128)
