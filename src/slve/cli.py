@@ -336,6 +336,10 @@ def _validate_for_command(config: RunConfig) -> None:
             raise ConfigError("twave needs the stress_rate or strain_rate variant")
         if config.twave is None:
             raise ConfigError("command 'twave' needs a [twave] section")
+        for key in ("t_minus", "t_plus"):
+            value = getattr(config.twave, key)
+            if not math.isfinite(value):
+                raise ConfigError(f"[twave] {key} must be finite, got {value}")
         if config.twave.n_samples < 9:
             raise ConfigError(f"[twave] n_samples must be >= 9, got {config.twave.n_samples}")
         span = config.twave.xi_span
@@ -458,10 +462,8 @@ def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict
 
 def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
     traj = pde.simulate(config.initial, config.solver)
-    # one history per node (a grid has at least 4), audited in one call
-    history = np.column_stack([traj.t, traj.stress])
-    del traj  # the history holds all the audit reads; free the run before auditing
-    audit = con.audit_dissipation(config.solver.params.gamma, history)
+    # one history per node, audited in place in one call
+    audit = con.audit_dissipation(config.solver.params.gamma, traj.t, traj.stress)
     name = f"audit.{config.fmt}"
     _write_table(
         out_dir / name,

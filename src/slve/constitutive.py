@@ -24,7 +24,7 @@ inverse are branch-free closed forms in u = beta*T:
 any other a splits small and large |u| so that |u|**a never overflows.
 
 The dissipation audit checks the sign of the rate gamma*(T_t)^2 along
-sampled stress histories, one or a whole run's nodes at once; it is
+sampled stress histories, a whole run's nodes at once; it is
 nonnegative exactly when gamma >= 0, which is the admissibility condition
 for the stress-rate coefficient.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -423,73 +423,64 @@ def response_from_potential(pair: PotentialPair) -> ConstitutiveFunction:
 
 @dataclass(frozen=True)
 class DissipationAudit:
-    """Sign check of the dissipation rate gamma*(T_t)^2 along histories.
+    """Sign check of the dissipation rate gamma*(T_t)^2 along N histories:
+    (N,) arrays, one entry per history."""
 
-    One history gives float summaries and (n,) rates; N histories audited
-    at once give (N,) summaries, one per history, and (n, N) rates.
-    """
-
-    times: np.ndarray
-    rates: np.ndarray
-    min_rate: Union[float, np.ndarray]
-    total_dissipation: Union[float, np.ndarray]
-    passed: Union[bool, np.ndarray]
+    min_rate: np.ndarray
+    total_dissipation: np.ndarray
+    passed: np.ndarray
 
 
-def audit_dissipation(gamma: float, stress_history) -> DissipationAudit:
+def audit_dissipation(gamma: float, t, stress) -> DissipationAudit:
     """Audit the stress-rate dissipation along sampled histories.
 
     Parameters
     ----------
     gamma : float
         Stress-rate coefficient; nonnegative values must audit clean.
-    stress_history : array-like, shape (n, 1 + N)
-        Rows (t, T_0(t), ..., T_{N-1}(t)): N histories on shared times;
-        n >= 3 and t strictly increasing.  Shape (n, 2) is one history.
+    t : array-like, shape (n,)
+        Shared sample times, n >= 3 and strictly increasing.
+    stress : array-like, shape (n, N)
+        Column j is history T_j(t), N >= 1; a strided view such as a
+        trajectory's stress rows is read in place, never copied whole.
 
     Returns
     -------
     DissipationAudit
-        Nodal rates gamma*(T_t)^2 with T_t from second-order one-sided/
-        centered stencils, their minimum, the trapezoid total, and
-        passed = (min_rate >= -1e-12): floats and a bool for one history,
-        (N,) arrays for N > 1.  Each history audits to the bits it gets
-        on its own.
+        Per history, from the rates gamma*(T_t)^2 with T_t from second-order
+        one-sided/centered stencils: their minimum, their trapezoid total,
+        and passed = (min_rate >= -1e-12).  Each history audits to the bits
+        of its own (n, 1) call.
     """
     if not math.isfinite(gamma) or gamma < 0.0:
         raise InvalidParameterError(
             f"gamma must be nonnegative (dissipation requires it), got {gamma}"
         )
-    hist = np.asarray(stress_history, dtype=float)
-    if hist.ndim != 2 or hist.shape[1] < 2 or hist.shape[0] < 3:
+    t = np.asarray(t, dtype=float)
+    stress = np.asarray(stress, dtype=float)
+    n = t.size
+    if t.ndim != 1 or n < 3 or stress.ndim != 2 or stress.shape[0] != n or not stress.size:
         raise InvalidHistoryError(
-            f"stress history needs shape (n >= 3, 1 + N >= 2), got {hist.shape}"
+            f"histories need times (n >= 3,) and stresses (n, N >= 1), got "
+            f"{t.shape} and {stress.shape}"
         )
-    t = hist[:, 0]
     if not np.all(np.diff(t) > 0.0):
         raise InvalidHistoryError("history times must be strictly increasing")
-    # one contiguous row per history, so each trapezoid sums in the order of
-    # a lone call; histories go in blocks of about 2**16 samples, which bounds
-    # the temporaries however long the run
-    rates = np.empty((hist.shape[1] - 1, len(t)))
-    total = np.empty(len(rates))
-    block = max(1, 2**16 // len(t))
-    for lo in range(0, len(rates), block):
-        T_t = np.gradient(hist[:, 1 + lo:1 + lo + block].T, t, axis=1, edge_order=2)
-        rates[lo:lo + block] = float(gamma) * T_t * T_t
-        total[lo:lo + block] = np.trapezoid(rates[lo:lo + block], t)
-    min_rate = rates.min(axis=1)
-    passed = min_rate >= -1e-12
-    if hist.shape[1] == 2:
-        rates, total = rates[0], float(total[0])
-        min_rate, passed = float(min_rate[0]), bool(passed[0])
-    return DissipationAudit(
-        times=t.copy(),
-        rates=rates.T,
-        min_rate=min_rate,
-        total_dissipation=total,
-        passed=passed,
-    )
+    # histories go in blocks of about 2**16 samples, which bounds the
+    # temporaries however long the run; each block's rates fill one
+    # contiguous row per history, so each trapezoid sums in the order of a
+    # lone call
+    n_hist = stress.shape[1]
+    min_rate = np.empty(n_hist)
+    total = np.empty(n_hist)
+    block = max(1, 2**16 // n)
+    for lo in range(0, n_hist, block):
+        T_t = np.gradient(stress[:, lo:lo + block].T, t, axis=1, edge_order=2)
+        rates = np.multiply(float(gamma), T_t, order="C")
+        rates *= T_t
+        min_rate[lo:lo + block] = rates.min(axis=1)
+        total[lo:lo + block] = np.trapezoid(rates, t)
+    return DissipationAudit(min_rate=min_rate, total_dissipation=total, passed=min_rate >= -1e-12)
 
 
 def invert(f: ConstitutiveFunction, y):

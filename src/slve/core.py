@@ -130,10 +130,6 @@ class Field:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_function(cls, grid: Grid1D, fn) -> "Field":
-        return cls(np.asarray(fn(grid.nodes()), dtype=float), grid)
-
 
 @dataclass(frozen=True)
 class ModelParams:

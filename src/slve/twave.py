@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -291,18 +291,18 @@ class KinkProfile:
         """Strain along the wave: eps = (T - A2)/c^2."""
         return (self.interpolant(xi) - self.problem.a2) / self.problem.c_squared
 
-    def velocity(self, xi, offset: float = 0.0):
-        """Material velocity along the wave: v = -s*eps + offset."""
-        return -self.signed_speed * self.strain(xi) + offset
+    def velocity(self, xi):
+        """Material velocity along the wave: v = -s*eps."""
+        return -self.signed_speed * self.strain(xi)
 
 
 def kink_profile(
     problem: TravelingWaveProblem,
     xi_span: float = 200.0,
     n_samples: int = 2001,
-    center_value: Optional[float] = None,
 ) -> KinkProfile:
-    """Integrate the profile ODE outward from the middle of the front.
+    """Integrate the profile ODE outward from the middle of the front, the
+    midpoint stress of the end states, which sits at xi = 0.
 
     Parameters
     ----------
@@ -311,9 +311,6 @@ def kink_profile(
         Total window length; the profile is sampled on [-span/2, span/2].
     n_samples : int
         Sample count (>= 9 so downstream stencils fit).
-    center_value : float, optional
-        Stress value pinned at xi = 0; defaults to the midpoint of the end
-        states.  Changing it translates the profile rigidly.
 
     Raises
     ------
@@ -329,14 +326,7 @@ def kink_profile(
         raise InvalidParameterError(f"xi_span must be positive, got {xi_span}")
     if not (math.isfinite(n_samples) and int(n_samples) == n_samples and n_samples >= 9):
         raise InvalidParameterError(f"n_samples must be an integer >= 9, got {n_samples}")
-    lo, hi = sorted((problem.t_minus, problem.t_plus))
-    if center_value is None:
-        center_value = 0.5 * (problem.t_minus + problem.t_plus)
-    center_value = float(center_value)
-    if not lo < center_value < hi:
-        raise InvalidParameterError(
-            f"center_value must lie strictly between the end states, got {center_value}"
-        )
+    center_value = 0.5 * (problem.t_minus + problem.t_plus)
 
     kappa = problem.kappa
     half = 0.5 * float(xi_span)
@@ -458,11 +448,10 @@ def kink_initial_state(
     profile: KinkProfile,
     grid: Grid1D,
     center: float,
-    velocity_offset: float = 0.0,
 ) -> SimState:
     """Sample a front onto a grid as (v, eps, T) initial data.
 
-    The wave relations eps = (T - A2)/c^2 and v = -s*eps + offset make this
+    The wave relations eps = (T - A2)/c^2 and v = -s*eps make this
     an exact traveling solution of the underlying model (up to truncation of
     the tails).  On a periodic grid a single front is discontinuous across
     the seam; superpose a front and its mirror for seam-free initial data.
@@ -471,7 +460,7 @@ def kink_initial_state(
     xi = x - float(center)
     T0 = profile.interpolant(xi)
     eps0 = profile.strain(xi)
-    v0 = profile.velocity(xi, offset=velocity_offset)
+    v0 = profile.velocity(xi)
     return SimState(
         t=0.0,
         v=Field(v0, grid),

@@ -296,7 +296,7 @@ def test_criterion_6_dissipation_audit(mode_runs, bump_runs, kink_run, capsys):
         # are audited with coefficient 1 so the squared rate itself is checked
         gamma = params.gamma if params is not None and params.gamma > 0.0 else 1.0
         # one call audits every node's history, each to the bits of its own call
-        audit = audit_dissipation(gamma, np.column_stack([states.t, states.stress]))
+        audit = audit_dissipation(gamma, states.t, states.stress)
         worst = min(worst, float(np.min(audit.min_rate)))
         n_histories += states.stress.shape[1]
     ok = worst >= -1e-12

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -493,9 +494,10 @@ class TestRunEnergyAudit:
         summed = 0.0
         for j, x in enumerate(config.grid.nodes().tolist()):
             audit = audit_dissipation(
-                solver_config.params.gamma, np.column_stack([traj.t, traj.stress[:, j]]))
-            rows.append([j, x, audit.min_rate, audit.total_dissipation, audit.passed])
-            summed += audit.total_dissipation
+                solver_config.params.gamma, traj.t, np.ascontiguousarray(traj.stress[:, j:j + 1]))
+            total = float(audit.total_dissipation[0])
+            rows.append([j, x, float(audit.min_rate[0]), total, bool(audit.passed[0])])
+            summed += total
         header = ["node", "x", "min_rate", "total_dissipation", "passed"]
         written = (tmp_path / "out" / f"audit.{fmt}").read_bytes()
         assert written == _reference_table(header, rows, fmt)
@@ -611,6 +613,19 @@ class TestMain:
         assert main(["twave", "--config", str(ini)]) == 2
         record = json.loads(capsys.readouterr().out)
         assert record["category"] == "config" and key in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["t_minus", "t_plus"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_end_state_exit_2(self, tmp_path, capsys, key, value):
+        # refused while parsing, before the output directory is made
+        ini = tmp_path / "run.ini"
+        text = TWAVE_INI.format(out=tmp_path / "out")
+        ini.write_text(re.sub(f"{key} = .*", f"{key} = {value}", text))
+        assert main(["twave", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["category"] == "config"
+        assert f"[twave] {key} must be finite" in record["message"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ arctan beta=2:  h(1) = 0.80381347609541280, H(1) = 0.56206414047224750
 """
 
 import contextlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -389,57 +390,77 @@ class TestAudit:
     def test_linear_ramp(self):
         # T = 3t on [0,1]: rate = gamma*9 everywhere, total = 0.9 for gamma=0.1
         t = np.linspace(0.0, 1.0, 11)
-        audit = audit_dissipation(0.1, np.column_stack([t, 3.0 * t]))
+        audit = audit_dissipation(0.1, t, 3.0 * t[:, None])
         assert isinstance(audit, DissipationAudit)
-        assert audit.min_rate == pytest.approx(0.9, rel=1e-10)
-        assert audit.total_dissipation == pytest.approx(0.9, rel=1e-10)
-        assert audit.passed
+        assert audit.min_rate.shape == audit.total_dissipation.shape == audit.passed.shape == (1,)
+        assert audit.min_rate[0] == pytest.approx(0.9, rel=1e-10)
+        assert audit.total_dissipation[0] == pytest.approx(0.9, rel=1e-10)
+        assert audit.passed[0]
 
     def test_zero_gamma_trivially_passes(self):
         t = np.linspace(0.0, 1.0, 5)
-        audit = audit_dissipation(0.0, np.column_stack([t, np.sin(t)]))
-        assert audit.min_rate == 0.0
-        assert audit.total_dissipation == 0.0
-        assert audit.passed
+        audit = audit_dissipation(0.0, t, np.sin(t)[:, None])
+        assert audit.min_rate[0] == 0.0
+        assert audit.total_dissipation[0] == 0.0
+        assert audit.passed[0]
 
     def test_quadratic_history_total(self):
         # T = t^2 on [0,1]: rate = 4*gamma*t^2, integral = 4/3*gamma
         t = np.linspace(0.0, 1.0, 201)
-        audit = audit_dissipation(1.0, np.column_stack([t, t * t]))
-        assert audit.total_dissipation == pytest.approx(4.0 / 3.0, rel=1e-3)
-        assert audit.passed
+        audit = audit_dissipation(1.0, t, (t * t)[:, None])
+        assert audit.total_dissipation[0] == pytest.approx(4.0 / 3.0, rel=1e-3)
+        assert audit.passed[0]
 
     def test_negative_gamma_rejected(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(InvalidParameterError):
-            audit_dissipation(-0.5, np.column_stack([t, t]))
+            audit_dissipation(-0.5, t, t[:, None])
 
     def test_short_history_rejected(self):
         with pytest.raises(InvalidHistoryError):
-            audit_dissipation(0.1, np.array([[0.0, 0.0], [1.0, 1.0]]))
+            audit_dissipation(0.1, np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 0), (4, 2), (5, 2, 1)])
+    def test_bad_stress_shape_rejected(self, shape):
+        with pytest.raises(InvalidHistoryError):
+            audit_dissipation(0.1, np.linspace(0.0, 1.0, 5), np.zeros(shape))
 
     def test_non_monotone_times_rejected(self):
-        bad = np.array([[0.0, 0.0], [0.5, 0.1], [0.4, 0.2]])
         with pytest.raises(InvalidHistoryError):
-            audit_dissipation(0.1, bad)
+            audit_dissipation(0.1, np.array([0.0, 0.5, 0.4]), np.array([[0.0], [0.1], [0.2]]))
 
-    @pytest.mark.parametrize("n,n_hist", [(3, 2), (9, 5), (200, 7), (1001, 40)])
+    @pytest.mark.parametrize("n,n_hist", [(3, 2), (9, 5), (200, 7), (1001, 40), (1001, 150)])
     @pytest.mark.parametrize("uniform", [True, False])
     def test_block_equals_per_history_calls(self, n, n_hist, uniform):
-        # one call over N histories gives each history the bits of its own call
+        # one call over N histories gives each history the bits of its own
+        # call, reading the stress rows of an (n, 3, N) block in place
         rng = np.random.default_rng(n)
         t = np.linspace(0.0, 2.0, n) if uniform else np.cumsum(rng.uniform(0.01, 1.0, n))
-        stresses = rng.normal(size=(n, n_hist)) * 10.0 ** rng.uniform(-3, 3, n_hist)
-        block = audit_dissipation(0.7, np.column_stack([t, stresses]))
-        assert block.rates.shape == (n, n_hist)
+        fields = rng.normal(size=(n, 3, n_hist)) * 10.0 ** rng.uniform(-3, 3, n_hist)
+        stresses = fields[:, 2]
+        block = audit_dissipation(0.7, t, stresses)
         assert block.min_rate.shape == block.total_dissipation.shape == (n_hist,)
+        assert block.passed.shape == (n_hist,)
         for j in range(n_hist):
-            one = audit_dissipation(0.7, np.column_stack([t, stresses[:, j]]))
-            assert isinstance(one.total_dissipation, float) and isinstance(one.passed, bool)
-            assert block.total_dissipation[j] == one.total_dissipation
-            assert block.min_rate[j] == one.min_rate
-            assert block.passed[j] == one.passed
-            assert np.array_equal(block.rates[:, j], one.rates)
+            one = audit_dissipation(0.7, t, np.ascontiguousarray(stresses[:, j:j + 1]))
+            assert block.total_dissipation[j] == one.total_dissipation[0]
+            assert block.min_rate[j] == one.min_rate[0]
+            assert block.passed[j] == one.passed[0]
+
+    def test_memory_stays_below_half_the_stress(self):
+        # the audit reads the histories in place and keeps per-block rates
+        # only: no stacked copy and no (N, n) rates array
+        rng = np.random.default_rng(5)
+        t = np.cumsum(rng.uniform(0.5, 1.5, 1000))
+        stress = rng.normal(size=(1000, 2048))
+        tracemalloc.start()
+        try:
+            audit = audit_dissipation(0.3, t, stress)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert audit.passed.all()
+        assert peak < 0.5 * stress.nbytes
 
     @given(st.floats(min_value=0.0, max_value=2.0), st.integers(min_value=3, max_value=40))
     @settings(max_examples=40, deadline=None)
@@ -448,6 +469,6 @@ class TestAudit:
         rng = np.random.default_rng(n)
         t = np.sort(rng.uniform(0.0, 1.0, n))
         t += np.arange(n) * 1e-6  # force strict increase
-        audit = audit_dissipation(gamma, np.column_stack([t, rng.normal(size=n)]))
-        assert audit.min_rate >= -1e-12
-        assert audit.passed
+        audit = audit_dissipation(gamma, t, rng.normal(size=(n, 3)))
+        assert np.all(audit.min_rate >= -1e-12)
+        assert audit.passed.all()

@@ -45,9 +45,9 @@ class TestGrid:
 
 
 class TestField:
-    def test_from_function_and_immutability(self):
+    def test_values_are_read_only(self):
         g = Grid1D(length=2 * np.pi, n_cells=16)
-        f = Field.from_function(g, np.sin)
+        f = Field(np.sin(g.nodes()), g)
         assert f.values.shape == (16,)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
@@ -129,12 +129,12 @@ class TestQuadrature:
     def test_periodic_sin_squared(self):
         # integral of sin^2 over one period is pi; midpoint sum is spectrally exact
         g = Grid1D(length=2 * np.pi, n_cells=64)
-        f = Field.from_function(g, lambda x: np.sin(x) ** 2)
+        f = Field(np.sin(g.nodes()) ** 2, g)
         assert integrate_field(f) == pytest.approx(np.pi, abs=1e-12)
 
     def test_dirichlet_linear_exact(self):
         g = Grid1D(length=1.0, n_cells=50, boundary="dirichlet_zero")
-        f = Field.from_function(g, lambda x: 3.0 * x)
+        f = Field(3.0 * g.nodes(), g)
         assert integrate_field(f) == pytest.approx(1.5, abs=1e-14)
 
 

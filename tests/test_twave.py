@@ -140,10 +140,6 @@ class TestProfile:
         prof = kink_profile(saturating_problem())
         assert prof.interpolant(0.0) == pytest.approx(0.5, abs=1e-12)
 
-    def test_center_value_translation(self):
-        prof = kink_profile(saturating_problem(), center_value=0.25)
-        assert prof.interpolant(0.0) == pytest.approx(0.25, abs=1e-10)
-
     def test_label_swap_mirrors_profile(self):
         f = make_constitutive("saturating", beta=1.0, a=1.0)
         p1 = make_problem(f, 0.0, 1.0, "stress_rate", 1.0)
@@ -162,8 +158,8 @@ class TestProfile:
         xi = np.linspace(-20.0, 20.0, 11)
         T = prof.interpolant(xi)
         assert np.allclose(prof.strain(xi), (T - 0.0) / 2.0, atol=1e-14)
-        v = prof.velocity(xi, offset=2.0)
-        assert np.allclose(v, -prof.signed_speed * prof.strain(xi) + 2.0, atol=1e-14)
+        v = prof.velocity(xi)
+        assert np.allclose(v, -prof.signed_speed * prof.strain(xi), atol=1e-14)
 
     def test_first_order_residual_small(self):
         prof = kink_profile(saturating_problem())
