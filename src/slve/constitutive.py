@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import (
     InvalidHistoryError,
@@ -294,7 +293,13 @@ def quad(value: Callable, T) -> np.ndarray:
     t*h(t*x) for the whole batch; its error is controlled in the max norm
     over the batch.  value is called with arrays.  A non-finite entry gives
     NaN, as the closed forms do.
+
+    scipy is imported on the first call, not with the package, so of the
+    CLI commands only `slve energy` with saturating a not in {1, 2} (no
+    closed-form antiderivative) loads it here.
     """
+    from scipy.integrate import quad_vec
+
     t = np.asarray(T, dtype=float)
     out = np.full(t.shape, np.nan)
     finite = np.isfinite(t)
@@ -570,7 +575,7 @@ def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
     """Vectorized invert(); the closed-form inverse when available."""
     y = np.asarray(y, dtype=float)
     if (np.abs(y) >= f.bound).any():
-        bad = float(y[np.argmax(np.abs(y))])
+        bad = float(y.flat[np.nanargmax(np.abs(y))])  # a NaN target never fails the bound check
         raise OutOfRangeError(
             f"target {bad} is outside the attainable range (|h| < {f.bound})"
         )

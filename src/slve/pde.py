@@ -226,7 +226,7 @@ def _reconstruct_stress(f: ConstitutiveFunction, target: np.ndarray) -> np.ndarr
     except OutOfRangeError as exc:
         # invert_array has scanned the bound; locate the worst node only now
         if f.bound != math.inf and np.any(np.abs(target) >= f.bound):
-            node = int(np.argmax(np.abs(target)))
+            node = int(np.nanargmax(np.abs(target)))  # a NaN target never fails the bound check
             raise StrainLimitExceededError(
                 f"response argument {target[node]:.6g} at node {node} reached "
                 f"the strain limit {f.bound:.6g}",

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constitutive import ConstitutiveFunction
 from .core import Field, Grid1D, Variant
@@ -304,6 +303,9 @@ def kink_profile(
     """Integrate the profile ODE outward from the middle of the front, the
     midpoint stress of the end states, which sits at xi = 0.
 
+    scipy's solve_ivp is imported on the first call, not with the package,
+    so `slve twave` is the one command that always loads scipy.
+
     Parameters
     ----------
     problem : TravelingWaveProblem
@@ -319,6 +321,8 @@ def kink_profile(
     SpanTooShortError
         When the window ends are not within 1e-6 of the end states.
     """
+    from scipy.integrate import solve_ivp
+
     diag = kink_exists(problem)
     if not diag.exists:
         raise NoKinkError(diag.message)

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slve
 from slve import (
     BlowUpError,
     ConfigError,
@@ -701,3 +706,86 @@ class TestWriteTable:
         header = ["x", "i", "label", "maybe"]
         _write_table(tmp_path / "t", header, columns, fmt)
         assert (tmp_path / "t").read_bytes() == _reference_table(header, list(zip(*cells)), fmt)
+
+
+# the source tree of the slve under test, so a fresh interpreter loads the same one
+_SRC = Path(slve.__file__).resolve().parents[1]
+
+# runs each (command, config) pair through main in one fresh interpreter and
+# reports, last on stdout, the exit codes and whether scipy was loaded after
+# importing slve.cli and after the commands
+_FRESH_RUN = """
+import json, sys
+from slve.cli import main
+loaded = ["scipy" in sys.modules]
+codes = [main([command, "--config", ini]) for command, ini in json.loads(sys.argv[1])]
+loaded.append("scipy" in sys.modules)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run `python *args` in a new interpreter that imports slve from _SRC."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def _fresh_runs(tmp_path, configs) -> dict:
+    """Run every command of configs ({command: INI text}) in one fresh
+    interpreter, each writing into tmp_path/fresh/<command>."""
+    runs = []
+    for command, text in configs.items():
+        ini = tmp_path / f"{command}.ini"
+        ini.write_text(text.format(out=tmp_path / "fresh" / command))
+        runs.append([command, str(ini)])
+    proc = _fresh_python("-c", _FRESH_RUN, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestFreshInterpreter:
+    """Commands in a new interpreter, as the console script runs them: this
+    suite's own process has scipy loaded already."""
+
+    def test_closed_form_commands_never_load_scipy(self, tmp_path):
+        # saturating a = 2 has closed forms for value, inverse and antiderivative
+        configs = {"simulate": SIM_INI, "energy": SIM_INI, "audit": SIM_INI,
+                   "dispersion": DISP_INI}
+        assert _fresh_runs(tmp_path, configs) == {"codes": [0, 0, 0, 0],
+                                                  "scipy": [False, False]}
+
+    def test_first_use_loads_scipy_with_identical_tables(self, tmp_path):
+        # a = 1.5 has no closed-form antiderivative: energy runs the quadrature;
+        # twave integrates the front
+        energy = SIM_INI.replace("a = 2.0", "a = 1.5")
+        assert energy != SIM_INI
+        configs = {"energy": energy, "twave": TWAVE_INI}
+        assert _fresh_runs(tmp_path, configs) == {"codes": [0, 0], "scipy": [False, True]}
+        for command in configs:
+            here = tmp_path / "here" / command
+            ini = str(tmp_path / f"{command}.ini")
+            assert main([command, "--config", ini, "--out", str(here)]) == 0
+            fresh = tmp_path / "fresh" / command
+            names = sorted(path.name for path in here.iterdir())
+            assert names == sorted(path.name for path in fresh.iterdir())
+            assert len(names) >= 2  # a table beside status.json
+            for name in names:
+                assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m slve.cli runs main and exits with its code
+        ini = tmp_path / "run.ini"
+        ini.write_text(DISP_INI.format(out=tmp_path / "out"))
+        proc = _fresh_python("-m", "slve.cli", "dispersion", "--config", str(ini))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "ok"
+        assert (tmp_path / "out" / "dispersion.csv").exists()
+
+        ini.write_text(DISP_INI.format(out=tmp_path / "bad") + "bogus = 1\n")
+        proc = _fresh_python("-m", "slve.cli", "dispersion", "--config", str(ini))
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert "bogus" in record["message"]
+        assert not (tmp_path / "bad").exists()

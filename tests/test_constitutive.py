@@ -261,6 +261,16 @@ class TestInvert:
         with pytest.raises(OutOfRangeError):
             invert_array(h, np.array([0.0, 0.5, 1.0]))
 
+    def test_invert_array_names_the_largest_non_nan_target(self):
+        h = make_constitutive("saturating", beta=1.0, a=1.0)  # bound 1
+        with pytest.raises(OutOfRangeError, match="target 2.0 is outside"):
+            invert_array(h, np.array([np.nan, 0.1, 2.0]))
+        with pytest.raises(OutOfRangeError, match="target -3.0 is outside"):
+            invert_array(h, np.array([[0.5, np.nan], [-3.0, 2.0]]))
+        # a NaN target alone is within no bound check: it passes through
+        T = invert_array(h, np.array([np.nan, 0.1]))
+        assert np.isnan(T[0]) and T[1] == invert(h, 0.1)
+
     @given(_no_inverse_targets())
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_single_calls_and_meets_tolerance(self, case):

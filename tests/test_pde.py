@@ -35,6 +35,7 @@ from slve import (
     total_energy,
     zero_state,
 )
+from slve.pde import _reconstruct_stress
 
 L = 2 * np.pi
 
@@ -97,6 +98,16 @@ class TestRhs:
             one_step(st, ModelParams(variant="strain_rate", nu=1.0), gfun)
         assert ei.value.node == 5
         assert ei.value.value == pytest.approx(1.5)
+
+    def test_nan_target_does_not_hide_the_strain_limit_node(self):
+        gfun = make_constitutive("saturating", beta=1.0, a=1.0)  # bound 1
+        with pytest.raises(StrainLimitExceededError) as ei:
+            _reconstruct_stress(gfun, np.array([np.nan, 0.1, 2.0]))
+        assert ei.value.node == 2
+        assert ei.value.value == 2.0
+        # a NaN target alone is no strain-limit event: it passes through
+        T = _reconstruct_stress(gfun, np.array([np.nan, 0.1]))
+        assert np.isnan(T[0]) and T[1] == invert(gfun, 0.1)
 
 
 class TestFastPathMatchesReference:
