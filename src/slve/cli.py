@@ -32,11 +32,10 @@ as the trajectory table.  Reruns of one config are byte-identical.  CSV
 floats carry 17 significant digits and JSONL floats are json's repr, so
 parsing either back loses nothing.
 
-Importing this module loads numpy and slve, not scipy.  scipy is imported
-on first use: twave always loads it (the front integrator), and energy
-loads it for a saturating response with a not in {1, 2}, whose stored
-energy has no closed-form antiderivative.  simulate, audit, dispersion and
-every other energy run never load it.
+Importing this module loads numpy and slve, not scipy.  Only twave loads
+scipy, on first use, for the front integrator.  energy with a saturating
+response with a not in {1, 2}, whose stored energy has no closed-form
+antiderivative, integrates it with numpy alone.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ for the stress-rate coefficient.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -285,30 +286,87 @@ def _fd_derivative(value: Callable) -> Callable:
     return raw
 
 
+# quad's Gauss-Legendre panels: nodes per panel, and the most panels one
+# call may use before it gives up
+_GAUSS_NODES = 10
+_QUAD_PANELS = 256
+
+
+@functools.cache
+def _gauss_legendre():
+    """The _GAUSS_NODES-point Gauss-Legendre rule on [0, 1], read-only;
+    numpy.polynomial is imported on the first call, not with the package."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(_GAUSS_NODES)
+    rule = (0.5 * (x + 1.0), 0.5 * w)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def quad(value: Callable, T) -> np.ndarray:
     """H(T) = int_0^T h(s) ds for every entry of T, in one adaptive quadrature.
 
-    The substitution s = t*x puts every integral on [0, 1], so a single
-    scipy.integrate.quad_vec call (adaptive Gauss-Kronrod) integrates
-    t*h(t*x) for the whole batch; its error is controlled in the max norm
-    over the batch.  value is called with arrays.  A non-finite entry gives
-    NaN, as the closed forms do.
+    The substitution s = t*x puts every integral on [0, 1], and the whole
+    batch shares one subdivision of it into panels.  A panel's integral is
+    the 10-point Gauss-Legendre rule on its two halves; its error estimate
+    is the largest difference, over the batch, to the rule on the whole
+    panel.  Each round bisects every panel whose estimate exceeds an equal
+    share of the tolerance, evaluating all the round's new panels in one
+    value call, until the estimates sum to at most max(1e-13, 1e-12*max|H|)
+    (QUADPACK-style subdivision; Piessens et al. 1983).  value is called
+    with (batch, nodes) arrays.  A non-finite entry gives NaN, as the closed
+    forms do, and an empty T an empty array.  numpy only: of the CLI
+    commands only `slve twave` loads scipy.
 
-    scipy is imported on the first call, not with the package, so of the
-    CLI commands only `slve energy` with saturating a not in {1, 2} (no
-    closed-form antiderivative) loads it here.
+    Raises
+    ------
+    SlveError
+        If the estimates still miss the tolerance at _QUAD_PANELS panels,
+        as they do when the integrand is NaN somewhere on the way.
     """
-    from scipy.integrate import quad_vec
-
     t = np.asarray(T, dtype=float)
     out = np.full(t.shape, np.nan)
     finite = np.isfinite(t)
-    if finite.any():  # quad_vec refuses an empty integrand
-        t = t[finite]
-        out[finite], _ = quad_vec(
-            lambda x: t * value(t * x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, norm="max"
+    if not finite.any():
+        return out
+    t = t[finite][:, None]
+    x, w = _gauss_legendre()
+
+    def rule(lo, width):
+        # the rule on panels [lo, lo + width] for every entry: (batch, panels)
+        s = (lo[:, None] + width[:, None] * x).ravel()
+        fx = np.asarray(value(t * s)).reshape(t.size, lo.size, x.size)
+        return (fx @ w) * width * t
+
+    # [0, 1] and its halves, then per panel: start, width, the rule on each
+    # half (batch, panels) and the error estimate
+    first = rule(np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.5, 0.5]))
+    lo, width, left, right = np.zeros(1), np.ones(1), first[:, 1:2], first[:, 2:]
+    err = np.max(np.abs(left + right - first[:, :1]), axis=0)
+    while True:
+        total = (left + right).sum(axis=1)
+        tol = max(1e-13, 1e-12 * float(np.max(np.abs(total))))
+        if err.sum() <= tol:
+            out[finite] = total
+            return out
+        split = ~(err <= tol / err.size)  # a NaN estimate splits too
+        if err.size + np.count_nonzero(split) > _QUAD_PANELS:
+            raise SlveError(f"quadrature did not converge within {_QUAD_PANELS} panels")
+        keep = ~split
+        # a split panel's halves become panels, whose whole-panel rule the
+        # split panel already holds
+        half = 0.5 * width[split]
+        new_lo, new_width = np.concatenate([lo[split], lo[split] + half]), np.tile(half, 2)
+        coarse = np.concatenate([left[:, split], right[:, split]], axis=1)
+        new_left, new_right = np.hsplit(
+            rule(np.concatenate([new_lo, new_lo + new_width / 2]), np.tile(half / 2, 4)), 2
         )
-    return out
+        lo, width = np.concatenate([lo[keep], new_lo]), np.concatenate([width[keep], new_width])
+        left = np.concatenate([left[:, keep], new_left], axis=1)
+        right = np.concatenate([right[:, keep], new_right], axis=1)
+        err = np.concatenate([err[keep], np.max(np.abs(new_left + new_right - coarse), axis=0)])
 
 
 def custom_constitutive(
@@ -493,11 +551,11 @@ def invert(f: ConstitutiveFunction, y):
 
     Uses the closed-form inverse when the catalog provides one, otherwise
     bracketing bisection refined by safeguarded Newton steps.  Each entry
-    runs its own iteration: it widens its own bracket and freezes once it
-    has converged, so a batch gives the bits of entry-by-entry calls.  Every
-    result satisfies |h(T) - y| < 1e-12 * max(1, |y|).  A scalar target
-    gives a float, an array an array of its shape; value and derivative are
-    called with arrays.
+    runs its own iteration: it widens its own bracket, and once it meets
+    |h(T) - y| < 1e-12 * max(1, |y|) it takes one more Newton step inside
+    the bracket, which carries T to roundoff, and freezes.  So a batch gives
+    the bits of entry-by-entry calls.  A scalar target gives a float, an
+    array an array of its shape; value and derivative are called with arrays.
 
     Raises
     ------
@@ -555,10 +613,6 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
     for _ in range(200):
         t = T[active]
         r = np.asarray(f.value(t)) - y[active]
-        moving = ~(np.abs(r) < tol[active])  # a converged entry freezes
-        active, t, r = active[moving], t[moving], r[moving]
-        if not active.size:
-            return T
         above = r > 0.0
         hi[active[above]] = t[above]
         lo[active[~above]] = t[~above]
@@ -567,7 +621,14 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = np.where(slope > 0.0, t - r / slope, mid)
         inside = (lo[active] < step) & (step < hi[active])
-        T[active] = np.where(inside, step, mid)
+        # a converged entry takes this Newton step if it stays inside the
+        # bracket, which carries T from the residual test to roundoff, and
+        # freezes
+        converged = np.abs(r) < tol[active]
+        T[active] = np.where(inside, step, np.where(converged, t, mid))
+        active = active[~converged]
+        if not active.size:
+            return T
     raise SlveError(f"inversion did not converge for target {y[active[0]]}")
 
 

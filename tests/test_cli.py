@@ -744,6 +744,21 @@ def _fresh_runs(tmp_path, configs) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _assert_tables_match_in_process_runs(tmp_path, configs):
+    """Every file of each fresh run in tmp_path/fresh is byte-identical to
+    the same command run in this process."""
+    for command in configs:
+        here = tmp_path / "here" / command
+        ini = str(tmp_path / f"{command}.ini")
+        assert main([command, "--config", ini, "--out", str(here)]) == 0
+        fresh = tmp_path / "fresh" / command
+        names = sorted(path.name for path in here.iterdir())
+        assert names == sorted(path.name for path in fresh.iterdir())
+        assert len(names) >= 2  # a table beside status.json
+        for name in names:
+            assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+
+
 class TestFreshInterpreter:
     """Commands in a new interpreter, as the console script runs them: this
     suite's own process has scipy loaded already."""
@@ -755,23 +770,28 @@ class TestFreshInterpreter:
         assert _fresh_runs(tmp_path, configs) == {"codes": [0, 0, 0, 0],
                                                   "scipy": [False, False]}
 
-    def test_first_use_loads_scipy_with_identical_tables(self, tmp_path):
-        # a = 1.5 has no closed-form antiderivative: energy runs the quadrature;
-        # twave integrates the front
+    def test_import_loads_neither_scipy_nor_numpy_polynomial(self):
+        # the quadrature's Gauss-Legendre nodes come from numpy.polynomial
+        # on its first call, not at import
+        proc = _fresh_python("-c", "import sys, slve.cli; "
+                             "print([m in sys.modules for m in ('scipy', 'numpy.polynomial')])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[False, False]"
+
+    def test_quadrature_never_loads_scipy(self, tmp_path):
+        # a = 1.5 has no closed-form antiderivative: energy runs the numpy
+        # quadrature
         energy = SIM_INI.replace("a = 2.0", "a = 1.5")
         assert energy != SIM_INI
-        configs = {"energy": energy, "twave": TWAVE_INI}
-        assert _fresh_runs(tmp_path, configs) == {"codes": [0, 0], "scipy": [False, True]}
-        for command in configs:
-            here = tmp_path / "here" / command
-            ini = str(tmp_path / f"{command}.ini")
-            assert main([command, "--config", ini, "--out", str(here)]) == 0
-            fresh = tmp_path / "fresh" / command
-            names = sorted(path.name for path in here.iterdir())
-            assert names == sorted(path.name for path in fresh.iterdir())
-            assert len(names) >= 2  # a table beside status.json
-            for name in names:
-                assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
+        configs = {"energy": energy}
+        assert _fresh_runs(tmp_path, configs) == {"codes": [0], "scipy": [False, False]}
+        _assert_tables_match_in_process_runs(tmp_path, configs)
+
+    def test_first_use_loads_scipy_with_identical_tables(self, tmp_path):
+        # twave integrates the front with scipy's solve_ivp
+        configs = {"twave": TWAVE_INI}
+        assert _fresh_runs(tmp_path, configs) == {"codes": [0], "scipy": [False, True]}
+        _assert_tables_match_in_process_runs(tmp_path, configs)
 
     def test_module_entry_point(self, tmp_path):
         # python -m slve.cli runs main and exits with its code

@@ -25,6 +25,7 @@ from slve import (
     Kind,
     OutOfRangeError,
     PotentialPair,
+    SlveError,
     audit_dissipation,
     custom_constitutive,
     invert,
@@ -33,7 +34,8 @@ from slve import (
     potential_from_response,
     response_from_potential,
 )
-from slve.constitutive import _saturating_masked
+from slve.constitutive import _GAUSS_NODES, _QUAD_PANELS, _saturating_masked
+from slve.constitutive import quad as slve_quad
 
 
 class TestCatalog:
@@ -308,6 +310,18 @@ class TestInvert:
         scale = np.maximum(1.0, np.abs(y)) / np.asarray(twin.derivative(T_twin))
         assert np.all(np.abs(T - T_twin) <= 1e-12 * scale + 1e-15 * np.abs(T_twin))
 
+    def test_iterated_inverse_is_polished_to_roundoff(self):
+        # the Newton step a converged entry takes carries T past the 1e-12
+        # residual test (7.8e-9 relative off without it) to a few ulp of the
+        # closed form in extended precision, as the catalog inverse is
+        y = np.random.default_rng(3).uniform(-0.9, 0.9, 200_000)
+        f = NO_INVERSE["bounded"][0]
+        T = invert(f, y)
+        Y = y.astype(np.longdouble)
+        exact = Y / np.sqrt((1 - Y) * (1 + Y))
+        assert np.all(np.abs(T - exact) <= 4e-15 * np.abs(exact))
+        assert np.all(np.abs(np.asarray(f(T)) - y) < 1e-12 * np.maximum(1.0, np.abs(y)))
+
 
 def _reference_antiderivative(f, T):
     return np.array([quad(f, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200)[0] for t in T])
@@ -345,6 +359,63 @@ class TestQuadrature:
         assert np.isnan(f.antiderivative(np.nan)) and np.isnan(f.antiderivative(np.inf))
         empty = f.antiderivative(np.array([]))
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    # checks against closed forms, with no scipy reference
+
+    @given(
+        st.sampled_from([("saturating", 1.0), ("saturating", 2.0), ("arctan", 1.0),
+                         ("linear", 1.0)]),
+        st.floats(min_value=0.2, max_value=3.0),
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_closed_form_antiderivatives(self, kind_a, beta, ts):
+        h = make_constitutive(kind_a[0], beta=beta, a=kind_a[1])
+        T = np.array(ts)
+        H, exact = slve_quad(h.value, T), np.asarray(h.antiderivative(T))
+        assert np.all(np.abs(H - exact) <= 1e-12 * max(1.0, np.max(np.abs(exact))) + 1e-13)
+
+    def test_kinked_custom_response_converges(self):
+        # slope 1 up to |T| = 1, then 0.3: each entry's kink sits elsewhere
+        # on [0, 1], and the shared panels are bisected around all of them
+        f = custom_constitutive(
+            lambda T: np.where(np.abs(T) < 1.0, T, np.sign(T) * (0.7 + 0.3 * np.abs(T)))
+        )
+        T = np.array([-3.0, -0.5, 0.7, 2.0, 5.0])
+        A = np.abs(T)
+        exact = np.where(A < 1.0, 0.5 * T * T, 0.5 + 0.7 * (A - 1.0) + 0.15 * (A * A - 1.0))
+        H = np.asarray(f.antiderivative(T))
+        assert np.all(np.abs(H - exact) <= 1e-12 * max(1.0, np.max(np.abs(exact))) + 1e-13)
+
+    def test_nan_integrand_raises_within_the_panel_budget(self):
+        # NaN past |s| = 0.5: no subdivision meets the tolerance, and the
+        # panel budget ends the bisection instead of returning a NaN
+        evaluated = []
+
+        def value(T):
+            evaluated.append(T.size)
+            return np.where(np.abs(T) > 0.5, np.nan, T)
+
+        T = np.array([0.25, 1.0, 2.0])
+        with pytest.raises(SlveError, match=f"within {_QUAD_PANELS} panels"):
+            slve_quad(value, T)
+        # the whole interval, then the two halves of at most 2*_QUAD_PANELS panels
+        assert sum(evaluated) <= T.size * _GAUSS_NODES * (1 + 4 * _QUAD_PANELS)
+
+    @pytest.mark.parametrize(
+        "f",
+        [make_constitutive("saturating", beta=1.0, a=1.5),
+         make_constitutive("saturating", beta=2.0, a=3.0),
+         custom_constitutive(lambda T: np.tanh(T) + 0.1 * np.arctan(T))],
+        ids=["saturating_a1.5", "saturating_a3", "custom"],
+    )
+    @pytest.mark.parametrize("span", [0.5, 3.0, 1e3])
+    def test_batch_matches_single_entries(self, f, span):
+        # the batch shares one subdivision; an entry alone gets its own
+        T = np.random.default_rng(5).uniform(-span, span, 64)
+        H = slve_quad(f.value, T)
+        single = np.array([slve_quad(f.value, t) for t in T])
+        assert np.all(np.abs(H - single) <= 1e-13 * max(1.0, np.max(np.abs(H))))
 
 
 class TestCustom:

@@ -870,10 +870,11 @@ class TestEnergy:
     @pytest.mark.parametrize("response", ["saturating_a1.5", "custom"])
     def test_quadrature_reports_match_per_report_evaluation(self, variant, response):
         # a response without a closed-form antiderivative integrates a whole
-        # block in one quad_vec call, whose adaptive subdivision (norm="max")
-        # is shared by the block: each report's energies then move in the
-        # last bits against a one-snapshot evaluation (about 2.3e-15 relative
-        # for the a = 1.5 strain-rate and elastic runs here), not past 1e-13
+        # block in one quad call, whose adaptive subdivision (error in the
+        # max norm) is shared by the block: each report's energies may then
+        # move in the last bits against a one-snapshot evaluation, not past
+        # 1e-13 (in the runs here a block and a snapshot end on the same
+        # panels, and they agree to the bit)
         if response == "custom":
             f = custom_constitutive(lambda T: T / np.sqrt(1.0 + T * T),
                                     derivative=lambda T: (1.0 + T * T) ** -1.5, bound=1.0)
