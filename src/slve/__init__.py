@@ -18,14 +18,11 @@ from .constitutive import (
     ConstitutiveFunction,
     DissipationAudit,
     Kind,
-    PotentialPair,
     audit_dissipation,
     custom_constitutive,
     invert,
     invert_array,
     make_constitutive,
-    potential_from_response,
-    response_from_potential,
 )
 from .core import (
     Boundary,
@@ -58,7 +55,6 @@ from .errors import (
     InvalidWindowError,
     NoKinkError,
     NoRealSpeedError,
-    NumericalDerivativeError,
     OutOfRangeError,
     SingularLimitError,
     SlveError,
@@ -114,12 +110,9 @@ __all__ = [
     # constitutive
     "Kind",
     "ConstitutiveFunction",
-    "PotentialPair",
     "DissipationAudit",
     "make_constitutive",
     "custom_constitutive",
-    "potential_from_response",
-    "response_from_potential",
     "audit_dissipation",
     "invert",
     "invert_array",
@@ -171,7 +164,6 @@ __all__ = [
     "SingularLimitError",
     "ConfigError",
     "StrainLimitExceededError",
-    "NumericalDerivativeError",
     "BlowUpError",
     "NoKinkError",
     "SpanTooShortError",

@@ -480,7 +480,7 @@ def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]
     worst = float(audit.min_rate.min())
     extra = {
         "min_rate": worst,
-        "passed": worst >= -1e-12,
+        "passed": bool(audit.passed.all()),
         # summed node by node, in order, as the per-node loop did
         "summed_dissipation": float(np.cumsum(audit.total_dissipation)[-1]),
     }

@@ -1,4 +1,4 @@
-"""Monotone stress-to-strain response functions and their potentials.
+"""Monotone stress-to-strain response functions.
 
 Both model variants express strain through a response function of stress:
 strain = h(T) - gamma*T_t (stress-rate form) or strain + nu*strain_t = g(T)
@@ -42,7 +42,6 @@ import numpy as np
 from .errors import (
     InvalidHistoryError,
     InvalidParameterError,
-    NumericalDerivativeError,
     OutOfRangeError,
     SlveError,
 )
@@ -50,12 +49,9 @@ from .errors import (
 __all__ = [
     "Kind",
     "ConstitutiveFunction",
-    "PotentialPair",
     "DissipationAudit",
     "make_constitutive",
     "custom_constitutive",
-    "potential_from_response",
-    "response_from_potential",
     "audit_dissipation",
     "invert",
     "invert_array",
@@ -323,8 +319,9 @@ def quad(value: Callable, T) -> np.ndarray:
     Raises
     ------
     SlveError
-        If the estimates still miss the tolerance at _QUAD_PANELS panels,
-        as they do when the integrand is NaN somewhere on the way.
+        As soon as an error estimate is NaN, as when the integrand is NaN
+        at a node, or if the estimates still miss the tolerance at
+        _QUAD_PANELS panels.
     """
     t = np.asarray(T, dtype=float)
     out = np.full(t.shape, np.nan)
@@ -348,10 +345,14 @@ def quad(value: Callable, T) -> np.ndarray:
     while True:
         total = (left + right).sum(axis=1)
         tol = max(1e-13, 1e-12 * float(np.max(np.abs(total))))
-        if err.sum() <= tol:
+        err_sum = err.sum()
+        if err_sum <= tol:
             out[finite] = total
             return out
-        split = ~(err <= tol / err.size)  # a NaN estimate splits too
+        if np.isnan(err_sum):
+            # no subdivision meets the tolerance with a NaN estimate
+            raise SlveError("quadrature error estimate is NaN: a non-finite integrand on [0, T]")
+        split = err > tol / err.size
         if err.size + np.count_nonzero(split) > _QUAD_PANELS:
             raise SlveError(f"quadrature did not converge within {_QUAD_PANELS} panels")
         keep = ~split
@@ -402,85 +403,6 @@ def custom_constitutive(
         antiderivative=antiderivative,
         inverse=inverse,
         bound=float(bound),
-    )
-
-
-@dataclass(frozen=True)
-class PotentialPair:
-    """Complementary potential phi_c and Gibbs potential G, per unit mass.
-
-    In the elastic limit the two carry the same information with opposite
-    sign, phi_c = -G, and the response is recovered as h = rho * dphi_c/dT.
-    """
-
-    phi_c: Callable
-    gibbs: Callable
-    rho: float = 1.0
-    source: Optional[ConstitutiveFunction] = None
-
-
-def potential_from_response(f: ConstitutiveFunction, rho: float = 1.0) -> PotentialPair:
-    """Potential pair generated by a response function: rho*phi_c = H."""
-    if rho <= 0.0 or not math.isfinite(rho):
-        raise InvalidParameterError(f"rho must be positive, got {rho}")
-
-    def phi_c(T):
-        return f.antiderivative(T) / rho
-
-    def gibbs(T):
-        return -f.antiderivative(T) / rho
-
-    return PotentialPair(phi_c=phi_c, gibbs=gibbs, rho=rho, source=f)
-
-
-def response_from_potential(pair: PotentialPair) -> ConstitutiveFunction:
-    """Recover h = rho * dphi_c/dT from a potential pair.
-
-    Pairs built by potential_from_response return their source exactly;
-    anything else is differentiated with centered differences, and a
-    non-finite difference raises NumericalDerivativeError at call time.
-    """
-    if pair.source is not None:
-        return pair.source
-    rho = pair.rho
-    phi = pair.phi_c
-
-    def raw_value(arr):
-        step = _FD_STEP * np.maximum(1.0, np.abs(arr))
-        out = rho * (np.asarray(phi(arr + step)) - np.asarray(phi(arr - step))) / (2.0 * step)
-        if not np.all(np.isfinite(out)):
-            raise NumericalDerivativeError(
-                "potential is not numerically differentiable at a requested sample"
-            )
-        return out
-
-    def raw_deriv(arr):
-        step = np.sqrt(np.sqrt(np.finfo(float).eps)) * np.maximum(1.0, np.abs(arr))
-        out = (
-            rho
-            * (np.asarray(phi(arr + step)) - 2.0 * np.asarray(phi(arr)) + np.asarray(phi(arr - step)))
-            / (step * step)
-        )
-        if not np.all(np.isfinite(out)):
-            raise NumericalDerivativeError(
-                "potential is not numerically twice differentiable at a requested sample"
-            )
-        return out
-
-    phi0 = float(phi(0.0))
-
-    def raw_antider(arr):
-        return rho * (np.asarray(phi(arr)) - phi0)
-
-    return ConstitutiveFunction(
-        kind=Kind.CUSTOM,
-        beta=float(_elementwise(raw_deriv)(0.0)),
-        a=None,
-        value=_elementwise(raw_value),
-        derivative=_elementwise(raw_deriv),
-        antiderivative=_elementwise(raw_antider),
-        inverse=None,
-        bound=math.inf,
     )
 
 

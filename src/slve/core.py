@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,12 @@ class Grid1D:
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         if self.length <= 0.0:
             raise InvalidParameterError(f"length must be positive, got {self.length}")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 4:
+        n = self.n_cells
+        if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 4):
             raise InvalidParameterError(
-                f"n_cells must be an integer >= 4, got {self.n_cells!r}"
+                f"n_cells must be an integer >= 4, got {n!r}"
             )
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        object.__setattr__(self, "n_cells", int(n))
 
     @property
     def spacing(self) -> float:

@@ -343,7 +343,7 @@ def locate_critical_wavenumber(nu: float, tol: float = 1e-8) -> float:
     reals), not the closed-form k_c, so it serves as an independent check of
     the discriminant's sign change.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     lo = 1e-9
     if not strain_rate_dispersion(nu, lo).is_oscillatory:

@@ -33,10 +33,6 @@ class StrainLimitExceededError(SlveError):
         self.value = value
 
 
-class NumericalDerivativeError(SlveError):
-    """Numerical differentiation of a potential produced a non-finite value."""
-
-
 class InvalidStepError(SlveError, ValueError):
     """Time step is nonpositive or exceeds the integration horizon."""
 

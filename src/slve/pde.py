@@ -70,6 +70,7 @@ into the same RHS assembly but is deliberately out of scope.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Tuple
 
@@ -180,9 +181,11 @@ class SolverConfig:
 
     def __post_init__(self):
         dt, t_final = _checked_times(self.dt, self.t_final)
-        if int(self.output_stride) != self.output_stride or self.output_stride < 1:
+        stride = self.output_stride
+        if not (isinstance(stride, numbers.Real) and math.isfinite(stride)
+                and int(stride) == stride and stride >= 1):
             raise InvalidParameterError(
-                f"output_stride must be an integer >= 1, got {self.output_stride!r}"
+                f"output_stride must be an integer >= 1, got {stride!r}"
             )
         if not math.isfinite(self.blowup_threshold) or self.blowup_threshold <= 0.0:
             raise InvalidParameterError(
@@ -190,7 +193,7 @@ class SolverConfig:
             )
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "t_final", t_final)
-        object.__setattr__(self, "output_stride", int(self.output_stride))
+        object.__setattr__(self, "output_stride", int(stride))
         object.__setattr__(self, "blowup_threshold", float(self.blowup_threshold))
 
     @property
@@ -434,8 +437,9 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
 def stored_energy_density(variant: Variant, f: ConstitutiveFunction, T, eps):
     """Stored energy per unit length, rho*omega.
 
-    stress-rate and elastic: T*eps - H(T) with H the antiderivative of h
-    (not sign-definite, and unbounded below in T for bounded h);
+    stress-rate and elastic: T*eps - H(T) (not sign-definite, and unbounded
+    below in T for bounded h), with H the antiderivative of h: the
+    complementary potential rho*phi_c = H, and the Gibbs potential G = -H;
     strain-rate: T*g(T) - G1(T), nonnegative for monotone g.
     """
     variant = Variant(variant)

@@ -1,4 +1,4 @@
-"""Response catalog, potentials, inversion, and the dissipation audit.
+"""Response catalog, quadrature, inversion, and the dissipation audit.
 
 Reference values frozen from independent quadrature/bisection runs:
 saturating a=1: H(1) = 1 - ln 2 = 0.30685281944005469
@@ -24,15 +24,12 @@ from slve import (
     InvalidParameterError,
     Kind,
     OutOfRangeError,
-    PotentialPair,
     SlveError,
     audit_dissipation,
     custom_constitutive,
     invert,
     invert_array,
     make_constitutive,
-    potential_from_response,
-    response_from_potential,
 )
 from slve.constitutive import _GAUSS_NODES, _QUAD_PANELS, _saturating_masked
 from slve.constitutive import quad as slve_quad
@@ -388,8 +385,8 @@ class TestQuadrature:
         assert np.all(np.abs(H - exact) <= 1e-12 * max(1.0, np.max(np.abs(exact))) + 1e-13)
 
     def test_nan_integrand_raises_within_the_panel_budget(self):
-        # NaN past |s| = 0.5: no subdivision meets the tolerance, and the
-        # panel budget ends the bisection instead of returning a NaN
+        # NaN past |s| = 0.5: no subdivision meets the tolerance, so the
+        # first NaN error estimate raises instead of returning a NaN
         evaluated = []
 
         def value(T):
@@ -397,10 +394,28 @@ class TestQuadrature:
             return np.where(np.abs(T) > 0.5, np.nan, T)
 
         T = np.array([0.25, 1.0, 2.0])
-        with pytest.raises(SlveError, match=f"within {_QUAD_PANELS} panels"):
+        with pytest.raises(SlveError, match="NaN"):
             slve_quad(value, T)
         # the whole interval, then the two halves of at most 2*_QUAD_PANELS panels
         assert sum(evaluated) <= T.size * _GAUSS_NODES * (1 + 4 * _QUAD_PANELS)
+        # a full 4,096-value energy-report block raises before bisecting its
+        # NaN panels, which to the panel budget would peak near 290 MB
+        T = np.linspace(-2.0, 2.0, 4096)
+        evaluated.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(SlveError, match="NaN"):
+                slve_quad(value, T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert sum(evaluated) <= T.size * _GAUSS_NODES * (1 + 4 * _QUAD_PANELS)
+
+    def test_unresolved_integrand_raises_at_the_panel_budget(self):
+        # about 1,600 periods on [0, 1] need more than _QUAD_PANELS panels
+        with pytest.raises(SlveError, match=f"within {_QUAD_PANELS} panels"):
+            slve_quad(lambda T: np.sin(1e4 * T), np.array([1.0]))
 
     @pytest.mark.parametrize(
         "f",
@@ -426,45 +441,6 @@ class TestCustom:
     def test_fd_derivative_fallback(self):
         f = custom_constitutive(value=lambda T: np.tanh(T))
         assert f.derivative(0.0) == pytest.approx(1.0, rel=1e-7)
-
-
-class TestPotentials:
-    def test_pair_from_saturating_response(self):
-        h = make_constitutive("saturating", beta=1.0, a=1.0)
-        pair = potential_from_response(h, rho=2.0)
-        # rho*phi_c equals the stress antiderivative; Gibbs is its negative
-        assert pair.phi_c(1.0) == pytest.approx(0.30685281944005469 / 2.0, abs=1e-13)
-        grid = np.linspace(-3.0, 3.0, 61)
-        assert np.max(np.abs(np.asarray(pair.phi_c(grid)) + np.asarray(pair.gibbs(grid)))) < 1e-12
-
-    def test_response_from_quadratic_potential(self):
-        rho = 2.0
-        phi = lambda T: np.asarray(T) ** 2 / (2.0 * rho)
-        pair = PotentialPair(phi_c=phi, gibbs=lambda T: -phi(T), rho=rho)
-        h = response_from_potential(pair)
-        T = np.linspace(-2.0, 2.0, 21)
-        assert np.max(np.abs(np.asarray(h(T)) - T)) < 1e-6
-
-    def test_response_from_log_potential(self):
-        # rho*phi_c = T - ln(1+T) has stress derivative T/(1+T)
-        phi = lambda T: np.asarray(T) - np.log1p(np.asarray(T))
-        pair = PotentialPair(phi_c=phi, gibbs=lambda T: -phi(T), rho=1.0)
-        h = response_from_potential(pair)
-        for T in (0.0, 0.5, 2.0):
-            assert h(T) == pytest.approx(T / (1.0 + T), abs=1e-7)
-
-    def test_constant_potential_gives_zero_response(self):
-        zero = lambda T: np.zeros_like(np.asarray(T, dtype=float))
-        pair = PotentialPair(phi_c=zero, gibbs=zero, rho=1.0)
-        h = response_from_potential(pair)
-        assert h(1.3) == pytest.approx(0.0, abs=1e-9)
-
-    def test_roundtrip_response_potential_response(self):
-        # pairs built from a response hand the exact source back
-        h = make_constitutive("saturating", beta=1.0, a=2.0)
-        h2 = response_from_potential(potential_from_response(h, rho=1.5))
-        T = np.linspace(-2.0, 2.0, 11)
-        assert np.max(np.abs(np.asarray(h2(T)) - np.asarray(h(T)))) == 0.0
 
 
 class TestAudit:

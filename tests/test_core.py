@@ -40,8 +40,11 @@ class TestGrid:
             Grid1D(length=length, n_cells=8)
 
     def test_too_few_cells_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            Grid1D(length=1.0, n_cells=3)
+        # a non-finite count is refused before int() can overflow on it, and
+        # a non-number whatever int() would make of it
+        for n_cells in (3, np.inf, np.nan, "8"):
+            with pytest.raises(InvalidParameterError):
+                Grid1D(length=1.0, n_cells=n_cells)
 
 
 class TestField:

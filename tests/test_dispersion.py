@@ -202,6 +202,12 @@ class TestWrapperAndCurve:
         for nu in (0.5, 1.0, 2.0, 4.0):
             assert locate_critical_wavenumber(nu) == pytest.approx(2.0 / nu, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+    def test_locate_critical_wavenumber_rejects_bad_tol(self, tol):
+        # a NaN tol would skip the bisection and return its first bracket
+        with pytest.raises(InvalidParameterError, match="tol must be positive"):
+            locate_critical_wavenumber(1.0, tol=tol)
+
 
 def _same_bits(a, b) -> bool:
     """Equal dtype, shape, values and signs of zero, part by part (no NaNs)."""

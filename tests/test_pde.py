@@ -480,8 +480,10 @@ class TestStepper:
             SolverConfig(params=p, constitutive=h, dt=0.0, t_final=1.0)
         with pytest.raises(InvalidStepError):
             SolverConfig(params=p, constitutive=h, dt=2.0, t_final=1.0)
-        with pytest.raises(InvalidParameterError):
-            SolverConfig(params=p, constitutive=h, dt=0.1, t_final=1.0, output_stride=0)
+        # a non-finite stride is refused before int() can overflow on it
+        for stride in (0, np.inf, np.nan):
+            with pytest.raises(InvalidParameterError):
+                SolverConfig(params=p, constitutive=h, dt=0.1, t_final=1.0, output_stride=stride)
 
     def test_blow_up_carries_time_and_partial_history(self):
         g = periodic_grid(64)
