@@ -32,10 +32,10 @@ as the trajectory table.  Reruns of one config are byte-identical.  CSV
 floats carry 17 significant digits and JSONL floats are json's repr, so
 parsing either back loses nothing.
 
-Importing this module loads numpy and slve, not scipy.  Only twave loads
-scipy, on first use, for the front integrator.  energy with a saturating
+Every command runs on numpy alone; none loads scipy.  twave integrates the
+front with its own Dormand-Prince pair, and energy with a saturating
 response with a not in {1, 2}, whose stored energy has no closed-form
-antiderivative, integrates it with numpy alone.
+antiderivative, integrates it with a numpy quadrature.
 """
 
 from __future__ import annotations

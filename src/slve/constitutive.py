@@ -313,8 +313,8 @@ def quad(value: Callable, T) -> np.ndarray:
     value call, until the estimates sum to at most max(1e-13, 1e-12*max|H|)
     (QUADPACK-style subdivision; Piessens et al. 1983).  value is called
     with (batch, nodes) arrays.  A non-finite entry gives NaN, as the closed
-    forms do, and an empty T an empty array.  numpy only: of the CLI
-    commands only `slve twave` loads scipy.
+    forms do, and an empty T an empty array.  numpy only; no CLI command
+    loads scipy.
 
     Raises
     ------

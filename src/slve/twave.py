@@ -31,6 +31,7 @@ T(-infinity) = T_minus, T(+infinity) = T_plus and record the signed speed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -66,6 +67,22 @@ __all__ = [
 
 # interior scan resolution for sign changes of the balance function
 _SCAN_POINTS = 10000
+
+# front integrator: the Dormand-Prince 5(4) pair (Dormand & Prince 1980) with
+# Shampine's quartic dense output (1986); Hairer, Norsett & Wanner, Solving
+# ODEs I, II.4-II.5.  _front_branch spells the tableau out as literal
+# fractions, which compile to constants.
+_RTOL, _ATOL = 1e-11, 1e-13
+_MAX_ATTEMPTS = 100_000  # accepted plus rejected steps, per half window
+# rows for k1, k3, k4, k5, k6, k7 (k2's row is zero); columns for x, ..., x**4
+_DENSE = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 def wave_speed(f: ConstitutiveFunction, t_minus: float, t_plus: float) -> Tuple[float, float]:
@@ -295,6 +312,88 @@ class KinkProfile:
         return -self.signed_speed * self.strain(xi)
 
 
+def _front_branch(
+    problem: TravelingWaveProblem, y0: float, rate: float, length: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Integrate T' = rate * B(T) from T(0) = y0 over s in [0, length].
+
+    Adaptive Dormand-Prince 5(4) on Python floats, one balance_function call
+    per stage, local extrapolation and the standard step control; the first
+    step follows Hairer II.4.  Returns the dense output, a vectorized
+    function of s in [0, length].
+
+    Raises
+    ------
+    NoKinkError
+        On a non-finite stage, a step below 10 ulp of s, or more than
+        _MAX_ATTEMPTS steps.
+    """
+    bf = balance_function
+    s, y = 0.0, float(y0)
+    k1 = float(bf(problem, y))
+    scale = _ATOL + _RTOL * abs(y)
+    d0, d1 = abs(y) / scale, abs(rate * k1) / scale
+    h0 = min(length, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
+    d2 = abs(rate * (float(bf(problem, y + h0 * rate * k1)) - k1)) / scale / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h = min(100.0 * h0, h1, length)
+
+    steps = []
+    rejected = False
+    for _ in range(_MAX_ATTEMPTS):
+        if h < 10.0 * math.ulp(s):
+            raise NoKinkError(f"profile integration failed: step size underflow at |xi| = {s:.9g}")
+        s_new = min(s + h, length)
+        step = s_new - s
+        hk = step * rate
+        k2 = float(bf(problem, y + hk * (k1 / 5)))
+        k3 = float(bf(problem, y + hk * (3 / 40 * k1 + 9 / 40 * k2)))
+        k4 = float(bf(problem, y + hk * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3)))
+        k5 = float(bf(problem, y + hk * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                         + 64448 / 6561 * k3 - 212 / 729 * k4)))
+        k6 = float(bf(problem, y + hk * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                                         + 49 / 176 * k4 - 5103 / 18656 * k5)))
+        # fifth-order solution (b_2 = 0) and the embedded pair's difference
+        y_new = y + hk * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                          - 2187 / 6784 * k5 + 11 / 84 * k6)
+        k7 = float(bf(problem, y_new))
+        err = abs(hk * (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4
+                        + 17253 / 339200 * k5 - 22 / 525 * k6 + k7 / 40)) / (
+            _ATOL + _RTOL * max(abs(y), abs(y_new)))
+        # a NaN or infinite stage reaches err through k7 or the stages after it
+        if not math.isfinite(err):
+            raise NoKinkError(
+                f"profile integration failed: non-finite B(T) near |xi| = {s:.9g}, T = {y!r}"
+            )
+        if err < 1.0:
+            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
+            steps.append((s, step, y, hk, k1, k3, k4, k5, k6, k7))
+            s, y, k1 = s_new, y_new, k7
+            if s >= length:
+                break
+            h = step * (min(1.0, factor) if rejected else factor)
+            rejected = False
+        else:
+            h = step * max(0.2, 0.9 * err**-0.2)
+            rejected = True
+    else:
+        raise NoKinkError(
+            f"profile integration failed: {_MAX_ATTEMPTS} steps did not reach |xi| = {length}"
+        )
+
+    t, width, start, hk, *k = np.array(steps).T
+    # T(t_i + x*width_i) = start_i + sum_j q_j * x**j with q = hk * (k @ _DENSE)
+    q1, q2, q3, q4 = hk * (_DENSE.T @ np.array(k))
+
+    def dense(s_eval: np.ndarray) -> np.ndarray:
+        # t[0] = 0 <= s_eval, so i indexes the step that holds s_eval
+        i = np.searchsorted(t, s_eval, side="right") - 1
+        x = (s_eval - t[i]) / width[i]
+        return start[i] + x * (q1[i] + x * (q2[i] + x * (q3[i] + x * q4[i])))
+
+    return dense
+
+
 def kink_profile(
     problem: TravelingWaveProblem,
     xi_span: float = 200.0,
@@ -303,8 +402,9 @@ def kink_profile(
     """Integrate the profile ODE outward from the middle of the front, the
     midpoint stress of the end states, which sits at xi = 0.
 
-    scipy's solve_ivp is imported on the first call, not with the package,
-    so `slve twave` is the one command that always loads scipy.
+    Each half of the window is one Dormand-Prince 5(4) run (_front_branch,
+    numpy and Python floats only) at rtol 1e-11, atol 1e-13, and the
+    interpolant evaluates its quartic dense output.
 
     Parameters
     ----------
@@ -316,33 +416,29 @@ def kink_profile(
 
     Raises
     ------
+    InvalidParameterError
+        When xi_span is not a positive finite number or n_samples not an
+        integer >= 9.
     NoKinkError
-        When no monotone front connects the end states.
+        When no monotone front connects the end states, or the integration
+        fails (a non-finite B, step-size underflow, the step budget).
     SpanTooShortError
         When the window ends are not within 1e-6 of the end states.
     """
-    from scipy.integrate import solve_ivp
-
+    if not (isinstance(xi_span, numbers.Real) and math.isfinite(xi_span) and xi_span > 0.0):
+        raise InvalidParameterError(f"xi_span must be positive, got {xi_span!r}")
+    if not (isinstance(n_samples, numbers.Real) and math.isfinite(n_samples)
+            and int(n_samples) == n_samples and n_samples >= 9):
+        raise InvalidParameterError(f"n_samples must be an integer >= 9, got {n_samples!r}")
     diag = kink_exists(problem)
     if not diag.exists:
         raise NoKinkError(diag.message)
-    if xi_span <= 0.0 or not math.isfinite(xi_span):
-        raise InvalidParameterError(f"xi_span must be positive, got {xi_span}")
-    if not (math.isfinite(n_samples) and int(n_samples) == n_samples and n_samples >= 9):
-        raise InvalidParameterError(f"n_samples must be an integer >= 9, got {n_samples}")
     center_value = 0.5 * (problem.t_minus + problem.t_plus)
 
-    kappa = problem.kappa
     half = 0.5 * float(xi_span)
-
-    def ode(_, y):
-        return balance_function(problem, y) / kappa
-
-    opts = dict(method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
-    fwd = solve_ivp(ode, (0.0, half), [center_value], **opts)
-    bwd = solve_ivp(ode, (0.0, -half), [center_value], **opts)
-    if not (fwd.success and bwd.success):
-        raise NoKinkError(f"profile integration failed: {fwd.message or bwd.message}")
+    # kappa*T' = B(T) forward in xi, and in s = -xi for the left half
+    fwd = _front_branch(problem, center_value, 1.0 / problem.kappa, half)
+    bwd = _front_branch(problem, center_value, -1.0 / problem.kappa, half)
 
     flip = diag.reversed_orientation
     # raw ODE runs t_minus -> t_plus unless flipped
@@ -353,10 +449,8 @@ def kink_profile(
         out = np.full_like(s, np.nan)  # NaN fails every mask below
         m_fwd = (s >= 0.0) & (s <= half)
         m_bwd = (s < 0.0) & (s >= -half)
-        if np.any(m_fwd):
-            out[m_fwd] = fwd.sol(s[m_fwd])[0]
-        if np.any(m_bwd):
-            out[m_bwd] = bwd.sol(s[m_bwd])[0]
+        out[m_fwd] = fwd(s[m_fwd])
+        out[m_bwd] = bwd(-s[m_bwd])
         out[s > half] = raw_right
         out[s < -half] = raw_left
         return out

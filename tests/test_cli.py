@@ -761,7 +761,7 @@ def _assert_tables_match_in_process_runs(tmp_path, configs):
 
 class TestFreshInterpreter:
     """Commands in a new interpreter, as the console script runs them: this
-    suite's own process has scipy loaded already."""
+    suite's own process has scipy loaded already, for its oracles."""
 
     def test_closed_form_commands_never_load_scipy(self, tmp_path):
         # saturating a = 2 has closed forms for value, inverse and antiderivative
@@ -787,10 +787,10 @@ class TestFreshInterpreter:
         assert _fresh_runs(tmp_path, configs) == {"codes": [0], "scipy": [False, False]}
         _assert_tables_match_in_process_runs(tmp_path, configs)
 
-    def test_first_use_loads_scipy_with_identical_tables(self, tmp_path):
-        # twave integrates the front with scipy's solve_ivp
+    def test_twave_never_loads_scipy_with_identical_tables(self, tmp_path):
+        # twave integrates the front with the numpy Dormand-Prince pair
         configs = {"twave": TWAVE_INI}
-        assert _fresh_runs(tmp_path, configs) == {"codes": [0], "scipy": [False, True]}
+        assert _fresh_runs(tmp_path, configs) == {"codes": [0], "scipy": [False, False]}
         _assert_tables_match_in_process_runs(tmp_path, configs)
 
     def test_module_entry_point(self, tmp_path):

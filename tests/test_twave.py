@@ -6,7 +6,9 @@ c^2 = (1 - 0)/(h(1) - h(0)) = 2 exactly, A2 = 0.
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import slve.twave as twave
 from slve import (
     DegenerateEquilibriaError,
     InvalidParameterError,
@@ -185,6 +187,18 @@ class TestProfile:
         with pytest.raises(InvalidParameterError, match="n_samples"):
             kink_profile(saturating_problem(), n_samples=n_samples)
 
+    @pytest.mark.parametrize("bad", ["9", None])
+    def test_non_number_arguments_rejected_before_the_scan(self, bad, monkeypatch):
+        # checked before kink_exists runs its 10^4-point scan
+        def no_scan(problem):
+            raise AssertionError("kink_exists ran before the argument checks")
+
+        monkeypatch.setattr(twave, "kink_exists", no_scan)
+        with pytest.raises(InvalidParameterError, match="xi_span"):
+            kink_profile(saturating_problem(), xi_span=bad)
+        with pytest.raises(InvalidParameterError, match="n_samples"):
+            kink_profile(saturating_problem(), n_samples=bad)
+
     def test_short_span_rejected(self):
         with pytest.raises(SpanTooShortError):
             kink_profile(saturating_problem(), xi_span=10.0)
@@ -193,6 +207,70 @@ class TestProfile:
         prob = make_problem(make_constitutive("linear"), 0.0, 1.0, "stress_rate", 1.0)
         with pytest.raises(NoKinkError):
             kink_profile(prob)
+
+
+def _oracle_samples(profile):
+    """The profile's samples from scipy's DOP853 at rtol 1e-13, atol 1e-15,
+    integrated outward from the midpoint stress as kink_profile does."""
+    problem = profile.problem
+    half = float(profile.xi[-1])
+    center = 0.5 * (problem.t_minus + problem.t_plus)
+
+    def ode(_, y):
+        return balance_function(problem, y) / problem.kappa
+
+    opts = dict(method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+    fwd = solve_ivp(ode, (0.0, half), [center], **opts)
+    bwd = solve_ivp(ode, (0.0, -half), [center], **opts)
+    assert fwd.success and bwd.success
+    s = -profile.xi if profile.reversed_orientation else profile.xi
+    return np.where(s >= 0.0, fwd.sol(np.abs(s))[0], bwd.sol(-np.abs(s))[0])
+
+
+class TestIntegratorOracle:
+    """The Dormand-Prince front integrator against scipy's DOP853 at tighter
+    tolerances: every sample within 1e-9."""
+
+    @pytest.mark.parametrize("kind, beta, a, t_minus, t_plus, variant, coeff", [
+        ("saturating", 1.0, 1.0, 0.0, 1.0, "stress_rate", 1.0),
+        ("saturating", 1.0, 1.0, 0.0, 1.0, "strain_rate", 1.0),
+        # reversed labels: the raw ODE already runs with them
+        ("saturating", 1.0, 1.0, 1.0, 0.0, "stress_rate", 1.0),
+        # a = 1.5 takes the masked branches, |T| < 1 and |T| >= 1
+        ("saturating", 1.0, 1.5, 0.0, 2.0, "strain_rate", 0.7),
+        ("arctan", 1.0, 1.0, 0.0, 1.0, "strain_rate", 1.0),
+    ])
+    def test_samples_match_oracle(self, kind, beta, a, t_minus, t_plus, variant, coeff):
+        f = make_constitutive(kind, beta=beta, a=a)
+        prof = kink_profile(make_problem(f, t_minus, t_plus, variant, coeff))
+        assert prof.reversed_orientation == (t_minus < t_plus)
+        assert np.max(np.abs(prof.T - _oracle_samples(prof))) < 1e-9
+
+    def test_nan_balance_raises_within_the_step_budget(self, monkeypatch):
+        # h is NaN on (0.7, 0.8), between the end states, so B is NaN on
+        # one side of the front
+        f = custom_constitutive(
+            value=lambda T: np.where((T > 0.7) & (T < 0.8), np.nan, T / (1.0 + np.abs(T)))
+        )
+        prob = make_problem(f, 0.0, 1.0, "stress_rate", 1.0)
+        calls = []
+
+        def counted(problem, T):
+            calls.append(T)
+            return balance_function(problem, T)
+
+        monkeypatch.setattr(twave, "balance_function", counted)
+        with pytest.raises(NoKinkError, match="non-finite"):
+            kink_profile(prob)
+        # one half window runs whole (about 2,100 calls) and the other stops
+        # at its first NaN stage (about 100); shrinking the step on the NaN
+        # until it underflows would take some 2,700 more
+        assert len(calls) < 3000
+
+    def test_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(twave, "_MAX_ATTEMPTS", 10)
+        with pytest.raises(NoKinkError, match="10 steps"):
+            kink_profile(saturating_problem())
 
 
 class TestUnification:
