@@ -9,11 +9,11 @@ Commands: simulate, dispersion, twave, audit, energy.  The config is INI
 text (see the section schema in _SCHEMA); unknown sections or keys are
 rejected, as are values violating a model precondition (a negative gamma,
 for instance, fails the nonnegative-dissipation requirement gamma >= 0).
-For simulate, energy and audit the parser builds the unit-form solver
-config and the initial state once, so a step over the stability ceiling or
-an [initial] shape the grid cannot hold (a single_mode k that does not fit
-the length, a non-positive width, a non-finite center) is refused before
-the output directory is made.
+The parser builds what each command runs once, in unit form and through
+the library's own checks, so a step over the stability ceiling, an
+[initial] shape the grid cannot hold, a wavenumber whose k*k (or k*k/gamma)
+overflows and twave end states that are non-finite, coincide or give no
+real speed are all refused before the output directory is made.
 
 Material parameters are given dimensionally in [model]; the front end
 nondimensionalizes once and runs every solver in the unit form, so [grid]
@@ -44,7 +44,6 @@ import argparse
 import configparser
 import enum
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -56,8 +55,8 @@ import numpy as np
 from . import constitutive as con
 from . import core, dispersion, pde, twave
 from .dispersion import Classification, solve_dispersion
-from .errors import (BlowUpError, ConfigError, InvalidParameterError, SlveError,
-                     StrainLimitExceededError)
+from .errors import (BlowUpError, ConfigError, InvalidParameterError, NoKinkError,
+                     SlveError, StrainLimitExceededError)
 
 __all__ = ["Command", "RunConfig", "RunResult", "parse_config", "run", "main"]
 
@@ -85,25 +84,17 @@ _SCHEMA: Dict[str, Tuple[str, ...]] = {
 
 
 @dataclass
-class TwaveSpec:
-    t_minus: float
-    t_plus: float
-    xi_span: float
-    n_samples: int
-
-
-@dataclass
 class RunConfig:
-    """Validated run description; everything a command needs."""
+    """Validated run description: what each command runs, built once."""
 
     command: Command
-    params: core.ModelParams
-    response: con.ConstitutiveFunction
-    grid: Optional[core.Grid1D]
-    solver: Optional[pde.SolverConfig]  # unit form; simulate, energy and audit only
-    initial: Optional[pde.SimState]  # likewise
-    k_values: Optional[np.ndarray]
-    twave: Optional[TwaveSpec]
+    params: core.ModelParams  # as given, dimensional
+    unit: core.ModelParams  # the unit form every solver runs
+    solver: Optional[pde.SolverConfig]  # simulate, energy and audit only
+    initial: Optional[pde.SimState]  # likewise; its grid is the [grid] section
+    k_values: Optional[np.ndarray]  # dispersion only
+    twave: Optional[twave.TravelingWaveProblem]  # twave only
+    window: Optional[Tuple[float, int]]  # twave's (xi_span, n_samples)
     out_dir: str
     fmt: str
 
@@ -187,6 +178,8 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
             nu=_get_number(cp, "model", "nu", 0.0),
             gamma=_get_number(cp, "model", "gamma", 0.0),
         )
+        # every solver runs the dimensionless coefficients; checks run on them
+        unit = core.dimensionless_params(params)
     except ValueError as exc:
         raise ConfigError(f"[model] rejected: {exc}") from exc
 
@@ -233,9 +226,9 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
         if k_values.size == 0:
             raise ConfigError("[dispersion] k_values is empty")
 
-    twave_spec = None
+    front = None
     if cp.has_section("twave"):
-        twave_spec = TwaveSpec(
+        front = dict(
             t_minus=_get_number(cp, "twave", "t_minus", required=True),
             t_plus=_get_number(cp, "twave", "t_plus", required=True),
             xi_span=_get_number(cp, "twave", "xi_span", 200.0),
@@ -252,29 +245,44 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
         output_stride=_get_number(cp, "solver", "output_stride", 1, kind=int),
         blowup_threshold=_get_number(cp, "solver", "blowup_threshold", 1e6),
     )
-    solver = initial = None
+    solver = initial = problem = window = None
     if command in (Command.SIMULATE, Command.AUDIT, Command.ENERGY):
-        solver, initial = _stepping_inputs(command, params, response, grid, steps, shape)
+        solver, initial = _stepping_inputs(command, unit, response, grid, steps, shape)
+    elif command is Command.DISPERSION:
+        if k_values is None:
+            raise ConfigError("command 'dispersion' needs [dispersion] k_values")
+        try:  # the solvers' own checks: a rate variant, finite k*k (and k*k/gamma)
+            dispersion._accepted(unit.variant, unit.coefficient, k_values)
+        except ValueError as exc:
+            raise ConfigError(f"[dispersion] k_values rejected for the {unit.variant.value} "
+                              f"variant: {exc}") from exc
+    else:  # twave
+        if front is None:
+            raise ConfigError("command 'twave' needs a [twave] section")
+        try:  # the end-state algebra, the rate variant and the window
+            problem = twave.make_problem(
+                response, front["t_minus"], front["t_plus"], unit.variant, unit.coefficient)
+            window = twave._window(front["xi_span"], front["n_samples"])
+        except ValueError as exc:
+            raise ConfigError(f"[twave] {exc}") from exc
 
-    config = RunConfig(
+    return RunConfig(
         command=command,
         params=params,
-        response=response,
-        grid=grid,
+        unit=unit,
         solver=solver,
         initial=initial,
         k_values=k_values,
-        twave=twave_spec,
+        twave=problem,
+        window=window,
         out_dir=_get(cp, "output", "directory", "."),
         fmt=fmt,
     )
-    _validate_for_command(config)
-    return config
 
 
 def _stepping_inputs(
     command: Command,
-    params: core.ModelParams,
+    unit: core.ModelParams,
     response: con.ConstitutiveFunction,
     grid: Optional[core.Grid1D],
     steps: dict,
@@ -289,18 +297,14 @@ def _stepping_inputs(
         raise ConfigError(f"command '{command.value}' needs an [initial] section")
     if shape["type"] == "single_mode" and shape["k"] is None:
         raise ConfigError("[initial] type single_mode needs a wavenumber k")
-    if command is Command.AUDIT and params.variant is not core.Variant.STRESS_RATE:
+    if command is Command.AUDIT and unit.variant is not core.Variant.STRESS_RATE:
         # the audited rate gamma*(T_t)**2 is identically 0 without a gamma
         raise ConfigError(
             f"audit checks the stress-rate dissipation gamma*(T_t)**2 and needs "
-            f"the stress_rate variant, got {params.variant.value}"
+            f"the stress_rate variant, got {unit.variant.value}"
         )
-    # solver-level checks (positivity, dt ceiling) run against the
-    # dimensionless coefficients the solver will actually see
     try:
-        solver = pde.SolverConfig(
-            params=core.dimensionless_params(params), constitutive=response, **steps
-        )
+        solver = pde.SolverConfig(params=unit, constitutive=response, **steps)
         pde._check_step(solver, grid)
     except ValueError as exc:
         raise ConfigError(f"[solver] rejected: {exc}") from exc
@@ -320,36 +324,6 @@ def _stepping_inputs(
     except InvalidParameterError as exc:
         raise ConfigError(f"[initial] rejected: {exc}") from exc
     return solver, initial
-
-
-def _validate_for_command(config: RunConfig) -> None:
-    command = config.command
-    if command is Command.DISPERSION:
-        if config.params.variant is core.Variant.ELASTIC:
-            raise ConfigError("dispersion needs the stress_rate or strain_rate variant")
-        if config.k_values is None:
-            raise ConfigError("command 'dispersion' needs [dispersion] k_values")
-        try:  # the solvers' own checks: finite, >= 0, k*k (and k*k/gamma) finite
-            ks, _ = dispersion._wavenumbers(config.k_values)
-            unit = core.dimensionless_params(config.params)
-            if unit.variant is core.Variant.STRESS_RATE:
-                dispersion._ksq_over_gamma(unit.coefficient, ks)
-        except ValueError as exc:
-            raise ConfigError(f"[dispersion] k_values rejected: {exc}") from exc
-    elif command is Command.TWAVE:
-        if config.params.variant is core.Variant.ELASTIC:
-            raise ConfigError("twave needs the stress_rate or strain_rate variant")
-        if config.twave is None:
-            raise ConfigError("command 'twave' needs a [twave] section")
-        for key in ("t_minus", "t_plus"):
-            value = getattr(config.twave, key)
-            if not math.isfinite(value):
-                raise ConfigError(f"[twave] {key} must be finite, got {value}")
-        if config.twave.n_samples < 9:
-            raise ConfigError(f"[twave] n_samples must be >= 9, got {config.twave.n_samples}")
-        span = config.twave.xi_span
-        if not (math.isfinite(span) and span > 0.0):
-            raise ConfigError(f"[twave] xi_span must be positive and finite, got {span}")
 
 
 def _cell_csv(x) -> str:
@@ -451,7 +425,7 @@ def _run_simulate(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], di
 
 def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
     traj = pde.simulate(config.initial, config.solver)
-    reports = pde.energy_series(traj, config.solver.params, config.response)
+    reports = pde.energy_series(traj, config.unit, config.solver.constitutive)
     header = [field.name for field in fields(pde.EnergyReport)]
     columns = [np.array([getattr(r, h) for r in reports], dtype=float) for h in header]
     name = f"energy.{config.fmt}"
@@ -468,12 +442,12 @@ def _run_energy(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict
 def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
     traj = pde.simulate(config.initial, config.solver)
     # one history per node, audited in place in one call
-    audit = con.audit_dissipation(config.solver.params.gamma, traj.t, traj.stress)
+    audit = con.audit_dissipation(config.unit.gamma, traj.t, traj.stress)
     name = f"audit.{config.fmt}"
     _write_table(
         out_dir / name,
         ["node", "x", "min_rate", "total_dissipation", "passed"],
-        [np.arange(config.grid.n_nodes), config.grid.nodes(),
+        [np.arange(traj.grid.n_nodes), traj.grid.nodes(),
          audit.min_rate, audit.total_dissipation, audit.passed],
         config.fmt,
     )
@@ -488,9 +462,8 @@ def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]
 
 
 def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
-    unit = core.dimensionless_params(config.params)
-    variant = unit.variant
-    coeff = unit.coefficient
+    variant = config.unit.variant
+    coeff = config.unit.coefficient
     res = solve_dispersion(variant, coeff, config.k_values)
     n_modes, n_roots = res.roots.shape
     header = ["k", "classification", "max_real_part", "positive_real_root",
@@ -526,15 +499,15 @@ def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], 
 
 
 def _run_twave(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
-    unit = core.dimensionless_params(config.params)
-    problem = twave.make_problem(
-        config.response,
-        config.twave.t_minus,
-        config.twave.t_plus,
-        unit.variant,
-        unit.coefficient,
-    )
-    diag = twave.kink_exists(problem)
+    problem = config.twave
+    try:
+        profile = twave.kink_profile(problem, *config.window)
+    except NoKinkError as exc:
+        if exc.diagnostic is None:  # the front exists; its integration failed
+            raise
+        profile, diag = None, exc.diagnostic
+    else:
+        diag = profile.diagnostic
     extra = {
         "c_squared": problem.c_squared,
         "c": problem.c,
@@ -545,11 +518,8 @@ def _run_twave(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]
         "interior_zeros": [float(z) for z in diag.interior_zeros],
         "message": diag.message,
     }
-    if not diag.exists:
+    if profile is None:
         return (), extra
-    profile = twave.kink_profile(
-        problem, xi_span=config.twave.xi_span, n_samples=config.twave.n_samples
-    )
     extra["signed_speed"] = profile.signed_speed
     columns = (profile.xi, profile.T, profile.strain(profile.xi), profile.velocity(profile.xi))
     name = f"twave.{config.fmt}"

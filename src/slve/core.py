@@ -73,6 +73,14 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_count(name: str, value, least: int) -> int:
+    """value as an int, refusing anything but a whole real number >= least."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and int(value) == value and value >= least):
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid on [0, length].
@@ -90,12 +98,7 @@ class Grid1D:
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         if self.length <= 0.0:
             raise InvalidParameterError(f"length must be positive, got {self.length}")
-        n = self.n_cells
-        if not (isinstance(n, numbers.Real) and math.isfinite(n) and int(n) == n and n >= 4):
-            raise InvalidParameterError(
-                f"n_cells must be an integer >= 4, got {n!r}"
-            )
-        object.__setattr__(self, "n_cells", int(n))
+        object.__setattr__(self, "n_cells", _require_count("n_cells", self.n_cells, 4))
 
     @property
     def spacing(self) -> float:

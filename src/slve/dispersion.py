@@ -144,19 +144,27 @@ def _result(scalar, model, k, coeff, roots, k_critical, disc, positive) -> Dispe
     return DispersionResult(model, k, coeff, roots, classification, k_critical, disc, positive)
 
 
-def _positive(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
-    return value
+def _accepted(model, coeff, k):
+    """The (model, coefficient, wavenumbers) a solver runs, and whether k
+    was given as a scalar; the wavenumbers come back as a 1-D float array.
 
-
-def _wavenumbers(k):
-    """k as a 1-D float array, and whether it was given as a scalar.
-
-    Refuses k whose k*k overflows a double: the roots and the residuals
-    would be infinite.
+    Refuses an unknown model and the elastic variant, which has no rate
+    term; a coefficient that is not positive and finite; k that is not
+    finite and >= 0, or whose k*k overflows a double (the roots and the
+    residuals would be infinite); and, for the stress-rate model, k whose
+    k*k/gamma overflows (the companion matrix, and so every root, would not
+    be finite).
     """
+    try:
+        model = Variant(model)
+    except ValueError:
+        raise InvalidParameterError(f"no linearized model named {model!r}") from None
+    if model is Variant.ELASTIC:
+        raise InvalidParameterError("the elastic variant has no rate term to linearize")
+    name = "nu" if model is Variant.STRAIN_RATE else "gamma"
+    coeff = float(coeff)
+    if not math.isfinite(coeff) or coeff <= 0.0:
+        raise InvalidParameterError(f"{name} must be positive and finite, got {coeff}")
     k = np.asarray(k, dtype=float)
     if k.ndim > 1:
         raise InvalidParameterError(
@@ -170,7 +178,15 @@ def _wavenumbers(k):
         if math.isfinite(bad) and bad >= 0.0:
             raise InvalidParameterError(f"wavenumber {bad} is too large: k*k overflows a double")
         raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {bad}")
-    return ks, k.ndim == 0
+    if model is Variant.STRESS_RATE:
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(ks * ks / coeff)
+        if not finite.all():
+            raise InvalidParameterError(
+                f"wavenumber {float(ks[~finite][0])} is too large: "
+                "k*k/gamma overflows a double"
+            )
+    return model, coeff, ks, k.ndim == 0
 
 
 def _newton(r: np.ndarray, p_and_dp, steps: int) -> np.ndarray:
@@ -213,8 +229,7 @@ def strain_rate_dispersion(nu: float, k) -> DispersionResult:
     DispersionResult with two roots, k_critical = 2/nu, and discriminant
     k**2 * (nu**2 * k**2 - 4); batched along a leading axis for array k.
     """
-    nu = _positive("nu", nu)
-    k, scalar = _wavenumbers(k)
+    _, nu, k, scalar = _accepted(Variant.STRAIN_RATE, nu, k)
 
     kL = k.astype(_LD)
     b = _LD(nu) * kL * kL
@@ -237,19 +252,6 @@ def strain_rate_dispersion(nu: float, k) -> DispersionResult:
     return _result(scalar, Variant.STRAIN_RATE, k, nu, roots, 2.0 / nu, disc, None)
 
 
-def _ksq_over_gamma(gamma: float, k: np.ndarray) -> np.ndarray:
-    """k*k/gamma for every k, refusing a k where it overflows a double: the
-    stress-rate companion matrix, and so every root, would not be finite."""
-    with np.errstate(over="ignore"):
-        ratio = k * k / gamma
-    if not np.all(np.isfinite(ratio)):
-        k_big = float(k[~np.isfinite(ratio)][0])
-        raise InvalidParameterError(
-            f"wavenumber {k_big} is too large: k*k/gamma overflows a double"
-        )
-    return ratio
-
-
 def _companion_roots(gamma: float, k: np.ndarray) -> np.ndarray:
     """np.roots([gamma, -1, 0, -k*k]) for every k at once, bit for bit.
 
@@ -260,7 +262,7 @@ def _companion_roots(gamma: float, k: np.ndarray) -> np.ndarray:
     [1/gamma, 0, 0]; this does so wherever k*k/gamma is 0, since a start of
     0 for the real rate would never leave 0.
     """
-    ratio = _ksq_over_gamma(gamma, k)
+    ratio = k * k / gamma  # finite: _accepted refuses the rest
     companion = np.zeros((k.size, 3, 3))
     companion[:, 0, 0] = 1.0 / gamma
     companion[:, 0, 1] = -0.0
@@ -283,8 +285,7 @@ def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
     1-D array (k*k/gamma finite in double precision); the result is then
     batched along a leading axis.
     """
-    gamma = _positive("gamma", gamma)
-    k, scalar = _wavenumbers(k)
+    _, gamma, k, scalar = _accepted(Variant.STRESS_RATE, gamma, k)
 
     gL = _LD(gamma)
     kL = k.astype(_LD)
@@ -325,15 +326,10 @@ def solve_dispersion(model, coeff: float, k) -> DispersionResult:
     the elastic variant has no rate term and so no dispersion here.  k is a
     scalar or a 1-D array, as for the solvers themselves.
     """
-    try:
-        model = Variant(model)
-    except ValueError:
-        raise InvalidParameterError(f"no linearized model named {model!r}") from None
+    model = _accepted(model, coeff, k)[0]
     if model is Variant.STRAIN_RATE:
         return strain_rate_dispersion(coeff, k)
-    if model is Variant.STRESS_RATE:
-        return stress_rate_dispersion(coeff, k)
-    raise InvalidParameterError("the elastic variant has no rate term to linearize")
+    return stress_rate_dispersion(coeff, k)
 
 
 def locate_critical_wavenumber(nu: float, tol: float = 1e-8) -> float:

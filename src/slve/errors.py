@@ -65,7 +65,15 @@ class NoRealSpeedError(SlveError, ValueError):
 
 
 class NoKinkError(SlveError):
-    """No monotone front connects the requested end states."""
+    """No monotone front connects the requested end states.
+
+    diagnostic is the existence scan's KinkDiagnostic when the scan found
+    no front, None when the front exists but its integration failed.
+    """
+
+    def __init__(self, message: str, diagnostic=None):
+        super().__init__(message)
+        self.diagnostic = diagnostic
 
 
 class SpanTooShortError(SlveError):

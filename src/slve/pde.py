@@ -70,7 +70,6 @@ into the same RHS assembly but is deliberately out of scope.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Tuple
 
@@ -83,6 +82,7 @@ from .core import (
     Grid1D,
     ModelParams,
     Variant,
+    _require_count,
     _trapezoid,
     first_derivative,
     integrate_field,
@@ -181,19 +181,14 @@ class SolverConfig:
 
     def __post_init__(self):
         dt, t_final = _checked_times(self.dt, self.t_final)
-        stride = self.output_stride
-        if not (isinstance(stride, numbers.Real) and math.isfinite(stride)
-                and int(stride) == stride and stride >= 1):
-            raise InvalidParameterError(
-                f"output_stride must be an integer >= 1, got {stride!r}"
-            )
+        stride = _require_count("output_stride", self.output_stride, 1)
         if not math.isfinite(self.blowup_threshold) or self.blowup_threshold <= 0.0:
             raise InvalidParameterError(
                 f"blowup_threshold must be positive, got {self.blowup_threshold}"
             )
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "t_final", t_final)
-        object.__setattr__(self, "output_stride", int(stride))
+        object.__setattr__(self, "output_stride", stride)
         object.__setattr__(self, "blowup_threshold", float(self.blowup_threshold))
 
     @property

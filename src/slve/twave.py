@@ -22,9 +22,9 @@ the wave, eps = (T - A2) / c**2, v = -c * eps + const.
 A monotone heteroclinic front between the end states exists exactly when
 B(T) has no zero strictly between them; B vanishing identically (linear f)
 is the degenerate case where every speed-c profile family collapses and no
-front is selected.  When B's sign drives the raw ODE from T_plus to T_minus
-instead, the labeled profile is the xi-reflection of the raw one, i.e. the
-same front traveling at -c; profiles returned here always honor the labels
+front is selected.  When B's sign drives kappa*T' = B(T) from T_plus to
+T_minus instead, the front that honors the labels travels at -c and solves
+-kappa*T' = B(T); profiles returned here always honor the labels
 T(-infinity) = T_minus, T(+infinity) = T_plus and record the signed speed.
 """
 
@@ -38,7 +38,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .constitutive import ConstitutiveFunction
-from .core import Field, Grid1D, Variant
+from .core import Field, Grid1D, Variant, _require_count, _require_finite
 from .errors import (
     DegenerateEquilibriaError,
     InvalidParameterError,
@@ -98,11 +98,11 @@ def wave_speed(f: ConstitutiveFunction, t_minus: float, t_plus: float) -> Tuple[
         If the end states coincide in stress or in response value.
     NoRealSpeedError
         If the end states give c**2 <= 0 (response decreasing between them).
+    InvalidParameterError
+        If an end state is not finite; the message names it.
     """
-    t_minus = float(t_minus)
-    t_plus = float(t_plus)
-    if not (math.isfinite(t_minus) and math.isfinite(t_plus)):
-        raise InvalidParameterError("end states must be finite")
+    t_minus = _require_finite("t_minus", t_minus)
+    t_plus = _require_finite("t_plus", t_plus)
     if t_minus == t_plus:
         raise DegenerateEquilibriaError(f"end states coincide: {t_minus}")
     fm = float(f.value(t_minus))
@@ -283,8 +283,10 @@ class KinkProfile:
     Samples honor the labels (T runs from t_minus on the left to t_plus on
     the right) and are clamped to an end state when within 1e-10 of it.
     interpolant evaluates the unclamped dense solution inside the window and
-    the exact end states beyond it.  signed_speed is +c when the raw ODE
-    already runs with the labels, -c when the profile was xi-reflected.
+    the exact end states beyond it.  signed_speed is +c when B's sign already
+    drives T' = B(T)/kappa from t_minus to t_plus, -c when the labels need the
+    reversed direction.  diagnostic is the existence scan kink_profile ran,
+    so a caller has the verdict without scanning again.
     """
 
     problem: TravelingWaveProblem
@@ -293,13 +295,14 @@ class KinkProfile:
     signed_speed: float
     reversed_orientation: bool
     interpolant: Callable
+    diagnostic: KinkDiagnostic
 
     @property
     def kappa_signed(self) -> float:
         """Reduction coefficient for the propagating direction actually used.
 
-        kappa is odd in the speed (gamma*c^3 or nu*c), so a profile built by
-        xi-reflection satisfies its first-order equation with -kappa.
+        kappa is odd in the speed (gamma*c^3 or nu*c), so a front traveling
+        at -c satisfies its first-order equation with -kappa.
         """
         return -self.problem.kappa if self.reversed_orientation else self.problem.kappa
 
@@ -394,6 +397,14 @@ def _front_branch(
     return dense
 
 
+def _window(xi_span, n_samples) -> Tuple[float, int]:
+    """(xi_span, n_samples) as (float, int), refusing a span that is not a
+    positive finite number or a count that is not an integer >= 9."""
+    if not (isinstance(xi_span, numbers.Real) and math.isfinite(xi_span) and xi_span > 0.0):
+        raise InvalidParameterError(f"xi_span must be positive, got {xi_span!r}")
+    return float(xi_span), _require_count("n_samples", n_samples, 9)
+
+
 def kink_profile(
     problem: TravelingWaveProblem,
     xi_span: float = 200.0,
@@ -403,8 +414,10 @@ def kink_profile(
     midpoint stress of the end states, which sits at xi = 0.
 
     Each half of the window is one Dormand-Prince 5(4) run (_front_branch,
-    numpy and Python floats only) at rtol 1e-11, atol 1e-13, and the
-    interpolant evaluates its quartic dense output.
+    numpy and Python floats only) at rtol 1e-11, atol 1e-13, of
+    kappa_signed * T' = B(T), so T runs from t_minus to t_plus; the
+    interpolant evaluates its quartic dense output.  The existence scan runs
+    once and the profile carries its verdict as diagnostic.
 
     Parameters
     ----------
@@ -420,46 +433,37 @@ def kink_profile(
         When xi_span is not a positive finite number or n_samples not an
         integer >= 9.
     NoKinkError
-        When no monotone front connects the end states, or the integration
-        fails (a non-finite B, step-size underflow, the step budget).
+        When no monotone front connects the end states (the scan's
+        KinkDiagnostic is the error's diagnostic), or the integration fails
+        (a non-finite B, step-size underflow, the step budget; diagnostic
+        None).
     SpanTooShortError
         When the window ends are not within 1e-6 of the end states.
     """
-    if not (isinstance(xi_span, numbers.Real) and math.isfinite(xi_span) and xi_span > 0.0):
-        raise InvalidParameterError(f"xi_span must be positive, got {xi_span!r}")
-    if not (isinstance(n_samples, numbers.Real) and math.isfinite(n_samples)
-            and int(n_samples) == n_samples and n_samples >= 9):
-        raise InvalidParameterError(f"n_samples must be an integer >= 9, got {n_samples!r}")
+    xi_span, n_samples = _window(xi_span, n_samples)
     diag = kink_exists(problem)
     if not diag.exists:
-        raise NoKinkError(diag.message)
+        raise NoKinkError(diag.message, diagnostic=diag)
     center_value = 0.5 * (problem.t_minus + problem.t_plus)
-
-    half = 0.5 * float(xi_span)
-    # kappa*T' = B(T) forward in xi, and in s = -xi for the left half
-    fwd = _front_branch(problem, center_value, 1.0 / problem.kappa, half)
-    bwd = _front_branch(problem, center_value, -1.0 / problem.kappa, half)
-
     flip = diag.reversed_orientation
-    # raw ODE runs t_minus -> t_plus unless flipped
-    raw_left = problem.t_plus if flip else problem.t_minus
-    raw_right = problem.t_minus if flip else problem.t_plus
+    kappa_signed = -problem.kappa if flip else problem.kappa
 
-    def raw_eval(s: np.ndarray) -> np.ndarray:
-        out = np.full_like(s, np.nan)  # NaN fails every mask below
-        m_fwd = (s >= 0.0) & (s <= half)
-        m_bwd = (s < 0.0) & (s >= -half)
-        out[m_fwd] = fwd(s[m_fwd])
-        out[m_bwd] = bwd(-s[m_bwd])
-        out[s > half] = raw_right
-        out[s < -half] = raw_left
-        return out
+    half = 0.5 * xi_span
+    # kappa_signed*T' = B(T) forward in xi, and in s = -xi for the left half
+    right = _front_branch(problem, center_value, 1.0 / kappa_signed, half)
+    left = _front_branch(problem, center_value, -1.0 / kappa_signed, half)
 
     def interpolant(xi):
         arr = np.asarray(xi, dtype=float)
         scalar = arr.ndim == 0
-        s = -np.atleast_1d(arr) if flip else np.atleast_1d(arr)
-        out = raw_eval(s.astype(float))
+        xi = np.atleast_1d(arr)
+        out = np.full_like(xi, np.nan)  # NaN fails every mask below
+        m_right = (xi >= 0.0) & (xi <= half)
+        m_left = (xi < 0.0) & (xi >= -half)
+        out[m_right] = right(xi[m_right])
+        out[m_left] = left(-xi[m_left])
+        out[xi > half] = problem.t_plus
+        out[xi < -half] = problem.t_minus
         return float(out[0]) if scalar else out
 
     end_left = float(interpolant(-half))
@@ -472,8 +476,8 @@ def kink_profile(
             "increase xi_span"
         )
 
-    xi = np.linspace(-half, half, int(n_samples))
-    T = interpolant(xi).copy()
+    xi = np.linspace(-half, half, n_samples)
+    T = interpolant(xi)
     for eq in (problem.t_minus, problem.t_plus):
         T[np.abs(T - eq) < 1e-10] = eq
 
@@ -484,6 +488,7 @@ def kink_profile(
         signed_speed=-problem.c if flip else problem.c,
         reversed_orientation=flip,
         interpolant=interpolant,
+        diagnostic=diag,
     )
 
 

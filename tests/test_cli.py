@@ -445,8 +445,9 @@ class TestRunTwave:
         unit = core.dimensionless_params(config.params)
         spec = config.twave
         problem = twave.make_problem(
-            config.response, spec.t_minus, spec.t_plus, unit.variant, unit.coefficient)
-        profile = twave.kink_profile(problem, xi_span=spec.xi_span, n_samples=spec.n_samples)
+            spec.f, spec.t_minus, spec.t_plus, unit.variant, unit.coefficient)
+        xi_span, n_samples = config.window
+        profile = twave.kink_profile(problem, xi_span=xi_span, n_samples=n_samples)
         rows = [
             [float(xi), float(T), float(profile.strain(xi)), float(profile.velocity(xi))]
             for xi, T in zip(profile.xi, profile.T)
@@ -497,7 +498,7 @@ class TestRunEnergyAudit:
         traj = pde.simulate(config.initial, solver_config)
         rows = []
         summed = 0.0
-        for j, x in enumerate(config.grid.nodes().tolist()):
+        for j, x in enumerate(config.initial.grid.nodes().tolist()):
             audit = audit_dissipation(
                 solver_config.params.gamma, traj.t, np.ascontiguousarray(traj.stress[:, j:j + 1]))
             total = float(audit.total_dissipation[0])
@@ -632,6 +633,33 @@ class TestMain:
         assert record["category"] == "config"
         assert f"[twave] {key} must be finite" in record["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_coincident_end_states_exit_2(self, tmp_path, capsys):
+        # no front joins a state to itself: refused while parsing
+        ini = tmp_path / "run.ini"
+        text = TWAVE_INI.format(out=tmp_path / "out")
+        ini.write_text(text.replace("t_minus = 0.0", "t_minus = 0.5").replace(
+            "t_plus = 1.0", "t_plus = 0.5"))
+        assert main(["twave", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert "[twave]" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_twave_scans_for_the_front_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        scan = twave.kink_exists
+
+        def counted(problem):
+            calls.append(problem)
+            return scan(problem)
+
+        monkeypatch.setattr(twave, "kink_exists", counted)
+        ini = tmp_path / "run.ini"
+        ini.write_text(TWAVE_INI.format(out=tmp_path / "out"))
+        assert main(["twave", "--config", str(ini)]) == 0
+        assert json.loads(capsys.readouterr().out)["exists"] is True
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "initial,reason",

@@ -37,6 +37,15 @@ def saturating_problem(variant="stress_rate", coeff=1.0):
     return make_problem(f, 0.0, 1.0, variant, coeff)
 
 
+def interior_zero_response():
+    # the response of TestExistence's interior-zero case: B(T) = T - f(T)
+    # vanishes at T = 1/2 between the states 0 and 1
+    return custom_constitutive(
+        value=lambda T: T + 2.0 * T * (T - 1.0) * (T - 0.5),
+        derivative=lambda T: 1.0 + 2.0 * ((T - 1.0) * (T - 0.5) + T * (T - 0.5) + T * (T - 1.0)),
+    )
+
+
 class TestSpeed:
     def test_saturating_speed_exact(self):
         f = make_constitutive("saturating", beta=1.0, a=1.0)
@@ -207,6 +216,20 @@ class TestProfile:
         prob = make_problem(make_constitutive("linear"), 0.0, 1.0, "stress_rate", 1.0)
         with pytest.raises(NoKinkError):
             kink_profile(prob)
+
+    def test_no_kink_error_carries_the_scan(self):
+        prob = make_problem(interior_zero_response(), 0.0, 1.0, "stress_rate", 1.0)
+        with pytest.raises(NoKinkError) as info:
+            kink_profile(prob)
+        diag = info.value.diagnostic
+        assert not diag.exists and not diag.degenerate
+        assert diag.interior_zeros == kink_exists(prob).interior_zeros
+        assert str(info.value) == diag.message
+
+    def test_profile_carries_the_scan(self):
+        prof = kink_profile(saturating_problem())
+        assert prof.diagnostic == kink_exists(saturating_problem())
+        assert prof.diagnostic.reversed_orientation == prof.reversed_orientation
 
 
 def _oracle_samples(profile):
