@@ -557,7 +557,8 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
 def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
     """Vectorized invert(); the closed-form inverse when available."""
     y = np.asarray(y, dtype=float)
-    if (np.abs(y) >= f.bound).any():
+    # fmax skips NaN targets, which maximum would propagate; empty has no max
+    if y.size and np.fmax.reduce(np.abs(y), axis=None) >= f.bound:
         bad = float(y.flat[np.nanargmax(np.abs(y))])  # a NaN target never fails the bound check
         raise OutOfRangeError(
             f"target {bad} is outside the attainable range (|h| < {f.bound})"

@@ -279,13 +279,23 @@ def first_derivative(
         raise InvalidParameterError(
             f"out must have shape {values.shape} and share no memory with values"
         )
-    inner = out[1:-1]
-    np.subtract(values[2:], values[:-2], out=inner)
-    inner /= width
+    return _centered(values, width, periodic, out)
+
+
+def _centered(values: np.ndarray, width: float, periodic: bool, out: np.ndarray) -> np.ndarray:
+    """The stencil of first_derivative, unchecked: width = 2*spacing, and out
+    is a float array of the shape of values that shares no memory with it.
+
+    Every entry's difference, ends included, is written first and the row
+    divided once, the IEEE operations of the per-entry formulas
+    (values[i+1] - values[i-1]) / width and the one-sided end stencils.
+    """
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
     if periodic:  # wrapped ends
-        out[0] = (values[1] - values[-1]) / width
-        out[-1] = (values[0] - values[-2]) / width
+        out[0] = values[1] - values[-1]
+        out[-1] = values[0] - values[-2]
     else:
-        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / width
-        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / width
+        out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
+        out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+    out /= width
     return out

@@ -36,6 +36,10 @@ slopes, the stage state and two result buffers used in alternation.  The
 stage sums and the stencils write into these buffers; only the response
 calls and the blow-up check make temporaries of their own.  A yielded state
 is valid only until the next iteration, so callers copy what they keep.
+Arguments are checked once per run, not per stage: the strain-rate stages
+take their stencil from core's unchecked kernel (first_derivative is its
+checks plus that kernel, so the bits agree), since _march's buffers never
+alias and keep the grid's shape.
 
 With a linear response on a periodic grid the scheme is a linear
 recurrence: a step of length h multiplies each spatial Fourier mode by
@@ -82,6 +86,7 @@ from .core import (
     Grid1D,
     ModelParams,
     Variant,
+    _centered,
     _require_count,
     _trapezoid,
     first_derivative,
@@ -261,14 +266,17 @@ def _make_rhs(
     elif variant is Variant.STRAIN_RATE:
         nu = params.nu
         target = np.empty(grid.n_nodes)
+        width = 2.0 * dx
+        periodic = bdy is Boundary.PERIODIC
+        unit_density = rho == 1.0  # dividing by 1.0 is exact: skip it
 
         def rhs(Y, out):
-            v, eps = Y
             # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
-            vx = first_derivative(v, dx, bdy, out[1])
-            T = _reconstruct_stress(f, np.add(eps, np.multiply(vx, nu, out=target), out=target))
-            first_derivative(T, dx, bdy, out[0])
-            out[0] /= rho
+            vx = _centered(Y[0], width, periodic, out[1])
+            T = _reconstruct_stress(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target))
+            _centered(T, width, periodic, out[0])
+            if not unit_density:
+                out[0] /= rho
             if pinned:
                 out[:, 0] = 0.0
                 out[:, -1] = 0.0

@@ -272,7 +272,7 @@ def kink_exists(problem: TravelingWaveProblem) -> KinkDiagnostic:
         reversed_orientation=reversed_orientation,
         interior_zeros=(),
         message="monotone front exists"
-        + (" (labels honored by xi-reflection, speed -c)" if reversed_orientation else ""),
+        + (" (B reversed: kappa_signed = -kappa, speed -c)" if reversed_orientation else ""),
     )
 
 

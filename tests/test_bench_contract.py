@@ -57,7 +57,8 @@ def test_tracer_wraps_and_restores_the_pde_layers(tracing):
         tracer.restore()
     assert len(traj) == 9 and len(reports) == 7
     for name in ("pde.simulate", "pde.energy_series", "pde.total_energy",
-                 "pde.stored_energy_density", "core.integrate_field", "core.Field.init"):
+                 "pde.stored_energy_density", "core.integrate_field", "core.Field.init",
+                 "core.first_derivative"):
         assert metrics[f"{name}.calls"] >= 1, name
     assert metrics["pde.steps"] == 8 and metrics["pde.snapshots"] == 9
     assert metrics["pde.energy_reports"] == 7

@@ -255,6 +255,13 @@ class TestInvert:
         T = invert_array(h, y)
         assert np.max(np.abs(np.asarray(h(T)) - y)) < 1e-11
 
+    def test_invert_array_passes_empty_and_all_nan_batches(self):
+        # the bound check reduces to one largest |target|, which neither an
+        # empty nor an all-NaN batch has
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        assert invert_array(h, np.array([])).shape == (0,)
+        assert np.all(np.isnan(invert_array(h, np.full((2, 2), np.nan))))
+
     def test_invert_array_out_of_range_element(self):
         h = make_constitutive("arctan", beta=1.0)
         with pytest.raises(OutOfRangeError):

@@ -251,3 +251,37 @@ class TestDerivatives:
             d1_ref = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * spacing)
             d1 = first_derivative(v, spacing, periodic)
         assert np.array_equal(d1, d1_ref, equal_nan=True)
+
+    @given(
+        st.one_of(
+            arrays(
+                np.float64,
+                st.integers(min_value=4, max_value=300),
+                elements=st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            arrays(
+                np.int64,
+                st.integers(min_value=4, max_value=300),
+                elements=st.integers(min_value=-(2**31), max_value=2**31),
+            ),
+        ),
+        st.floats(min_value=1e-6, max_value=1e3),
+        st.sampled_from(list(Boundary)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stencils_match_the_per_entry_formulas(self, v, spacing, boundary):
+        # the kernel divides the whole row once; each entry must keep the
+        # bits of its own formula, ends included, overflow to inf/nan too
+        w = 2.0 * spacing
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = np.empty(v.shape)
+            ref[1:-1] = (v[2:] - v[:-2]) / w
+            if boundary is Boundary.PERIODIC:
+                ref[0] = (v[1] - v[-1]) / w
+                ref[-1] = (v[0] - v[-2]) / w
+            else:
+                ref[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / w
+                ref[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / w
+            d1 = first_derivative(v, spacing, boundary)
+        assert d1.dtype == np.float64
+        assert np.array_equal(d1, ref, equal_nan=True)

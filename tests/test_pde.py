@@ -113,36 +113,48 @@ class TestRhs:
 class TestFastPathMatchesReference:
     def test_strain_rate_rhs_takes_two_derivatives(self, monkeypatch):
         # v_x is computed once per stage and shared with the stress
-        # reconstruction: one derivative of v, one of T per stage, plus the
-        # stress reconstruction of the initial and the final snapshot
+        # reconstruction: one stencil pass over v, one over T per stage, plus
+        # the stress reconstruction of the initial and the final snapshot
+        import slve.core
         import slve.pde
 
-        calls = []
-        original = slve.pde.first_derivative
+        passes, checked = [], []
+        kernel, public = slve.core._centered, slve.pde.first_derivative
 
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
+        def counting_kernel(*args):
+            passes.append(1)
+            return kernel(*args)
 
-        monkeypatch.setattr(slve.pde, "first_derivative", counting)
+        def counting_public(*args):
+            checked.append(1)
+            return public(*args)
+
+        # the stages call pde's binding of the kernel, first_derivative core's
+        monkeypatch.setattr(slve.pde, "_centered", counting_kernel)
+        monkeypatch.setattr(slve.core, "_centered", counting_kernel)
+        monkeypatch.setattr(slve.pde, "first_derivative", counting_public)
         g = periodic_grid(32)
         gfun = make_constitutive("saturating", beta=1.0, a=2.0)
         st = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
         states = one_step(st, ModelParams(variant="strain_rate", nu=0.5), gfun)
         assert len(states) == 2
-        assert len(calls) == 1 + 4 * 2 + 1
+        assert len(passes) == 1 + 4 * 2 + 1
+        # the stages skip the checks; only the two snapshots pass through them
+        assert len(checked) == 2
 
-    def test_strain_rate_simulate_matches_reference_rk4(self):
-        # reference: np.roll stencil, v_x taken separately for the stress,
-        # eps_t = v_x, out-of-place RK4 stage sums; the fast path must agree
-        # bit for bit
-        g = periodic_grid(48)
+    @staticmethod
+    def _strain_rate_matches_reference_rk4(boundary, rho):
+        # reference: np.roll or one-sided end stencils, v_x taken separately
+        # for the stress, eps_t = v_x, out-of-place RHS and RK4 stage sums
+        # with every division written out; the fast path must agree bit for
+        # bit, the landing step included
+        g = Grid1D(length=L, n_cells=48, boundary=boundary)
         gfun = make_constitutive("saturating", beta=1.0, a=2.0)
         nu, dx = 0.5, g.spacing
         dt = 0.2 * dx * dx / nu
         st0 = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
         cfg = SolverConfig(
-            params=ModelParams(variant="strain_rate", nu=nu),
+            params=ModelParams(variant="strain_rate", nu=nu, rho=rho),
             constitutive=gfun,
             dt=dt,
             t_final=40.5 * dt,
@@ -150,7 +162,13 @@ class TestFastPathMatchesReference:
         )
 
         def d1(u):
-            return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+            if boundary == "periodic":
+                return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+            du = np.empty_like(u)
+            du[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+            du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
+            du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
+            return du
 
         def stress(v, eps):
             return np.asarray(gfun.inverse(eps + nu * d1(v)), dtype=float)
@@ -159,7 +177,11 @@ class TestFastPathMatchesReference:
             v, eps = Y
             vx = d1(v)
             T = stress(v, eps)
-            return np.array([d1(T), vx])
+            dY = np.array([d1(T) / rho, vx])
+            if boundary == "dirichlet_zero":
+                dY[:, 0] = 0.0
+                dY[:, -1] = 0.0
+            return dY
 
         Y = np.array([st0.v.values, st0.eps.values])
         ref = [Y]
@@ -178,6 +200,17 @@ class TestFastPathMatchesReference:
             assert np.array_equal(s.v.values, Yr[0])
             assert np.array_equal(s.eps.values, Yr[1])
             assert np.array_equal(s.stress.values, stress(Yr[0], Yr[1]))
+
+    def test_strain_rate_simulate_matches_reference_rk4(self):
+        self._strain_rate_matches_reference_rk4("periodic", 1.0)
+
+    @pytest.mark.parametrize(
+        "boundary, rho", [("dirichlet_zero", 1.0), ("periodic", 2.0), ("dirichlet_zero", 2.0)]
+    )
+    def test_strain_rate_pinned_and_rho2_match_reference_rk4(self, boundary, rho):
+        # the kernel's one-sided end rows, the pinned ends and the division
+        # by rho, skipped only at rho = 1
+        self._strain_rate_matches_reference_rk4(boundary, rho)
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet_zero"])
     @pytest.mark.parametrize(
