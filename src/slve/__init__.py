@@ -68,10 +68,10 @@ from .pde import (
     Trajectory,
     energy_series,
     gaussian_bump_state,
+    plan,
     relax_stress,
     simulate,
     single_mode_state,
-    stability_ceiling,
     stored_energy_density,
     total_energy,
     zero_state,
@@ -129,8 +129,8 @@ __all__ = [
     "Trajectory",
     "SolverConfig",
     "EnergyReport",
+    "plan",
     "simulate",
-    "stability_ceiling",
     "stored_energy_density",
     "total_energy",
     "energy_series",

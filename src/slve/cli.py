@@ -304,15 +304,6 @@ def _stepping_inputs(
             f"the stress_rate variant, got {unit.variant.value}"
         )
     try:
-        solver = pde.SolverConfig(params=unit, constitutive=response, **steps)
-        pde._check_step(solver, grid)
-    except ValueError as exc:
-        raise ConfigError(f"[solver] rejected: {exc}") from exc
-    if command is not Command.SIMULATE and pde._snapshot_count(solver) < 3:
-        raise ConfigError(
-            f"{command.value} needs at least 3 output samples; lower output_stride or dt"
-        )
-    try:
         if shape["type"] == "zero":
             initial = pde.zero_state(grid)
         elif shape["type"] == "gaussian_bump":
@@ -323,6 +314,15 @@ def _stepping_inputs(
             initial = pde.single_mode_state(grid, response, shape["k"], shape["amplitude"])
     except InvalidParameterError as exc:
         raise ConfigError(f"[initial] rejected: {exc}") from exc
+    try:
+        solver = pde.SolverConfig(params=unit, constitutive=response, **steps)
+        snapshots = pde.plan(initial, solver).snapshots
+    except ValueError as exc:
+        raise ConfigError(f"[solver] rejected: {exc}") from exc
+    if command is not Command.SIMULATE and snapshots < 3:
+        raise ConfigError(
+            f"{command.value} needs at least 3 output samples; lower output_stride or dt"
+        )
     return solver, initial
 
 

@@ -2,7 +2,7 @@
 
 Both models share the kinematics and momentum balance
 
-    v_t = T_x / rho,      eps_t = v_x,
+    v_t = T_x,      eps_t = v_x,
 
 and differ in the constitutive closure.  As first-order systems:
 
@@ -14,9 +14,9 @@ and differ in the constitutive closure.  As first-order systems:
 The strain-rate closure eps + nu*eps_t = g(T) is the stress reconstruction
 itself, so that model's strain follows the kinematics alone.
 
-Solvers assume the dimensionless unit form rho = mu = length_scale = 1
-produced by core.dimensionless_params (rho is kept explicit in the formulas,
-so consistent non-unit systems also integrate correctly).
+The solvers run only the dimensionless unit form rho = mu = length_scale = 1
+of core.dimensionless_params: SolverConfig and total_energy refuse any other
+params, so no formula here carries rho, mu or length_scale.
 
 Space: second-order centered differences, periodic wrap or one-sided
 second-order stencils with pinned values at dirichlet_zero ends.  Time:
@@ -27,7 +27,7 @@ explicit stability ceiling
     strain-rate:  dt <= min(0.5*dx, 0.25*dx**2/nu)
     elastic:      dt <= 0.5*dx
 
-(a dt above the ceiling is a configuration error, not a warning).
+(plan refuses a dt above the ceiling: a configuration error, not a warning).
 
 Both time integrations, simulate and relax_stress, step through one RK4
 loop, _march.  A right-hand side is called as rhs(Y, out) and writes dY/dt
@@ -48,11 +48,11 @@ variant's symbol at the stencil's wavenumber kappa = sin(k dx)/dx, whose
 eigenvalues are the dispersion rates at kappa.  The Nyquist mode has
 kappa = 0, so the strain-rate scheme leaves a checkerboard untouched.
 
-Energy: with stored density rho*omega = T*eps - H(T) (stress-rate, elastic)
+Energy: with stored density omega = T*eps - H(T) (stress-rate, elastic)
 or T*g(T) - G1(T) (strain-rate), total energy obeys
 
-    d/dt int (rho/2) v**2 + rho*omega dx  =  - gamma * int (T_t)**2 dx
-                                          =  - (nu/rho) * int (T_x)**2 dx
+    d/dt int v**2/2 + omega dx  =  - gamma * int (T_t)**2 dx
+                                =  - nu * int (T_x)**2 dx
 
 for the stress-rate / strain-rate model respectively.  The stress-rate
 density is not sign-definite (H grows like T**2/2 only near 0), which is why
@@ -105,9 +105,10 @@ __all__ = [
     "SimState",
     "Trajectory",
     "SolverConfig",
+    "RunPlan",
     "EnergyReport",
+    "plan",
     "simulate",
-    "stability_ceiling",
     "stored_energy_density",
     "total_energy",
     "energy_series",
@@ -185,6 +186,7 @@ class SolverConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
+        _require_unit_form(self.params)
         dt, t_final = _checked_times(self.dt, self.t_final)
         stride = _require_count("output_stride", self.output_stride, 1)
         if not math.isfinite(self.blowup_threshold) or self.blowup_threshold <= 0.0:
@@ -201,24 +203,38 @@ class SolverConfig:
         return self.params.variant
 
 
-def stability_ceiling(variant: Variant, grid: Grid1D, params: ModelParams) -> float:
-    """Largest admissible RK4 step for this variant on this grid."""
-    dx = grid.spacing
-    variant = Variant(variant)
-    if variant is Variant.STRESS_RATE:
-        return min(0.5 * dx, 0.5 * params.gamma)
-    if variant is Variant.STRAIN_RATE:
-        return min(0.5 * dx, 0.25 * dx * dx / params.nu)
-    return 0.5 * dx
+def _require_unit_form(params: ModelParams) -> None:
+    if (params.rho, params.mu, params.length_scale) != (1.0, 1.0, 1.0):
+        raise InvalidParameterError(
+            f"the solvers run the unit form rho = mu = length_scale = 1, got rho = {params.rho}, "
+            f"mu = {params.mu}, length_scale = {params.length_scale}; "
+            "pass core.dimensionless_params(params)")
 
 
-def _check_step(config: SolverConfig, grid: Grid1D) -> None:
-    ceiling = stability_ceiling(config.variant, grid, config.params)
+@dataclass(frozen=True)
+class RunPlan:
+    """What simulate will do, decided before it starts."""
+
+    ceiling: float  # the largest admissible RK4 step for the variant on the grid
+    snapshots: int  # the initial state, every output_stride-th step and the last
+
+
+def plan(initial: SimState, config: SolverConfig) -> RunPlan:
+    """The plan of simulate(initial, config); a dt over the ceiling is refused."""
+    dx = initial.grid.spacing
+    if config.variant is Variant.STRESS_RATE:
+        ceiling = min(0.5 * dx, 0.5 * config.params.gamma)
+    elif config.variant is Variant.STRAIN_RATE:
+        ceiling = min(0.5 * dx, 0.25 * dx * dx / config.params.nu)
+    else:
+        ceiling = 0.5 * dx
     if config.dt > ceiling:
         raise InvalidParameterError(
             f"dt = {config.dt} exceeds the stability ceiling {ceiling:.6g} "
-            f"for variant {config.variant.value} on spacing {grid.spacing:.6g}"
+            f"for variant {config.variant.value} on spacing {dx:.6g}"
         )
+    n_steps = _landing(config.dt, config.t_final)[1]
+    return RunPlan(ceiling=ceiling, snapshots=1 + -(-n_steps // config.output_stride))
 
 
 def _reconstruct_stress(f: ConstitutiveFunction, target: np.ndarray) -> np.ndarray:
@@ -246,7 +262,6 @@ def _make_rhs(
     variant; it writes the rows of dY/dt into out."""
     dx = grid.spacing
     bdy = grid.boundary
-    rho = params.rho
     pinned = bdy is Boundary.DIRICHLET_ZERO
 
     if variant is Variant.STRESS_RATE:
@@ -255,7 +270,6 @@ def _make_rhs(
         def rhs(Y, out):
             v, eps, T = Y
             first_derivative(T, dx, bdy, out[0])
-            out[0] /= rho
             first_derivative(v, dx, bdy, out[1])
             np.subtract(f.value(T), eps, out=out[2])
             out[2] /= gamma
@@ -268,15 +282,12 @@ def _make_rhs(
         target = np.empty(grid.n_nodes)
         width = 2.0 * dx
         periodic = bdy is Boundary.PERIODIC
-        unit_density = rho == 1.0  # dividing by 1.0 is exact: skip it
 
         def rhs(Y, out):
             # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
             vx = _centered(Y[0], width, periodic, out[1])
             T = _reconstruct_stress(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target))
             _centered(T, width, periodic, out[0])
-            if not unit_density:
-                out[0] /= rho
             if pinned:
                 out[:, 0] = 0.0
                 out[:, -1] = 0.0
@@ -286,7 +297,6 @@ def _make_rhs(
         def rhs(Y, out):
             v, T = Y
             first_derivative(T, dx, bdy, out[0])
-            out[0] /= rho
             first_derivative(v, dx, bdy, out[1])
             out[1] /= f.derivative(T)
             if pinned:
@@ -367,12 +377,6 @@ def _landing(dt: float, t_final: float) -> Tuple[int, int, float]:
     return n_full, n_full + (1 if remainder > 1e-12 * dt else 0), remainder
 
 
-def _snapshot_count(config: SolverConfig) -> int:
-    """Snapshots simulate records: the initial, every output_stride-th and the last."""
-    n_steps = _landing(config.dt, config.t_final)[1]
-    return 1 + -(-n_steps // config.output_stride)
-
-
 def _march(rhs, Y: np.ndarray, t_final: float, dt: float) -> Iterator[Tuple[float, np.ndarray]]:
     """Fixed-step RK4 from t = 0 to t_final, yielding (t, Y) after each step.
 
@@ -409,14 +413,12 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
         When the strain-rate stress reconstruction reaches the strain limit;
         carries the node.  Both carry the snapshots so far as ``partial``.
     """
+    n = plan(initial, config).snapshots
     grid = initial.grid
-    _check_step(config, grid)
     variant = config.variant
     rhs = _make_rhs(variant, config.constitutive, config.params, grid)
     Y = _pack(initial, variant)
     t0 = float(initial.t)
-
-    n = _snapshot_count(config)
     t = np.full(n, t0)
     fields = np.empty((n, 3, grid.n_nodes))
     k = 0  # snapshots kept; t[k] holds the current step's time until one is
@@ -438,11 +440,11 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
 
 
 def stored_energy_density(variant: Variant, f: ConstitutiveFunction, T, eps):
-    """Stored energy per unit length, rho*omega.
+    """Stored energy per unit length, omega.
 
     stress-rate and elastic: T*eps - H(T) (not sign-definite, and unbounded
     below in T for bounded h), with H the antiderivative of h: the
-    complementary potential rho*phi_c = H, and the Gibbs potential G = -H;
+    complementary potential phi_c = H, and the Gibbs potential G = -H;
     strain-rate: T*g(T) - G1(T), nonnegative for monotone g.
     """
     variant = Variant(variant)
@@ -454,8 +456,9 @@ def stored_energy_density(variant: Variant, f: ConstitutiveFunction, T, eps):
 
 
 def total_energy(state: SimState, params: ModelParams, f: ConstitutiveFunction) -> float:
-    """Kinetic plus stored energy over the grid."""
-    ke = 0.5 * params.rho * state.v.values**2
+    """Kinetic plus stored energy over the grid, for unit-form params."""
+    _require_unit_form(params)
+    ke = 0.5 * state.v.values**2
     se = stored_energy_density(params.variant, f, state.stress.values, state.eps.values)
     return float(integrate_field(Field(ke + se, state.grid)))
 
@@ -481,7 +484,7 @@ def _dissipation_rates(T, eps, params: ModelParams, f: ConstitutiveFunction, gri
         T_x = np.empty(T.shape)
         for row, out in zip(T, T_x):
             first_derivative(row, grid.spacing, grid.boundary, out=out)
-        return _trapezoid(T_x * T_x, grid) * params.nu / params.rho
+        return _trapezoid(T_x * T_x, grid) * params.nu
     return np.zeros(len(T))
 
 
@@ -521,7 +524,7 @@ def energy_series(
     kinetic, internal, dissipation = [], [], []
     for lo in range(0, mids.size, rows):
         v, eps, T = traj.fields[mids[lo:lo + rows]].transpose(1, 0, 2)
-        kinetic += _trapezoid(0.5 * params.rho * v**2, grid).tolist()
+        kinetic += _trapezoid(0.5 * v**2, grid).tolist()
         internal += _trapezoid(stored_energy_density(params.variant, f, T, eps), grid).tolist()
         dissipation += _dissipation_rates(T, eps, params, f, grid).tolist()
     residual = np.abs(dEdt + dissipation).tolist()

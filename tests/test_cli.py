@@ -465,6 +465,27 @@ class TestRunEnergyAudit:
         assert lines[0] == "t,kinetic,internal,total,dissipation_rate,balance_residual"
         assert len(lines) >= 2
 
+    def test_dimensional_model_runs_its_unit_form(self, tmp_path):
+        # the CLI hands the solvers the unit form: a dimensional [model] gives
+        # the bytes of the same config written with its scaled coefficients
+        text = SIM_INI.replace("command = simulate", "command = energy")
+        model = "variant = stress_rate\ngamma = 1.0"
+        params = core.ModelParams(variant="stress_rate", rho=4.0, mu=2.0, length_scale=0.5,
+                                  gamma=1.0)
+        scales = core.nondimensionalize(params)
+        cases = {
+            "dimensional": model + "\nrho = 4\nmu = 2\nlength_scale = 0.5",
+            "unit": f"variant = stress_rate\nnu = {scales.nu_bar!r}\ngamma = {scales.gamma_bar!r}",
+        }
+        written = {}
+        for name, section in cases.items():
+            ini = tmp_path / f"{name}.ini"
+            ini.write_text(text.replace(model, section).format(out=tmp_path / name))
+            assert main(["energy", "--config", str(ini)]) == 0
+            written[name] = (tmp_path / name / "energy.csv").read_bytes()
+        assert scales.gamma_bar != 1.0
+        assert written["dimensional"] == written["unit"]
+
     @pytest.mark.parametrize("command", ["energy", "audit"])
     def test_too_few_samples_refused_before_running(self, tmp_path, capsys, command):
         # t_final = 2*dt at stride 2 records 2 samples: no centered stencil

@@ -25,11 +25,11 @@ from slve import (
     gaussian_bump_state,
     invert,
     make_constitutive,
+    plan,
     relax_stress,
     simulate,
     single_mode_state,
     solve_dispersion,
-    stability_ceiling,
     stored_energy_density,
     stress_rate_dispersion,
     total_energy,
@@ -143,7 +143,7 @@ class TestFastPathMatchesReference:
         assert len(checked) == 2
 
     @staticmethod
-    def _strain_rate_matches_reference_rk4(boundary, rho):
+    def _strain_rate_matches_reference_rk4(boundary):
         # reference: np.roll or one-sided end stencils, v_x taken separately
         # for the stress, eps_t = v_x, out-of-place RHS and RK4 stage sums
         # with every division written out; the fast path must agree bit for
@@ -154,7 +154,7 @@ class TestFastPathMatchesReference:
         dt = 0.2 * dx * dx / nu
         st0 = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
         cfg = SolverConfig(
-            params=ModelParams(variant="strain_rate", nu=nu, rho=rho),
+            params=ModelParams(variant="strain_rate", nu=nu),
             constitutive=gfun,
             dt=dt,
             t_final=40.5 * dt,
@@ -177,7 +177,7 @@ class TestFastPathMatchesReference:
             v, eps = Y
             vx = d1(v)
             T = stress(v, eps)
-            dY = np.array([d1(T) / rho, vx])
+            dY = np.array([d1(T), vx])
             if boundary == "dirichlet_zero":
                 dY[:, 0] = 0.0
                 dY[:, -1] = 0.0
@@ -202,15 +202,11 @@ class TestFastPathMatchesReference:
             assert np.array_equal(s.stress.values, stress(Yr[0], Yr[1]))
 
     def test_strain_rate_simulate_matches_reference_rk4(self):
-        self._strain_rate_matches_reference_rk4("periodic", 1.0)
+        self._strain_rate_matches_reference_rk4("periodic")
 
-    @pytest.mark.parametrize(
-        "boundary, rho", [("dirichlet_zero", 1.0), ("periodic", 2.0), ("dirichlet_zero", 2.0)]
-    )
-    def test_strain_rate_pinned_and_rho2_match_reference_rk4(self, boundary, rho):
-        # the kernel's one-sided end rows, the pinned ends and the division
-        # by rho, skipped only at rho = 1
-        self._strain_rate_matches_reference_rk4(boundary, rho)
+    def test_strain_rate_pinned_matches_reference_rk4(self):
+        # the kernel's one-sided end rows and the pinned ends
+        self._strain_rate_matches_reference_rk4("dirichlet_zero")
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet_zero"])
     @pytest.mark.parametrize(
@@ -240,7 +236,7 @@ class TestFastPathMatchesReference:
         if params.variant == "stress_rate":
             def rhs(Y):
                 v, eps, T = Y
-                return np.array([d1(T) / params.rho, d1(v), (h.value(T) - eps) / params.gamma])
+                return np.array([d1(T), d1(v), (h.value(T) - eps) / params.gamma])
 
             Y = np.array([st0.v.values, st0.eps.values, st0.stress.values])
 
@@ -250,7 +246,7 @@ class TestFastPathMatchesReference:
         else:
             def rhs(Y):
                 v, T = Y
-                return np.array([d1(T) / params.rho, d1(v) / h.derivative(T)])
+                return np.array([d1(T), d1(v) / h.derivative(T)])
 
             Y = np.array([st0.v.values, st0.stress.values])
 
@@ -448,15 +444,13 @@ class TestTrajectory:
     )
     def test_snapshot_count_matches_simulate(self, dt, t_final, stride):
         # the CLI refuses short energy/audit runs by this count before running
-        import slve.pde
-
         g = periodic_grid(16)
         h = make_constitutive("linear")
         cfg = SolverConfig(
             params=ModelParams(variant="elastic"), constitutive=h,
             dt=dt, t_final=t_final, output_stride=stride,
         )
-        assert slve.pde._snapshot_count(cfg) == len(simulate(zero_state(g), cfg))
+        assert plan(zero_state(g), cfg).snapshots == len(simulate(zero_state(g), cfg))
 
 
 class TestStepper:
@@ -495,7 +489,8 @@ class TestStepper:
         g = periodic_grid(64)
         h = make_constitutive("linear")
         p = ModelParams(variant=variant, **kw)
-        ceiling = stability_ceiling(p.variant, g, p)
+        cfg = SolverConfig(params=p, constitutive=h, dt=1e-6, t_final=1.0)
+        ceiling = plan(zero_state(g), cfg).ceiling
         assert ceiling == pytest.approx(expect(g.spacing))
         cfg = SolverConfig(params=p, constitutive=h, dt=1.01 * ceiling, t_final=1.0)
         with pytest.raises(InvalidParameterError, match="ceiling"):
@@ -504,7 +499,25 @@ class TestStepper:
     def test_small_gamma_caps_the_step(self):
         g = periodic_grid(8)  # dx large, so the relaxation time dominates
         p = ModelParams(variant="stress_rate", gamma=0.01)
-        assert stability_ceiling(p.variant, g, p) == pytest.approx(0.005)
+        cfg = SolverConfig(params=p, constitutive=make_constitutive("linear"), dt=1e-6, t_final=1.0)
+        assert plan(zero_state(g), cfg).ceiling == pytest.approx(0.005)
+
+    @pytest.mark.parametrize("scale", ["rho", "mu", "length_scale"])
+    def test_non_unit_params_refused(self, scale):
+        # the solvers run core.dimensionless_params' unit form and no other
+        g = periodic_grid(16)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        unit = ModelParams(variant="strain_rate", nu=0.5)
+        scaled = dataclasses.replace(unit, **{scale: 2.0})
+        dt = 0.2 * g.spacing**2 / 0.5
+        with pytest.raises(InvalidParameterError, match="dimensionless_params"):
+            SolverConfig(params=scaled, constitutive=h, dt=dt, t_final=4 * dt)
+        st0 = gaussian_bump_state(g, h, center=np.pi, width=0.5, amplitude=0.4)
+        traj = simulate(st0, SolverConfig(params=unit, constitutive=h, dt=dt, t_final=4 * dt))
+        with pytest.raises(InvalidParameterError, match="dimensionless_params"):
+            total_energy(traj[0], scaled, h)
+        with pytest.raises(InvalidParameterError, match="dimensionless_params"):
+            energy_series(traj, scaled, h)
 
     def test_solver_config_validation(self):
         h = make_constitutive("linear")
@@ -597,7 +610,7 @@ class TestStepper:
     def test_dirichlet_ends_stay_pinned(self):
         # pinning acts on the evolved fields: v and eps never leave zero at
         # the walls.  The reconstructed stress is NOT pinned; the viscous
-        # branch of this model spreads v with diffusivity nu/rho, so a small
+        # branch of this model spreads v with diffusivity nu, so a small
         # wall stress appears immediately and that is correct behavior.
         g = Grid1D(length=1.0, n_cells=40, boundary="dirichlet_zero")
         h = make_constitutive("saturating", beta=1.0, a=2.0)
@@ -874,14 +887,14 @@ class TestEnergy:
             def reference(prev_s, mid_s, next_s):
                 d1, d2 = mid_s.t - prev_s.t, next_s.t - mid_s.t
                 T, eps = mid_s.stress.values, mid_s.eps.values
-                kinetic = integral(0.5 * p.rho * mid_s.v.values**2)
+                kinetic = integral(0.5 * mid_s.v.values**2)
                 internal = integral(stored_energy_density(variant, f, T, eps))
                 if variant == "stress_rate":
                     T_t = (f.value(T) - eps) / p.gamma
                     diss = integral(p.gamma * T_t * T_t)
                 elif variant == "strain_rate":
                     T_x = derivative(T)
-                    diss = integral(T_x * T_x) * p.nu / p.rho
+                    diss = integral(T_x * T_x) * p.nu
                 else:
                     diss = 0.0
                 dEdt = (total_energy(next_s, p, f) - total_energy(prev_s, p, f)) / (d1 + d2)
