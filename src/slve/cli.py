@@ -349,16 +349,12 @@ def _cell_json(x):
 
 
 def _csv_cells(col) -> list:
-    """One chunk of a column as CSV cells: a float array in one pass."""
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        return list(map("%.17g".__mod__, col.astype(float, copy=False).tolist()))
+    """One chunk of a column as CSV cells."""
     return list(map(_cell_csv, col.tolist() if isinstance(col, np.ndarray) else col))
 
 
 def _json_cells(col) -> list:
     """One chunk of a column as JSON values, spelled as json.dumps spells them."""
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f" and np.isfinite(col).all():
-        return list(map(float.__repr__, col.astype(float, copy=False).tolist()))
     values = col.tolist() if isinstance(col, np.ndarray) else col
     return [json.dumps(_cell_json(x)) for x in values]
 
@@ -381,16 +377,20 @@ def _row_format(header: Sequence[str], specs: Sequence[str], fmt: str) -> Tuple[
 def _write_table(path: Path, header: Sequence[str], columns: Sequence, fmt: str) -> None:
     """Write equal-length columns as CSV or JSONL, one line per row.
 
-    Float arrays are formatted a column at a time; strings, None, ints and
-    bools cell by cell.  CSV floats carry 17 significant digits; JSONL lines
-    are what json.dumps gives for each row's dict.
+    Float arrays go into the row template as numbers (%.17g; in JSONL %r, if
+    all finite, which json.dumps also gives), any other column as cells made
+    one at a time.  JSONL lines are what json.dumps gives for each row's dict.
     """
-    head, line = _row_format(header, ["%s"] * len(header), fmt)
-    cells = _csv_cells if fmt == "csv" else _json_cells
+    number, cells = ("%.17g", _csv_cells) if fmt == "csv" else ("%r", _json_cells)
+    numeric = [isinstance(c, np.ndarray) and c.dtype.kind == "f"
+               and (fmt == "csv" or bool(np.isfinite(c).all())) for c in columns]
+    head, line = _row_format(header, [number if n else "%s" for n in numeric], fmt)
     with path.open("w") as fh:
         fh.write(head)
         for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = (cells(c[lo:lo + _CHUNK_ROWS]) for c in columns)
+            hi = lo + _CHUNK_ROWS
+            chunk = [c[lo:hi].astype(float, copy=False).tolist() if n else cells(c[lo:hi])
+                     for c, n in zip(columns, numeric)]
             fh.writelines(map(line.__mod__, zip(*chunk)))
 
 

@@ -183,7 +183,7 @@ def make_problem(
     )
     scale = max(1.0, abs(problem.t_minus), abs(problem.t_plus))
     for t_end in (problem.t_minus, problem.t_plus):
-        if abs(float(balance_function(problem, t_end))) > 1e-12 * scale:
+        if abs(balance_function(problem, t_end)) > 1e-12 * scale:
             raise InvalidParameterError(
                 f"end state {t_end} fails the equilibrium identity"
             )
@@ -191,10 +191,9 @@ def make_problem(
 
 
 def balance_function(problem: TravelingWaveProblem, T):
-    """B(T) = T - c**2 * f(T) - A2; kappa*T' = B(T) along the front."""
-    return np.asarray(T, dtype=float) - problem.c_squared * np.asarray(
-        problem.f.value(T), dtype=float
-    ) - problem.a2
+    """B(T) = T - c**2 * f(T) - A2; kappa*T' = B(T) along the front.  A
+    Python float T gives a Python float, an array an array."""
+    return T - problem.c_squared * problem.f.value(T) - problem.a2
 
 
 @dataclass(frozen=True)
@@ -221,7 +220,7 @@ def kink_exists(problem: TravelingWaveProblem) -> KinkDiagnostic:
     """
     lo, hi = sorted((problem.t_minus, problem.t_plus))
     ts = np.linspace(lo, hi, _SCAN_POINTS + 1)[1:-1]
-    vals = np.asarray(balance_function(problem, ts))
+    vals = balance_function(problem, ts)
     scale = max(
         1.0,
         abs(problem.t_minus),
@@ -244,10 +243,10 @@ def kink_exists(problem: TravelingWaveProblem) -> KinkDiagnostic:
         zeros.append(float(ts[i]))
     for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
         a, b = float(ts[i]), float(ts[i + 1])
-        fa = float(balance_function(problem, a))
+        fa = balance_function(problem, a)
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            fmid = float(balance_function(problem, m))
+            fmid = balance_function(problem, m)
             if fa * fmid <= 0.0:
                 b = m
             else:
@@ -333,11 +332,11 @@ def _front_branch(
     """
     bf = balance_function
     s, y = 0.0, float(y0)
-    k1 = float(bf(problem, y))
+    k1 = bf(problem, y)
     scale = _ATOL + _RTOL * abs(y)
     d0, d1 = abs(y) / scale, abs(rate * k1) / scale
     h0 = min(length, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
-    d2 = abs(rate * (float(bf(problem, y + h0 * rate * k1)) - k1)) / scale / h0
+    d2 = abs(rate * (bf(problem, y + h0 * rate * k1) - k1)) / scale / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h = min(100.0 * h0, h1, length)
 
@@ -349,17 +348,17 @@ def _front_branch(
         s_new = min(s + h, length)
         step = s_new - s
         hk = step * rate
-        k2 = float(bf(problem, y + hk * (k1 / 5)))
-        k3 = float(bf(problem, y + hk * (3 / 40 * k1 + 9 / 40 * k2)))
-        k4 = float(bf(problem, y + hk * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3)))
-        k5 = float(bf(problem, y + hk * (19372 / 6561 * k1 - 25360 / 2187 * k2
-                                         + 64448 / 6561 * k3 - 212 / 729 * k4)))
-        k6 = float(bf(problem, y + hk * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                                         + 49 / 176 * k4 - 5103 / 18656 * k5)))
+        k2 = bf(problem, y + hk * (k1 / 5))
+        k3 = bf(problem, y + hk * (3 / 40 * k1 + 9 / 40 * k2))
+        k4 = bf(problem, y + hk * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+        k5 = bf(problem, y + hk * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                   + 64448 / 6561 * k3 - 212 / 729 * k4))
+        k6 = bf(problem, y + hk * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                                   + 49 / 176 * k4 - 5103 / 18656 * k5))
         # fifth-order solution (b_2 = 0) and the embedded pair's difference
         y_new = y + hk * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
                           - 2187 / 6784 * k5 + 11 / 84 * k6)
-        k7 = float(bf(problem, y_new))
+        k7 = bf(problem, y_new)
         err = abs(hk * (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4
                         + 17253 / 339200 * k5 - 22 / 525 * k6 + k7 / 40)) / (
             _ATOL + _RTOL * max(abs(y), abs(y_new)))
@@ -498,7 +497,7 @@ def first_order_residual(profile: KinkProfile, h: float = 0.01) -> np.ndarray:
     xi = profile.xi[(profile.xi >= -half + 2.05 * h) & (profile.xi <= half - 2.05 * h)]
     f = profile.interpolant
     d1 = (-f(xi + 2 * h) + 8 * f(xi + h) - 8 * f(xi - h) + f(xi - 2 * h)) / (12 * h)
-    return profile.kappa_signed * d1 - np.asarray(balance_function(profile.problem, f(xi)))
+    return profile.kappa_signed * d1 - balance_function(profile.problem, f(xi))
 
 
 @dataclass(frozen=True)

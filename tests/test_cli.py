@@ -72,6 +72,10 @@ _FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
 # cell strategy and the column type the writer is handed
 _COLUMN_KINDS = {
     "float": (_FLOATS, lambda cells: np.array(cells, dtype=float)),
+    # cells a float32 holds exactly; every double is a long double
+    "float32": (st.floats(width=32) | st.sampled_from(_SPECIAL_FLOATS[:5]),
+                lambda cells: np.array(cells, dtype=np.float32)),
+    "longdouble": (_FLOATS, lambda cells: np.array(cells, dtype=np.longdouble)),
     "int": (st.integers(-2**63, 2**63 - 1), lambda cells: np.array(cells, dtype=np.int64)),
     "bool": (st.booleans(), lambda cells: np.array(cells, dtype=bool)),
     "none": (st.none(), lambda cells: np.full(len(cells), None)),

@@ -132,6 +132,54 @@ class TestExistence:
         assert balance_function(prob, 1.0) == pytest.approx(0.0, abs=1e-14)
 
 
+def _array_balance(problem, T):
+    """B(T) with T and f(T) made float arrays first: the array formula
+    whose bits every scalar call must keep."""
+    return np.asarray(T, dtype=float) - problem.c_squared * np.asarray(
+        problem.f.value(T), dtype=float
+    ) - problem.a2
+
+
+# (response, end states): t_minus = 0.1 makes A2 nonzero, and a = 1.5
+# between 0.1 and 2 takes both masked branches
+_BALANCE_CASES = {
+    "linear": (make_constitutive("linear", beta=1.3), 0.1, 1.0),
+    "saturating_a1": (make_constitutive("saturating", a=1.0), 0.1, 1.0),
+    "saturating_a2": (make_constitutive("saturating", a=2.0), 0.1, 1.0),
+    "saturating_a1.5": (make_constitutive("saturating", a=1.5), 0.1, 2.0),
+    "arctan": (make_constitutive("arctan"), 0.1, 1.0),
+    "custom": (custom_constitutive(value=lambda T: T / np.sqrt(1.0 + T * T)), 0.1, 1.0),
+}
+
+
+class TestBalanceFunction:
+    @pytest.mark.parametrize("case", sorted(_BALANCE_CASES))
+    @pytest.mark.parametrize("T", [0.3, 1, np.float64(0.7), np.array(1.7), 1.0 / 3.0, -0.25])
+    def test_scalar_has_the_bits_of_the_array_call(self, case, T):
+        f, t_minus, t_plus = _BALANCE_CASES[case]
+        prob = make_problem(f, t_minus, t_plus, "stress_rate", 1.0)
+        got = balance_function(prob, T)
+        want = balance_function(prob, np.array([float(T)]))[0]
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert np.float64(got).tobytes() == np.float64(_array_balance(prob, T)).tobytes()
+        if type(T) in (float, int):
+            assert type(got) is float
+
+    def test_list_gives_an_array(self):
+        prob = saturating_problem()
+        got = balance_function(prob, [0.25, 0.5, 0.75])
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert np.array_equal(got, balance_function(prob, np.array([0.25, 0.5, 0.75])))
+
+    @pytest.mark.parametrize("case", ["saturating_a1", "saturating_a1.5", "arctan"])
+    def test_profile_equals_the_array_formula(self, monkeypatch, case):
+        f, t_minus, t_plus = _BALANCE_CASES[case]
+        prob = make_problem(f, t_minus, t_plus, "strain_rate", 0.7)
+        T = kink_profile(prob).T
+        monkeypatch.setattr(twave, "balance_function", _array_balance)
+        assert (kink_profile(prob).T == T).all()
+
+
 class TestProfile:
     def test_orientation_and_endpoints(self):
         prof = kink_profile(saturating_problem())
