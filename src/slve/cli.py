@@ -326,39 +326,6 @@ def _stepping_inputs(
     return solver, initial
 
 
-def _cell_csv(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return "%.17g" % x
-    return str(x)
-
-
-def _cell_json(x):
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        return float(x)
-    return x
-
-
-def _csv_cells(col) -> list:
-    """One chunk of a column as CSV cells."""
-    return list(map(_cell_csv, col.tolist() if isinstance(col, np.ndarray) else col))
-
-
-def _json_cells(col) -> list:
-    """One chunk of a column as JSON values, spelled as json.dumps spells them."""
-    values = col.tolist() if isinstance(col, np.ndarray) else col
-    return [json.dumps(_cell_json(x)) for x in values]
-
-
 _CHUNK_ROWS = 1024  # rows formatted at a time: only their strings are alive at once
 
 
@@ -374,23 +341,47 @@ def _row_format(header: Sequence[str], specs: Sequence[str], fmt: str) -> Tuple[
     return "", "{" + ", ".join(f"{k}: {spec}" for k, spec in zip(keys, specs)) + "}\n"
 
 
+def _floats(chunk: np.ndarray) -> list:
+    return chunk.astype(float, copy=False).tolist()
+
+
 def _write_table(path: Path, header: Sequence[str], columns: Sequence, fmt: str) -> None:
     """Write equal-length columns as CSV or JSONL, one line per row.
 
-    Float arrays go into the row template as numbers (%.17g; in JSONL %r, if
-    all finite, which json.dumps also gives), any other column as cells made
-    one at a time.  JSONL lines are what json.dumps gives for each row's dict.
+    Each column's % conversion is chosen once, from its dtype: floats go in
+    as %.17g (in JSONL as %r, which json.dumps also gives, when the column is
+    finite, else as json.dumps spells each cell), ints as %d, bools as
+    true/false, strs as they are (in JSONL as json.dumps spells them).  None
+    in place of a column marks one with no value in any row: the template
+    holds its empty CSV cell or JSON null.  At least one column is an array.
+    JSONL lines are what json.dumps gives for each row's dict.
     """
-    number, cells = ("%.17g", _csv_cells) if fmt == "csv" else ("%r", _json_cells)
-    numeric = [isinstance(c, np.ndarray) and c.dtype.kind == "f"
-               and (fmt == "csv" or bool(np.isfinite(c).all())) for c in columns]
-    head, line = _row_format(header, [number if n else "%s" for n in numeric], fmt)
+    csv = fmt == "csv"
+    specs, arrays = [], []  # arrays: (column, chunk -> the values its spec takes)
+    for c in columns:
+        if c is None:
+            specs.append("" if csv else "null")
+            continue
+        kind = c.dtype.kind
+        if kind == "f" and (csv or np.isfinite(c).all()):
+            spec, values = ("%.17g" if csv else "%r"), _floats
+        elif kind == "f":
+            spec, values = "%s", lambda x: list(map(json.dumps, _floats(x)))
+        elif kind in "iu":
+            spec, values = "%d", np.ndarray.tolist
+        elif kind == "b":
+            spec, values = "%s", lambda x: np.where(x, "true", "false").tolist()
+        elif csv:
+            spec, values = "%s", np.ndarray.tolist
+        else:
+            spec, values = "%s", lambda x: list(map(json.dumps, x.tolist()))
+        specs.append(spec)
+        arrays.append((c, values))
+    head, line = _row_format(header, specs, fmt)
     with path.open("w") as fh:
         fh.write(head)
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            chunk = [c[lo:hi].astype(float, copy=False).tolist() if n else cells(c[lo:hi])
-                     for c, n in zip(columns, numeric)]
+        for lo in range(0, len(arrays[0][0]), _CHUNK_ROWS):
+            chunk = [values(c[lo:lo + _CHUNK_ROWS]) for c, values in arrays]
             fh.writelines(map(line.__mod__, zip(*chunk)))
 
 
@@ -470,11 +461,10 @@ def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], 
               "k_critical", "discriminant", "max_residual"]
     columns = [
         res.k,
-        np.array([c.value for c in res.classification], dtype=object),
+        np.array([c.value for c in res.classification]),
         res.max_real_part,
-        (np.full(n_modes, None) if res.positive_real_root is None
-         else res.positive_real_root),
-        np.full(n_modes, res.k_critical),  # floats, or None for the stress-rate law
+        res.positive_real_root,  # None for the strain-rate law
+        None if res.k_critical is None else np.full(n_modes, res.k_critical),
         res.discriminant,
         np.max(res.residuals(), axis=-1),
     ]

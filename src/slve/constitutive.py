@@ -234,44 +234,22 @@ def make_constitutive(kind: Kind | str, beta: float = 1.0, a: float = 1.0) -> Co
     if not math.isfinite(beta) or beta <= 0.0:
         raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
     if kind is Kind.LINEAR:
-        return ConstitutiveFunction(
-            kind=kind,
-            beta=beta,
-            a=None,
-            value=_elementwise(lambda arr: beta * arr),
-            derivative=_elementwise(lambda arr: beta * np.ones_like(arr)),
-            antiderivative=_elementwise(lambda arr: 0.5 * beta * arr * arr),
-            inverse=_elementwise(lambda arr: arr / beta),
-            bound=math.inf,
-        )
-    if kind is Kind.SATURATING:
-        a = float(a)
+        a, bound = None, math.inf
+        raw = (lambda arr: beta * arr, lambda arr: beta * np.ones_like(arr),
+               lambda arr: 0.5 * beta * arr * arr, lambda arr: arr / beta)
+    elif kind is Kind.SATURATING:
+        a, bound = float(a), 1.0
         if not math.isfinite(a) or a <= 0.0:
             raise InvalidParameterError(f"saturation exponent a must be positive, got {a}")
-        val, der, anti, inv = _saturating_callables(beta, a)
-        return ConstitutiveFunction(
-            kind=kind,
-            beta=beta,
-            a=a,
-            value=_elementwise(val),
-            derivative=_elementwise(der),
-            antiderivative=_elementwise(anti),
-            inverse=_elementwise(inv),
-            bound=1.0,
-        )
-    if kind is Kind.ARCTAN:
-        val, der, anti, inv = _arctan_callables(beta)
-        return ConstitutiveFunction(
-            kind=kind,
-            beta=beta,
-            a=None,
-            value=_elementwise(val),
-            derivative=_elementwise(der),
-            antiderivative=_elementwise(anti),
-            inverse=_elementwise(inv),
-            bound=1.0,
-        )
-    raise InvalidParameterError("use custom_constitutive() for kind='custom'")
+        raw = _saturating_callables(beta, a)
+    elif kind is Kind.ARCTAN:
+        a, bound = None, 1.0
+        raw = _arctan_callables(beta)
+    else:
+        raise InvalidParameterError("use custom_constitutive() for kind='custom'")
+    value, derivative, antiderivative, inverse = map(_elementwise, raw)
+    return ConstitutiveFunction(kind=kind, beta=beta, a=a, value=value, derivative=derivative,
+                                antiderivative=antiderivative, inverse=inverse, bound=bound)
 
 
 def _fd_derivative(value: Callable) -> Callable:

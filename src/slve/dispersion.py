@@ -20,9 +20,11 @@ Roots are computed and returned in numpy extended precision (80-bit on
 x86-64) with a cancellation-free quadratic formula and Newton polish; double
 precision cannot deliver residuals below 1e-10 * (1 + |r|**3) for the
 quadratic's small root once k**2 * eps/2 crosses that bound (k around 1e3).
-The cubic starts from the companion-matrix roots and polishes in extended
-precision, keeping the real root in real arithmetic and forcing the other
-two to be an exact conjugate pair.
+The cubic's real root starts from Cardano's formula in a form where every
+term is positive (Kahan, "To Solve a Real Cubic Equation", 1986), the pair
+from Vieta's sum and product; both are polished by Newton steps in extended
+precision, the real root in real arithmetic and the other two forced to be
+an exact conjugate pair.
 
 Both solvers take one wavenumber or a 1-D array of them and solve an array
 in one vectorized pass, with the same operations per mode; a scalar call is
@@ -44,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Variant
+from .core import Variant, _require_count
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -113,15 +115,10 @@ class DispersionResult:
     def residuals(self) -> np.ndarray:
         """|p(r)| per root, evaluated in extended precision."""
         k = np.asarray(self.k, dtype=_LD)[..., None]
-        if self.model is Variant.STRAIN_RATE:
-            b = _LD(self.coeff) * k * k
-            c = k * k
-            vals = (self.roots + b) * self.roots + c
-        else:
-            g = _LD(self.coeff)
-            ksq = k * k
-            vals = ((g * self.roots - 1.0) * self.roots) * self.roots - ksq
-        return np.abs(vals).astype(float)
+        coeff = _LD(self.coeff)
+        poly = (_quadratic(coeff * k * k, k * k) if self.model is Variant.STRAIN_RATE
+                else _cubic(coeff, k * k))
+        return np.abs(poly(self.roots)[0]).astype(float)
 
 
 # indexed by (re_max == 0) + 2 * (re_max > 0)
@@ -152,8 +149,8 @@ def _accepted(model, coeff, k):
     term; a coefficient that is not positive and finite; k that is not
     finite and >= 0, or whose k*k overflows a double (the roots and the
     residuals would be infinite); and, for the stress-rate model, k whose
-    k*k/gamma overflows (the companion matrix, and so every root, would not
-    be finite).
+    k*k/gamma overflows (the cubic's constant term, and so every root, would
+    not be finite in double precision).
     """
     try:
         model = Variant(model)
@@ -252,29 +249,6 @@ def strain_rate_dispersion(nu: float, k) -> DispersionResult:
     return _result(scalar, Variant.STRAIN_RATE, k, nu, roots, 2.0 / nu, disc, None)
 
 
-def _companion_roots(gamma: float, k: np.ndarray) -> np.ndarray:
-    """np.roots([gamma, -1, 0, -k*k]) for every k at once, bit for bit.
-
-    The (n, 3, 3) companion matrices are built as np.roots builds one
-    (first row -p[1:]/p[0], which makes the middle entry -0.0), so one
-    stacked eigvals call returns each root in np.roots' order.  Where k*k
-    is 0, np.roots strips the trailing zero coefficient and returns
-    [1/gamma, 0, 0]; this does so wherever k*k/gamma is 0, since a start of
-    0 for the real rate would never leave 0.
-    """
-    ratio = k * k / gamma  # finite: _accepted refuses the rest
-    companion = np.zeros((k.size, 3, 3))
-    companion[:, 0, 0] = 1.0 / gamma
-    companion[:, 0, 1] = -0.0
-    companion[:, 0, 2] = ratio
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    roots = np.zeros((k.size, 3), dtype=complex)
-    roots[:, 0] = 1.0 / gamma
-    full = ratio != 0.0
-    roots[full] = np.linalg.eigvals(companion[full])
-    return roots
-
-
 def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
     """All three temporal rates of the stress-rate model at wavenumber k.
 
@@ -284,6 +258,17 @@ def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
     always unstable.  At k = 0 the roots are {0, 0, 1/gamma}.  k may be a
     1-D array (k*k/gamma finite in double precision); the result is then
     batched along a leading axis.
+
+    The real rate starts from Cardano's formula, in extended precision: with
+    third = 1/(3 gamma) and half = k**2/(2 gamma),
+    u = cbrt(third**3 + half + sqrt(half) * sqrt(2 third**3 + half)) and
+    r = third + u + third**2/u.  Every term is positive, so nothing cancels.
+    The pair z, conj(z) starts from Vieta: its sum s = 1/gamma - r and its
+    product p = k**2/(gamma r) give z = s/2 + i sqrt(p - s**2/4).  s is
+    formed as -(u - third)**2/u, with u - third = (u**3 - third**3)/
+    (u**2 + u third + third**2), since 1/gamma - r itself cancels once
+    gamma k**2 is tiny.  Both starts take four Newton steps in extended
+    precision.
     """
     _, gamma, k, scalar = _accepted(Variant.STRESS_RATE, gamma, k)
 
@@ -292,28 +277,21 @@ def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
     ksq = kL * kL
     disc = -ksq * (4.0 + 27.0 * gL * gL * ksq)
 
-    # start from the companion roots: the one nearest the real axis is the
-    # real rate, the Im > 0 member of the other two (the first on a tie)
-    # the pair; polish both in extended precision
-    start = _companion_roots(gamma, k)
-    modes = np.arange(k.size)
-    i_real = np.argmin(np.abs(start.imag), axis=1)
-    # the two other columns, in order
-    first = start[modes, (i_real == 0).astype(int)]
-    second = start[modes, 2 - (i_real == 2)]
-    z = np.where(second.imag > first.imag, second, first).astype(_CLD)
-    z = _newton(z, _cubic(gL, ksq), 4)
-    r_real = _newton(start[modes, i_real].real.astype(_LD), _cubic(gL, ksq), 4)
+    third = 1.0 / (3.0 * gL)
+    half = ksq / (2.0 * gL)
+    cube = third * third * third
+    lift = half + np.sqrt(half) * np.sqrt(2.0 * cube + half)  # u**3 - third**3
+    u = np.cbrt(cube + lift)
+    r_real = _newton(third + u + third * third / u, _cubic(gL, ksq), 4)
+    gap = lift / ((u + third) * u + third * third)  # u - third, from lift
+    s = -gap * gap / u  # 1/gamma - r, which cancels once gamma*k*k is tiny
+    im = np.sqrt(np.maximum(ksq / (gL * r_real) - s * s / 4.0, 0.0))
+    z = _newton(s / 2.0 + 1j * im, _cubic(gL, ksq), 4)
 
     zero = k == 0.0
     r_real[zero] = _LD(1.0) / gL
     roots = np.stack([r_real.astype(_CLD), z, np.conj(z)], axis=1)
     roots[zero, 1:] = 0.0
-    if not np.all(r_real > 0.0):
-        bad = r_real[~(r_real > 0.0)][0]
-        raise InvalidParameterError(
-            f"internal inconsistency: real rate {float(bad)} not positive"
-        )
 
     positive = r_real.astype(float)
     return _result(scalar, Variant.STRESS_RATE, k, gamma, roots, None, disc, positive)
@@ -367,9 +345,10 @@ def fit_mode_rates(times, values, n_modes: int = 2) -> np.ndarray:
     which is what a linear constant-coefficient semi-discretization produces
     in each spatial Fourier bin.
     """
+    m = _require_count("n_modes", n_modes, 1)
     t = np.asarray(times, dtype=float)
     z = np.asarray(values, dtype=complex)
-    if len(t) < 2 * n_modes + 1:
+    if len(t) < 2 * m + 1:
         raise InvalidParameterError("history too short for the requested mode count")
     steps = np.diff(t)
     dt = steps[0]
@@ -379,7 +358,6 @@ def fit_mode_rates(times, values, n_modes: int = 2) -> np.ndarray:
     if scale == 0.0:
         raise InvalidParameterError("history is identically zero")
     z = z / scale
-    m = int(n_modes)
     cols = [z[j : len(z) - m + j] for j in range(m)]
     coeffs, *_ = np.linalg.lstsq(np.column_stack(cols), z[m:], rcond=None)
     lam = np.roots(np.concatenate(([1.0], -coeffs[::-1])))

@@ -26,7 +26,6 @@ from slve import (
     strain_rate_dispersion,
     stress_rate_dispersion,
 )
-from slve.dispersion import _companion_roots
 
 SUPERGOLDEN = 1.4655712318767682  # bisection oracle for r^3 = r^2 + 1
 
@@ -110,16 +109,25 @@ class TestStressRateCubic:
         assert res.discriminant == pytest.approx(-31.0, rel=1e-14)
 
     def test_positive_root_matches_independent_bisection(self):
-        for gamma, k in [(0.5, 2.0), (3.0, 0.25), (0.01, 40.0)]:
+        # the closed-form start at the ends of the range, with a Vieta check
+        # of all three roots within the residual bound
+        for gamma, k in [(0.5, 2.0), (3.0, 0.25), (0.01, 40.0), (2.0, 2.3e-162),
+                         (0.5, 1e-160), (1e-3, 1e150), (1e3, 1e-3)]:
             res = stress_rate_dispersion(gamma, k)
-            ref = bisect_positive_root(gamma, k, 0.0, (k * k / gamma) ** (1 / 3) + 1.0 / gamma + 1.0)
+            # the root is below (k*k/gamma)**(1/3) + 1/gamma; the 2 covers pow's rounding
+            hi = 2.0 * (k * k / gamma) ** (1 / 3) + 1.0 / gamma + 1.0
+            ref = bisect_positive_root(gamma, k, 0.0, hi)
             assert res.positive_real_root == pytest.approx(ref, rel=1e-13)
+            r = res.roots
+            bound = 1e-10 * (1.0 + abs(res.positive_real_root) ** 3)
+            assert abs(complex(r.sum()) - 1.0 / gamma) <= bound
+            assert abs(complex(r.prod()) - k * k / gamma) <= bound
 
     def test_discriminant_example(self):
         assert stress_rate_dispersion(0.5, 2.0).discriminant == pytest.approx(-124.0, rel=1e-14)
 
     def test_exactly_one_real_root_always_positive(self):
-        for gamma, k in [(0.2, 0.5), (1.0, 1.0), (5.0, 100.0), (1e-3, 1e3)]:
+        for gamma, k in [(0.2, 0.5), (1.0, 1.0), (5.0, 100.0), (1e-3, 1e3), (1e3, 1e-160)]:
             res = stress_rate_dispersion(gamma, k)
             n_real = int(np.sum(res.roots.imag == 0.0))
             assert n_real == 1
@@ -257,19 +265,6 @@ class TestBatch:
             else:
                 assert _same_bits(one.positive_real_root, batch.positive_real_root[i])
 
-    @given(
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.lists(_WAVENUMBER, min_size=1, max_size=12),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_companion_start_matches_np_roots(self, gamma, ks):
-        # the stress-rate polish starts where the scalar np.roots call did
-        start = _companion_roots(gamma, np.array(ks))
-        for i, k in enumerate(ks):
-            if k * k / gamma != 0.0:
-                ref = np.roots([gamma, -1.0, 0.0, -k * k]).astype(complex)
-                assert _same_bits(start[i], ref)
-
     def test_batch_fields_have_a_mode_axis(self):
         ks = np.array([0.0, 1.0, 4.0])
         res = strain_rate_dispersion(1.0, ks)
@@ -292,8 +287,7 @@ class TestBatch:
     @pytest.mark.parametrize("solver", [strain_rate_dispersion, stress_rate_dispersion])
     @pytest.mark.parametrize("k", [1e160, [1.0, 1e160]])
     def test_overflowing_wavenumber_rejected(self, solver, k):
-        # k*k is inf: the roots and residuals would be infinite, and the
-        # companion matrix could not be factored
+        # k*k is inf: the roots and residuals would be infinite
         with pytest.raises(InvalidParameterError, match="too large"):
             solver(1.0, k)
 
@@ -303,13 +297,14 @@ class TestBatch:
             stress_rate_dispersion(1e-3, 1e154)
 
     def test_underflowing_companion_coefficient(self):
-        # k*k/gamma rounds to 0 while k*k does not: the companion roots come
-        # out as {0, 0, 1/gamma}, and a 0 picked as the real rate never moves
+        # k*k/gamma rounds to 0 in double while k*k does not: the real rate
+        # is 1/gamma to double precision, and the pair still has |Im| = k
         k = 2.3e-162
         assert k * k > 0.0 and k * k / 2.0 == 0.0
         res = stress_rate_dispersion(2.0, k)
         assert res.positive_real_root == 0.5
-        assert np.all(res.roots[1:] == 0.0)
+        assert res.roots[1] == np.conj(res.roots[2])
+        assert float(abs(res.roots[1].imag)) == pytest.approx(k, rel=1e-15)
 
 
 class TestModeEvolution:
@@ -366,6 +361,12 @@ class TestRateFitting:
         rates = fit_mode_rates(t, y, 2)
         assert sorted(r.imag for r in rates) == pytest.approx([-1.3, 1.3], abs=1e-9)
         assert rates[0].real == pytest.approx(-0.25, abs=1e-9)
+
+    @pytest.mark.parametrize("n_modes", [0, -1, 2.5])
+    def test_bad_mode_count_rejected(self, n_modes):
+        t = np.linspace(0.0, 4.0, 81)
+        with pytest.raises(InvalidParameterError, match="n_modes"):
+            fit_mode_rates(t, np.exp(-0.3 * t), n_modes)
 
     def test_nonuniform_spacing_rejected(self):
         t = np.array([0.0, 0.1, 0.25, 0.3])
