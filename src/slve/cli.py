@@ -251,7 +251,7 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     elif command is Command.DISPERSION:
         if k_values is None:
             raise ConfigError("command 'dispersion' needs [dispersion] k_values")
-        try:  # the solvers' own checks: a rate variant, finite k*k (and k*k/gamma)
+        try:  # the solvers' own checks: a rate variant, finite k*k (and 1/gamma, k*k/gamma)
             dispersion._accepted(unit.variant, unit.coefficient, k_values)
         except ValueError as exc:
             raise ConfigError(f"[dispersion] k_values rejected for the {unit.variant.value} "

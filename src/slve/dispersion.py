@@ -148,9 +148,10 @@ def _accepted(model, coeff, k):
     Refuses an unknown model and the elastic variant, which has no rate
     term; a coefficient that is not positive and finite; k that is not
     finite and >= 0, or whose k*k overflows a double (the roots and the
-    residuals would be infinite); and, for the stress-rate model, k whose
-    k*k/gamma overflows (the cubic's constant term, and so every root, would
-    not be finite in double precision).
+    residuals would be infinite); and, for the stress-rate model, a gamma
+    whose 1/gamma overflows (the real rate at k = 0) and k whose k*k/gamma
+    overflows (the cubic's constant term, and so every root, would not be
+    finite in double precision).
     """
     try:
         model = Variant(model)
@@ -176,6 +177,8 @@ def _accepted(model, coeff, k):
             raise InvalidParameterError(f"wavenumber {bad} is too large: k*k overflows a double")
         raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {bad}")
     if model is Variant.STRESS_RATE:
+        if not math.isfinite(1.0 / coeff):
+            raise InvalidParameterError(f"gamma {coeff} is too small: 1/gamma overflows a double")
         with np.errstate(over="ignore"):
             finite = np.isfinite(ks * ks / coeff)
         if not finite.all():

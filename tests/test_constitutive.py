@@ -8,6 +8,8 @@ arctan beta=2:  h(1) = 0.80381347609541280, H(1) = 0.56206414047224750
 """
 
 import contextlib
+import math
+import re
 import tracemalloc
 import warnings
 
@@ -196,6 +198,50 @@ class TestSaturatingClosedForms:
         assert np.all(np.abs(T - exact) <= 1e-15 * np.maximum(np.abs(exact), np.finfo(float).tiny))
         assert np.array_equal(odd, -T)
         assert np.array_equal(invert_array(h, w), T)
+
+
+# Python floats: signed zeros, subnormals, huge and infinite stresses, NaN,
+# and moderate ones densely
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300,
+                     -1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+# inverse targets of a bounded response: up to the bound and the last few
+# floats below it
+_FLOAT_STRAINS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.integers(min_value=1, max_value=2**20).map(lambda k: 1.0 - k * 2.0**-53),
+    st.integers(min_value=1, max_value=2**20).map(lambda k: k * 2.0**-53 - 1.0),
+)
+
+
+class TestFloatPath:
+    """A Python float gives a float with the bits of the one-element array
+    call, whether it skips the array (closed forms) or not (general a)."""
+
+    @pytest.mark.parametrize("kind,a", [("linear", 1.0), ("saturating", 1.0), ("saturating", 2.0),
+                                        ("saturating", 1.5), ("arctan", 1.0)])
+    @pytest.mark.parametrize("method", ["value", "derivative", "antiderivative", "inverse"])
+    @given(beta=st.floats(min_value=0.1, max_value=10.0), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_float_has_the_bits_of_the_array_call(self, kind, a, method, beta, data):
+        f = make_constitutive(kind, beta=beta, a=a)
+        T = data.draw(_FLOAT_STRAINS if method == "inverse" and f.bound < np.inf else _FLOATS)
+        fn = getattr(f, method)
+        with np.errstate(all="ignore"):
+            try:
+                want = fn(np.array([T]))[0]
+            except SlveError as exc:
+                # what the array call refuses, the float call refuses alike
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    fn(T)
+                return
+            got = fn(T)
+        assert type(got) is float
+        assert (math.isnan(got) and np.isnan(want)) or np.float64(got).tobytes() == want.tobytes()
 
 
 def _bounded(T):
@@ -448,6 +494,24 @@ class TestCustom:
     def test_fd_derivative_fallback(self):
         f = custom_constitutive(value=lambda T: np.tanh(T))
         assert f.derivative(0.0) == pytest.approx(1.0, rel=1e-7)
+
+    def test_float_reaches_user_callables_as_an_array(self):
+        # the float path is the catalog's alone: user code is called with arrays
+        seen = []
+
+        def recorded(fn):
+            def call(arr):
+                seen.append(type(arr))
+                return fn(arr)
+
+            return call
+
+        f = custom_constitutive(recorded(np.tanh), recorded(lambda T: 1.0 / np.cosh(T) ** 2),
+                                recorded(lambda T: np.log(np.cosh(T))), recorded(np.arctanh), 1.0)
+        seen.clear()
+        got = [f.value(0.5), f.derivative(0.5), f.antiderivative(0.5), f.inverse(0.5)]
+        assert [type(g) for g in got] == [float] * 4
+        assert seen == [np.ndarray] * 4
 
 
 class TestAudit:

@@ -296,6 +296,15 @@ class TestBatch:
         with pytest.raises(InvalidParameterError, match="too large"):
             stress_rate_dispersion(1e-3, 1e154)
 
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+    def test_overflowing_reciprocal_gamma_rejected(self, gamma):
+        # 1/gamma, the real rate at k = 0, is inf in double precision
+        for k in (0.0, 1.0, [0.0, 1.0]):
+            with pytest.raises(InvalidParameterError, match="1/gamma overflows"):
+                stress_rate_dispersion(gamma, k)
+        with pytest.raises(InvalidParameterError, match="1/gamma overflows"):
+            solve_dispersion("stress_rate", gamma, 1.0)
+
     def test_underflowing_companion_coefficient(self):
         # k*k/gamma rounds to 0 in double while k*k does not: the real rate
         # is 1/gamma to double precision, and the pair still has |Im| = k
