@@ -222,8 +222,21 @@ def _arctan_callables(beta: float):
         return beta / (1.0 + x * x)
 
     def raw_antider(arr):
-        x = c * arr
-        return (2.0 / math.pi) * (arr * np.arctan(x) - np.log1p(x * x) / (2.0 * c))
+        # x * x overflows once |c*T| > 1.3e154, and x itself past DBL_MAX/c
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = c * arr
+            xx = x * x
+            H = (2.0 / math.pi) * (arr * np.arctan(x) - np.log1p(xx) / (2.0 * c))
+            big = np.isinf(xx)
+            if not big.any():
+                return H
+            # there log1p(x*x) = 2 log|x| + log1p(1/x**2), whose last term is
+            # below 1e-308 and vanishes in the sum; log|x| = log c + log|T| is
+            # finite at x = inf, and |T| times h, at most 1, cannot overflow
+            T = np.abs(arr)
+            with np.errstate(divide="ignore"):  # log 0 where the first form holds
+                far = T * raw_value(T) - (2.0 / math.pi) * (math.log(c) + np.log(T)) / c
+            return np.where(big, far, H)
 
     def raw_inverse(arr):
         return np.tan(math.pi * arr / 2.0) / c

@@ -130,10 +130,19 @@ class Field:
             raise InvalidParameterError(
                 f"field needs {self.grid.n_nodes} nodal values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidParameterError("field values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _checked(cls, values: np.ndarray, grid: Grid1D) -> "Field":
+        """A Field holding values itself, with no copy and no check: values
+        must already be a read-only float row of grid.n_nodes finite entries."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "values", values)
+        object.__setattr__(field, "grid", grid)
+        return field
 
 
 @dataclass(frozen=True)

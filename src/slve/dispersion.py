@@ -80,7 +80,9 @@ class DispersionResult:
 
     roots is a clongdouble array (length 2 or 3) so residual checks can be
     made in the precision the roots were solved in.  discriminant follows
-    each polynomial's classical formula.  positive_real_root is the growing
+    each polynomial's classical formula; one beyond the double range reads
+    as an infinity (the stress-rate one is -inf at gamma = k = 1e150),
+    while the roots stay finite.  positive_real_root is the growing
     real rate when one exists (always, for the stress-rate model), else None.
     k_critical is the oscillatory/monotone boundary 2/nu of the strain-rate
     model, None for the stress-rate model which has no such transition.

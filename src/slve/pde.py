@@ -121,7 +121,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimState:
-    """Snapshot of (velocity, strain, stress) fields at one time."""
+    """Snapshot of (velocity, strain, stress) fields at one time.
+
+    A Trajectory's traj[i] holds read-only views of the run's block, which
+    was checked once with the run, so it copies and checks nothing.
+    """
 
     t: float
     v: Field
@@ -140,7 +144,9 @@ class SimState:
 @dataclass(frozen=True)
 class Trajectory:
     """Snapshots of one run: times t (n,) and read-only fields (n, 3, N) with
-    rows (v, eps, stress); traj[i] is a SimState, traj[a:b] a Trajectory."""
+    rows (v, eps, stress), checked once for the whole run.  traj[i] is a
+    SimState whose fields are read-only views of that block, as traj.v and
+    traj.stress are; traj[a:b] is a Trajectory."""
 
     t: np.ndarray
     fields: np.ndarray
@@ -171,7 +177,8 @@ class Trajectory:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Trajectory(self.t[i], self.fields[i], self.grid)
-        return SimState(float(self.t[i]), *(Field(rows, self.grid) for rows in self.fields[i]))
+        v, eps, stress = (Field._checked(row, self.grid) for row in self.fields[i])
+        return SimState(float(self.t[i]), v, eps, stress)
 
 
 @dataclass(frozen=True)
@@ -306,12 +313,14 @@ def _make_rhs(
     return rhs
 
 
-# the rows of (v, eps, stress) that each variant evolves
-_EVOLVED = {Variant.STRESS_RATE: [0, 1, 2], Variant.STRAIN_RATE: [0, 1], Variant.ELASTIC: [0, 2]}
+# the rows of (v, eps, stress) that each variant evolves, as basic slices
+# so that packing, writing and naming a row index no list
+_EVOLVED = {Variant.STRESS_RATE: slice(0, 3), Variant.STRAIN_RATE: slice(0, 2),
+            Variant.ELASTIC: slice(0, 3, 2)}
 
 
 def _pack(state: SimState, variant: Variant) -> np.ndarray:
-    return np.array([state.v.values, state.eps.values, state.stress.values])[_EVOLVED[variant]]
+    return np.array((state.v.values, state.eps.values, state.stress.values)[_EVOLVED[variant]])
 
 
 def _write_snapshot(out: np.ndarray, Y: np.ndarray, config: SolverConfig, grid: Grid1D) -> None:
@@ -334,7 +343,7 @@ def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -
     stress = Y if variant is Variant.STRAIN_RATE else Y[-1]
     finite = stress[np.isfinite(stress)]
     max_abs = float(np.max(np.abs(finite))) if finite.size else math.inf
-    field = ("v", "eps", "stress")[_EVOLVED[variant][row]]
+    field = ("v", "eps", "stress")[_EVOLVED[variant]][row]
     raise BlowUpError(t=float(t), max_abs_stress=max_abs, field=field, node=node)
 
 

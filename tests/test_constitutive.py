@@ -87,6 +87,31 @@ class TestCatalog:
         assert h.antiderivative(1.0) == pytest.approx(0.56206414047224750, abs=1e-12)
         assert h.inverse(h(0.7)) == pytest.approx(0.7, rel=1e-12)
 
+    def test_arctan_antiderivative_over_the_double_range(self):
+        # x*x overflows once |x| = |c*T| passes sqrt(DBL_MAX), with c = beta*pi/2
+        h = make_constitutive("arctan", beta=2.0)
+        top = np.finfo(float).max
+        switch = math.sqrt(top) / math.pi
+        near_switch = switch * (1.0 + np.arange(-20, 21) * 1e-12)
+        T = np.concatenate([[0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1.0, 1e100,
+                             1e154, 2e154, 1e300, 1e308, top], near_switch])
+        with np.errstate(over="ignore"):
+            x = math.pi * near_switch
+            overflows = np.isinf(x * x)
+        assert overflows.any() and not overflows.all()
+        with _no_runtime_warning():
+            H = h.antiderivative(T)
+            even = h.antiderivative(-T)
+            floats = [h.antiderivative(t) for t in T.tolist()]
+        assert np.all(np.isfinite(H)) and np.array_equal(even, H)
+        assert np.all(H >= 0.0) and np.all(H <= T)
+        order = np.argsort(T)
+        assert np.all(np.diff(H[order]) >= 0.0)
+        # far out H = |T| (1 - O(1/|x|)) - O(log|x|)/c: |T| to rounding
+        far = T >= 1e150
+        assert np.all(np.abs(H[far] / T[far] - 1.0) <= 4.0 * np.finfo(float).eps)
+        assert np.float64(floats).tobytes() == H.tobytes()
+
     def test_odd_symmetry(self):
         for kind in ("linear", "saturating", "arctan"):
             h = make_constitutive(kind, beta=0.8, a=2.0)

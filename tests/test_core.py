@@ -57,15 +57,30 @@ class TestField:
 
     def test_size_mismatch_rejected(self):
         g = Grid1D(length=1.0, n_cells=8)
-        with pytest.raises(InvalidParameterError):
-            Field(np.zeros(7), g)
+        for shape in ((7,), (2, 4), (1, 8), (8, 1), ()):
+            with pytest.raises(InvalidParameterError, match="nodal values"):
+                Field(np.zeros(shape), g)
 
     def test_non_finite_rejected(self):
         g = Grid1D(length=1.0, n_cells=8)
         vals = np.zeros(8)
-        vals[3] = np.inf
-        with pytest.raises(InvalidParameterError):
-            Field(vals, g)
+        for bad in (np.inf, np.nan, -np.inf):
+            vals[3] = bad
+            with pytest.raises(InvalidParameterError, match="finite"):
+                Field(vals, g)
+
+    def test_copies_its_input(self):
+        # even a read-only float row of the right size
+        g = Grid1D(length=1.0, n_cells=8)
+        vals = np.arange(8.0)
+        vals.setflags(write=False)
+        f = Field(vals, g)
+        assert not np.shares_memory(f.values, vals)
+        assert np.array_equal(f.values, vals)
+        source = np.arange(8.0)
+        f = Field(source, g)
+        source[0] = 5.0
+        assert f.values[0] == 0.0
 
 
 class TestModelParams:

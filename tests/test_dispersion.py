@@ -4,6 +4,8 @@ The positive real root of r^3 - r^2 - 1 (the gamma = 1, k = 1 cubic) was
 frozen from an independent bisection: 1.4655712318767682.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,26 @@ SUPERGOLDEN = 1.4655712318767682  # bisection oracle for r^3 = r^2 + 1
 BAD_WAVENUMBERS = [-2.0, np.nan, np.inf, -np.inf] + [
     np.array([1.0, bad, 3.0]) for bad in (-2.0, np.nan, np.inf)
 ]
+
+
+# |p(r)| against the sum of the magnitudes of p's terms at the root
+RELATIVE_RESIDUAL = 1e-13
+
+
+def relative_residual_ok(res):
+    """Each root's residual within RELATIVE_RESIDUAL of p's terms at |r|:
+    gamma|r|^3 + |r|^2 + k^2 (stress rate) or |r|^2 + nu k^2|r| + k^2
+    (strain rate), in the roots' extended precision.  Unlike the absolute
+    bound it scales with k, so it holds at huge k and refuses roots that
+    are small only because k is."""
+    r = np.abs(res.roots)
+    k2 = np.asarray(res.k, dtype=np.longdouble)[..., None] ** 2
+    coeff = np.longdouble(res.coeff)
+    if res.model is Variant.STRESS_RATE:
+        terms = coeff * r**3 + r**2 + k2
+    else:
+        terms = r**2 + coeff * k2 * r + k2
+    return bool(np.all(res.residuals() <= RELATIVE_RESIDUAL * terms))
 
 
 def bisect_positive_root(gamma, k, lo, hi):
@@ -173,6 +195,7 @@ class TestResiduals:
         res = strain_rate_dispersion(nu, k)
         bound = 1e-10 * (1.0 + np.abs(res.roots) ** 3)
         assert np.all(res.residuals() <= bound)
+        assert relative_residual_ok(res)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
@@ -183,6 +206,30 @@ class TestResiduals:
         res = stress_rate_dispersion(gamma, k)
         bound = 1e-10 * (1.0 + np.abs(res.roots) ** 3)
         assert np.all(res.residuals() <= bound)
+        assert relative_residual_ok(res)
+
+    @pytest.mark.parametrize("solver,coeff", [(strain_rate_dispersion, 1e-150),
+                                              (stress_rate_dispersion, 1e150)])
+    def test_relative_residual_holds_at_huge_wavenumbers(self, solver, coeff):
+        res = solver(coeff, 1e150)
+        assert relative_residual_ok(res)
+        if solver is stress_rate_dispersion:
+            # the absolute bound, 1e-10*(1 + |r|^3) ~ 1e140 at the growth
+            # rate 1e50, cannot hold a residual of k^2 = 1e300 times eps
+            assert res.residuals().max() > 1e200
+            assert res.discriminant == -np.inf  # beyond the double range
+
+    def test_relative_residual_refuses_a_collapsed_pair(self):
+        # at gamma = 1, k = 8.2e-33 the pair is +-8.2e-33i; {0, 0} in its
+        # place leaves the residual k^2 = 6.7e-65, which the absolute bound passes
+        res = stress_rate_dispersion(1.0, 8.2e-33)
+        assert relative_residual_ok(res)
+        pair = res.roots.imag != 0.0
+        assert pair.sum() == 2
+        roots = np.where(pair, 0.0, res.roots).astype(res.roots.dtype)
+        collapsed = dataclasses.replace(res, roots=roots)
+        assert np.all(collapsed.residuals() <= 1e-10 * (1.0 + np.abs(collapsed.roots) ** 3))
+        assert not relative_residual_ok(collapsed)
 
 
 class TestWrapperAndCurve:

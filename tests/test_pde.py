@@ -411,8 +411,13 @@ class TestTrajectory:
             traj.stress[0, 0] = 1.0
         last = traj[-1]
         assert isinstance(last, SimState) and last.t == 0.095 and last.grid == g
-        for name in ("v", "eps", "stress"):
-            assert np.array_equal(getattr(last, name).values, getattr(traj, name)[-1])
+        # its fields are read-only views of the block, with its bits
+        for row, name in enumerate(("v", "eps", "stress")):
+            values = getattr(last, name).values
+            assert values.tobytes() == traj.fields[-1, row].tobytes()
+            assert np.shares_memory(values, traj.fields) and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
         middle = traj[1:3]
         assert isinstance(middle, Trajectory)
         assert np.array_equal(middle.fields, traj.fields[1:3])
@@ -436,6 +441,26 @@ class TestTrajectory:
         monkeypatch.setattr(Field, "__post_init__", counting)
         assert len(simulate(st0, cfg)) > 10
         assert built == []
+
+    def test_snapshots_and_energy_series_build_a_field_per_total_only(self, monkeypatch):
+        g = periodic_grid(16)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        p = ModelParams(variant="stress_rate", gamma=1.0)
+        cfg = SolverConfig(params=p, constitutive=h, dt=0.01, t_final=0.1)
+        traj = simulate(gaussian_bump_state(g, h, np.pi, 0.5, 0.4), cfg)
+        built = []
+        original = Field.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(Field, "__post_init__", counting)
+        states = [traj[i] for i in range(len(traj))]
+        assert len(states) == 11 and built == []
+        assert len(energy_series(traj, p, h)) == 9
+        # the one Field is each snapshot's total_energy density
+        assert len(built) == len(traj)
 
     @pytest.mark.parametrize(
         "dt,t_final,stride",
@@ -561,9 +586,11 @@ class TestStepper:
         slve.pde._check_blowup(Y, 0.5, variant, 1.0)  # finite and below the threshold
         # the stress row for the variants that carry one, every entry otherwise
         reported = 0.9 if variant is Variant.STRAIN_RATE else 0.75
-        # the evolved rows: (v, eps, stress), (v, eps) or (v, stress)
-        last = "eps" if variant is Variant.STRAIN_RATE else "stress"
-        for row, field in ((0, "v"), (n_rows - 1, last)):
+        # every evolved row is named: (v, eps, stress), (v, eps) or (v, stress)
+        names = {Variant.STRESS_RATE: ("v", "eps", "stress"), Variant.STRAIN_RATE: ("v", "eps"),
+                 Variant.ELASTIC: ("v", "stress")}[variant]
+        last = names[-1]
+        for row, field in enumerate(names):
             Yb = Y.copy()
             Yb[row, 5] = bad
             with pytest.raises(BlowUpError) as ei:
