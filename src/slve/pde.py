@@ -30,7 +30,9 @@ explicit stability ceiling
 (plan refuses a dt above the ceiling: a configuration error, not a warning).
 
 Both time integrations, simulate and relax_stress, step through one RK4
-loop, _march.  A right-hand side is called as rhs(Y, out) and writes dY/dt
+loop, _march, on a schedule decided before it starts by the one landing
+rule, _landing: simulate's is its plan's steps and last_step.  _march yields
+states only.  A right-hand side is called as rhs(Y, out) and writes dY/dt
 into out.  _march allocates its workspace once per run: the four stage
 slopes, the stage state and two result buffers used in alternation.  The
 stage sums and the stencils write into these buffers; only the response
@@ -220,9 +222,11 @@ def _require_unit_form(params: ModelParams) -> None:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """What simulate will do, decided before it starts."""
+    """What simulate will do, decided before it starts: _march steps its schedule."""
 
     ceiling: float  # the largest admissible RK4 step for the variant on the grid
+    steps: int  # all RK4 steps, the shortened landing step included
+    last_step: float  # the last step's length: dt, or the landing remainder
     snapshots: int  # the initial state, every output_stride-th step and the last
 
 
@@ -240,8 +244,8 @@ def plan(initial: SimState, config: SolverConfig) -> RunPlan:
             f"dt = {config.dt} exceeds the stability ceiling {ceiling:.6g} "
             f"for variant {config.variant.value} on spacing {dx:.6g}"
         )
-    n_steps = _landing(config.dt, config.t_final)[1]
-    return RunPlan(ceiling=ceiling, snapshots=1 + -(-n_steps // config.output_stride))
+    steps, last_step = _landing(config.dt, config.t_final)
+    return RunPlan(ceiling, steps, last_step, 1 + -(-steps // config.output_stride))
 
 
 def _reconstruct_stress(f: ConstitutiveFunction, target: np.ndarray) -> np.ndarray:
@@ -269,7 +273,6 @@ def _make_rhs(
     variant; it writes the rows of dY/dt into out."""
     dx = grid.spacing
     bdy = grid.boundary
-    pinned = bdy is Boundary.DIRICHLET_ZERO
 
     if variant is Variant.STRESS_RATE:
         gamma = params.gamma
@@ -280,9 +283,6 @@ def _make_rhs(
             first_derivative(v, dx, bdy, out[1])
             np.subtract(f.value(T), eps, out=out[2])
             out[2] /= gamma
-            if pinned:
-                out[:, 0] = 0.0
-                out[:, -1] = 0.0
 
     elif variant is Variant.STRAIN_RATE:
         nu = params.nu
@@ -295,9 +295,6 @@ def _make_rhs(
             vx = _centered(Y[0], width, periodic, out[1])
             T = _reconstruct_stress(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target))
             _centered(T, width, periodic, out[0])
-            if pinned:
-                out[:, 0] = 0.0
-                out[:, -1] = 0.0
 
     else:
 
@@ -306,9 +303,14 @@ def _make_rhs(
             first_derivative(T, dx, bdy, out[0])
             first_derivative(v, dx, bdy, out[1])
             out[1] /= f.derivative(T)
-            if pinned:
-                out[:, 0] = 0.0
-                out[:, -1] = 0.0
+
+    if bdy is Boundary.DIRICHLET_ZERO:
+        bare = rhs
+
+        def rhs(Y, out):  # the pinned end values never change
+            bare(Y, out)
+            out[:, 0] = 0.0
+            out[:, -1] = 0.0
 
     return rhs
 
@@ -376,32 +378,29 @@ def _checked_times(dt, t_final) -> Tuple[float, float]:
     return dt, t_final
 
 
-def _landing(dt: float, t_final: float) -> Tuple[int, int, float]:
-    """The landing rule: (full steps of dt, all steps, the last step's length)."""
+def _landing(dt: float, t_final: float) -> Tuple[int, float]:
+    """The landing rule: (all steps, the last step's length), landing on t_final."""
     q = t_final / dt
     n_full = int(q)
     if q - n_full > 1.0 - 1e-9:  # q is an integer up to roundoff
         n_full += 1
     remainder = t_final - n_full * dt
-    return n_full, n_full + (1 if remainder > 1e-12 * dt else 0), remainder
+    return (n_full + 1, remainder) if remainder > 1e-12 * dt else (n_full, dt)
 
 
-def _march(rhs, Y: np.ndarray, t_final: float, dt: float) -> Iterator[Tuple[float, np.ndarray]]:
-    """Fixed-step RK4 from t = 0 to t_final, yielding (t, Y) after each step.
+def _march(rhs, Y: np.ndarray, dt: float, steps: int, last_step: float) -> Iterator[np.ndarray]:
+    """Fixed-step RK4 on a decided schedule, steps - 1 steps of dt and then
+    one of last_step, yielding the state Y after each; the caller keeps time.
 
     rhs(Y, out) writes dY/dt into out.  The stage buffers and two result
     buffers, used in alternation, are allocated once per run, so each
-    yielded Y is valid only until the next iteration: keep a copy.  The
-    last step is shortened to land on t_final exactly, and the last t
-    yielded is t_final itself.  The times are checked when iteration starts.
+    yielded Y is valid only until the next iteration: keep a copy.
     """
-    dt, t_final = _checked_times(dt, t_final)
-    n_full, n_total, remainder = _landing(dt, t_final)
     work = [np.empty_like(Y) for _ in range(5)]
     spare = [np.empty_like(Y), np.empty_like(Y)]
-    for i in range(n_total):
-        Y = _rk4_step(rhs, Y, dt if i < n_full else remainder, work, spare[i % 2])
-        yield (t_final if i == n_total - 1 else (i + 1) * dt), Y
+    for i in range(steps):
+        Y = _rk4_step(rhs, Y, dt if i < steps - 1 else last_step, work, spare[i % 2])
+        yield Y
 
 
 def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
@@ -422,23 +421,22 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
         When the strain-rate stress reconstruction reaches the strain limit;
         carries the node.  Both carry the snapshots so far as ``partial``.
     """
-    n = plan(initial, config).snapshots
+    p = plan(initial, config)
     grid = initial.grid
     variant = config.variant
     rhs = _make_rhs(variant, config.constitutive, config.params, grid)
     Y = _pack(initial, variant)
     t0 = float(initial.t)
-    t = np.full(n, t0)
-    fields = np.empty((n, 3, grid.n_nodes))
+    t = np.full(p.snapshots, t0)
+    fields = np.empty((p.snapshots, 3, grid.n_nodes))
     k = 0  # snapshots kept; t[k] holds the current step's time until one is
     try:
         _write_snapshot(fields[0], Y, config, grid)
         k = 1
-        for i, (t_step, Y) in enumerate(_march(rhs, Y, config.t_final, config.dt), 1):
-            t[k] = t0 + t_step
+        for i, Y in enumerate(_march(rhs, Y, config.dt, p.steps, p.last_step), 1):
+            t[k] = t0 + (config.t_final if i == p.steps else i * config.dt)
             _check_blowup(Y, t[k], variant, config.blowup_threshold)
-            # only the last step yields t_final itself
-            if t_step == config.t_final or i % config.output_stride == 0:
+            if i == p.steps or i % config.output_stride == 0:
                 _write_snapshot(fields[k], Y, config, grid)
                 k += 1
     except (BlowUpError, StrainLimitExceededError) as exc:
@@ -616,6 +614,7 @@ def relax_stress(
     """
     if gamma <= 0.0 or not math.isfinite(float(gamma)):
         raise InvalidParameterError(f"gamma must be positive, got {gamma}")
+    dt, t_final = _checked_times(dt, t_final)
     eps_arr, T = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(T0, dtype=float))
     scalar = T.ndim == 0
     # at least 1-d, so the in-place RK4 stage sums have arrays to write into
@@ -626,6 +625,6 @@ def relax_stress(
         out /= gamma
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, T in _march(rhs, T, t_final, dt):
+        for T in _march(rhs, T, dt, *_landing(dt, t_final)):
             pass
     return float(T[0]) if scalar else T

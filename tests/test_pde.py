@@ -353,9 +353,9 @@ class TestNoBufferLeaks:
         original = slve.pde._march
 
         def recording(*args):
-            for t, Y in original(*args):
+            for Y in original(*args):
                 seen.append(Y)
-                yield t, Y
+                yield Y
 
         monkeypatch.setattr(slve.pde, "_march", recording)
         g = periodic_grid(32)
@@ -476,6 +476,39 @@ class TestTrajectory:
             dt=dt, t_final=t_final, output_stride=stride,
         )
         assert plan(zero_state(g), cfg).snapshots == len(simulate(zero_state(g), cfg))
+
+    @pytest.mark.parametrize(
+        "dt,t_final,stride,steps,shortened",
+        [(0.1, 0.3, 1, 3, False), (0.01, 0.075, 3, 8, True), (0.01, 0.03, 10, 3, False)],
+        ids=["exact_landing", "shortened_landing", "stride_over_steps"],
+    )
+    def test_plan_is_the_schedule_simulate_steps(self, monkeypatch, dt, t_final, stride, steps,
+                                                 shortened):
+        import slve.pde
+
+        calls, lengths = [], []
+        make_rhs, rk4_step = slve.pde._make_rhs, slve.pde._rk4_step
+
+        def counting_rhs(*args):
+            rhs = make_rhs(*args)
+            return lambda Y, out: (calls.append(1), rhs(Y, out))
+
+        def recording_step(rhs, Y, h, work, out):
+            lengths.append(h)
+            return rk4_step(rhs, Y, h, work, out)
+
+        monkeypatch.setattr(slve.pde, "_make_rhs", counting_rhs)
+        monkeypatch.setattr(slve.pde, "_rk4_step", recording_step)
+        g = periodic_grid(16)
+        cfg = SolverConfig(params=ModelParams(variant="stress_rate", gamma=1.0),
+                           constitutive=make_constitutive("linear"), dt=dt, t_final=t_final,
+                           output_stride=stride)
+        p = plan(zero_state(g), cfg)
+        traj = simulate(zero_state(g), cfg)
+        assert p.steps == steps and len(calls) == 4 * p.steps and len(lengths) == p.steps
+        assert lengths[:-1] == [dt] * (steps - 1) and lengths[-1] == p.last_step
+        assert (p.last_step < dt) if shortened else (p.last_step == dt)
+        assert len(traj) == p.snapshots and traj.t[-1] == t_final
 
 
 class TestStepper:
