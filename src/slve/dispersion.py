@@ -150,10 +150,12 @@ def _accepted(model, coeff, k):
     Refuses an unknown model and the elastic variant, which has no rate
     term; a coefficient that is not positive and finite; k that is not
     finite and >= 0, or whose k*k overflows a double (the roots and the
-    residuals would be infinite); and, for the stress-rate model, a gamma
-    whose 1/gamma overflows (the real rate at k = 0) and k whose k*k/gamma
-    overflows (the cubic's constant term, and so every root, would not be
-    finite in double precision).
+    residuals would be infinite); for the strain-rate model, k whose nu*k*k
+    overflows (the quadratic's linear coefficient, about the fast decay
+    rate); and, for the stress-rate model, a gamma whose 1/gamma overflows
+    (the real rate at k = 0) and k whose k*k/gamma overflows (the cubic's
+    constant term, and so every root, would not be finite in double
+    precision).
     """
     try:
         model = Variant(model)
@@ -178,16 +180,15 @@ def _accepted(model, coeff, k):
         if math.isfinite(bad) and bad >= 0.0:
             raise InvalidParameterError(f"wavenumber {bad} is too large: k*k overflows a double")
         raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {bad}")
-    if model is Variant.STRESS_RATE:
-        if not math.isfinite(1.0 / coeff):
-            raise InvalidParameterError(f"gamma {coeff} is too small: 1/gamma overflows a double")
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(ks * ks / coeff)
-        if not finite.all():
-            raise InvalidParameterError(
-                f"wavenumber {float(ks[~finite][0])} is too large: "
-                "k*k/gamma overflows a double"
-            )
+    if model is Variant.STRESS_RATE and not math.isfinite(1.0 / coeff):
+        raise InvalidParameterError(f"gamma {coeff} is too small: 1/gamma overflows a double")
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(ks * ks / coeff if name == "gamma" else coeff * ks * ks)
+    if not finite.all():
+        term = "k*k/gamma" if name == "gamma" else "nu*k*k"
+        raise InvalidParameterError(
+            f"wavenumber {float(ks[~finite][0])} is too large: {term} overflows a double"
+        )
     return model, coeff, ks, k.ndim == 0
 
 

@@ -207,6 +207,7 @@ def test_criterion_3_stress_rate_uniform_instability(capsys):
     all_shape_ok = True
     worst_rel = 0.0
     worst_ratio = 0.0
+    worst_term_rel = 0.0  # |p(r)| over the sum of its terms' magnitudes
     for gamma, k in zip(gammas, ks):
         res = stress_rate_dispersion(gamma, k)
         r = res.roots
@@ -227,14 +228,17 @@ def test_criterion_3_stress_rate_uniform_instability(capsys):
         resid = np.abs(np.longdouble(gamma) * r**3 - r * r - ksq)
         ratio = resid / (1e-10 * (1.0 + np.abs(r) ** 3))
         worst_ratio = max(worst_ratio, float(np.max(ratio)))
-    ok = all_shape_ok and worst_rel < 1e-9 and worst_ratio < 1.0
+        terms = np.longdouble(gamma) * np.abs(r) ** 3 + np.abs(r) ** 2 + ksq
+        worst_term_rel = max(worst_term_rel, float(np.max(resid / terms)))
+    ok = all_shape_ok and worst_rel < 1e-9 and worst_ratio < 1.0 and worst_term_rel <= 1e-13
     _report(
         capsys,
         3,
         ok,
         f"{n} samples: one growing real root everywhere = {all_shape_ok}, "
         f"discriminant rel err = {worst_rel:.2e} (bound 1e-9), "
-        f"residual/bound = {worst_ratio:.2e} (bound 1)",
+        f"residual/bound = {worst_ratio:.2e} (bound 1), "
+        f"residual/terms = {worst_term_rel:.2e} (bound 1e-13)",
     )
 
 

@@ -618,13 +618,16 @@ class TestMain:
         ]
         + [pytest.param("variant = stress_rate\ngamma = 1e-3", "1e154", "k*k/gamma overflows",
                         id="1e154-k*k over gamma-stress_rate")]
+        + [pytest.param("variant = strain_rate\nnu = 1e150", "1e150", "nu*k*k overflows",
+                        id="1e150-nu k*k-strain_rate")]
         + [pytest.param(f"variant = stress_rate\ngamma = {g}", "1.0", "1/gamma overflows",
                         id=f"{g}-1 over gamma-stress_rate") for g in ("5e-324", "1e-310")],
     )
     def test_bad_wavenumber_exit_2(self, tmp_path, capsys, model, k, reason):
         # at 1e160 k*k is inf: no finite root or residual to report; at 1e154
         # k*k is finite but k*k/gamma is not for gamma = 1e-3; below about
-        # 5.6e-309 no k is solvable, since 1/gamma itself overflows
+        # 5.6e-309 no k is solvable, since 1/gamma itself overflows; at nu = 1e150,
+        # k = 1e150 nu*k*k, the strain-rate law's fast decay rate, is inf
         ini = tmp_path / "run.ini"
         text = DISP_INI.format(out=tmp_path / "out")
         ini.write_text(text.replace("variant = strain_rate\nnu = 1.0", model))

@@ -343,6 +343,14 @@ class TestBatch:
         with pytest.raises(InvalidParameterError, match="too large"):
             stress_rate_dispersion(1e-3, 1e154)
 
+    def test_overflowing_strain_rate_coefficient_rejected(self):
+        # k*k is finite, nu*k*k (about the fast decay rate) is not: the root would read -inf
+        for k in (1e150, [1.0, 1e150]):
+            with pytest.raises(InvalidParameterError, match=r"nu\*k\*k overflows"):
+                strain_rate_dispersion(1e150, k)
+        # just inside the range the fast root is finite
+        assert np.isfinite(strain_rate_dispersion(1e150, 1e79).roots.astype(complex)).all()
+
     @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
     def test_overflowing_reciprocal_gamma_rejected(self, gamma):
         # 1/gamma, the real rate at k = 0, is inf in double precision
