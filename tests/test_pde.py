@@ -491,7 +491,12 @@ class TestTrajectory:
 
         def counting_rhs(*args):
             rhs = make_rhs(*args)
-            return lambda Y, out: (calls.append(1), rhs(Y, out))
+
+            def counted(Y, out):
+                calls.append(1)
+                rhs(Y, out)
+
+            return counted
 
         def recording_step(rhs, Y, h, work, out):
             lengths.append(h)
