@@ -272,14 +272,19 @@ def _is_periodic(boundary: Boundary | str) -> bool:
 def first_derivative(
     values: np.ndarray, spacing: float, boundary: Boundary | str, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Second-order first derivative on nodal values (array kernel).
+    """Second-order first derivative on nodal values (array kernel), along
+    the last axis: each row of a block gets the bits of its own 1-D call.
 
-    out, if given, is a float array of the shape of values that shares no
-    memory with it; the derivative is written there and returned, with the
-    bits of the allocating call.
+    The last axis needs at least 3 nodes.  out, if given, is a float array of
+    the shape of values that shares no memory with it; the derivative is
+    written there and returned, with the bits of the allocating call.
     """
     periodic = boundary is Boundary.PERIODIC or _is_periodic(boundary)
     values = np.asarray(values)
+    if values.ndim == 0 or values.shape[-1] < 3:
+        raise InvalidParameterError(
+            f"values need at least 3 nodes on the last axis, got shape {values.shape}"
+        )
     width = 2.0 * spacing
     if out is None:
         # integer input gives floats, as the arithmetic below does
@@ -293,18 +298,30 @@ def first_derivative(
 
 def _centered(values: np.ndarray, width: float, periodic: bool, out: np.ndarray) -> np.ndarray:
     """The stencil of first_derivative, unchecked: width = 2*spacing, and out
-    is a float array of the shape of values that shares no memory with it.
+    is a float array of the shape of values that shares no memory with it,
+    whose last axis has at least 3 nodes.
 
-    Every entry's difference, ends included, is written first and the row
+    Every entry's difference, ends included, is written first and the block
     divided once, the IEEE operations of the per-entry formulas
-    (values[i+1] - values[i-1]) / width and the one-sided end stencils.
+    (values[i+1] - values[i-1]) / width and the one-sided end stencils, along
+    the last axis: each row of a block keeps the bits of its own 1-D call.
+    A 1-D row takes plain slices and scalar ends, the cheapest indexing there.
     """
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    if periodic:  # wrapped ends
-        out[0] = values[1] - values[-1]
-        out[-1] = values[0] - values[-2]
+    if values.ndim == 1:
+        np.subtract(values[2:], values[:-2], out=out[1:-1])
+        if periodic:  # wrapped ends
+            out[0] = values[1] - values[-1]
+            out[-1] = values[0] - values[-2]
+        else:
+            out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
+            out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
     else:
-        out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
-        out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+        np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+        if periodic:  # both wrapped ends of every row: (v1 - v[-1], v0 - v[-2])
+            ends = out[..., ::values.shape[-1] - 1]
+            np.subtract(values[..., 1::-1], values[..., :-3:-1], out=ends)
+        else:
+            out[..., 0] = -3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]
+            out[..., -1] = 3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]
     out /= width
     return out

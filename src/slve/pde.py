@@ -38,10 +38,13 @@ slopes, the stage state and two result buffers used in alternation.  The
 stage sums and the stencils write into these buffers; only the response
 calls and the blow-up check make temporaries of their own.  A yielded state
 is valid only until the next iteration, so callers copy what they keep.
-Arguments are checked once per run, not per stage: the strain-rate stages
-take their stencil from core's unchecked kernel (first_derivative is its
-checks plus that kernel, so the bits agree), since _march's buffers never
-alias and keep the grid's shape.
+The stress-rate and elastic stages make one checked first_derivative call
+each, on the row pair (T, v) of the stage state into two rows of the slope;
+it differentiates each row with the bits of its own 1-D call.  The
+strain-rate stage makes two dependent 1-D calls, v_x and then the T_x of the
+stress rebuilt from it, so it skips the checks and calls core's unchecked
+kernel (first_derivative is its checks plus that kernel, so the bits agree):
+_march's buffers never alias and keep the grid's shape.
 
 With a linear response on a periodic grid the scheme is a linear
 recurrence: a step of length h multiplies each spatial Fourier mode by
@@ -278,10 +281,9 @@ def _make_rhs(
         gamma = params.gamma
 
         def rhs(Y, out):
-            v, eps, T = Y
-            first_derivative(T, dx, bdy, out[0])
-            first_derivative(v, dx, bdy, out[1])
-            np.subtract(f.value(T), eps, out=out[2])
+            # rows (T, v) give (T_x, v_x) = (v_t, eps_t)
+            first_derivative(Y[::-2], dx, bdy, out[:2])
+            np.subtract(f.value(Y[2]), Y[1], out=out[2])
             out[2] /= gamma
 
     elif variant is Variant.STRAIN_RATE:
@@ -299,10 +301,9 @@ def _make_rhs(
     else:
 
         def rhs(Y, out):
-            v, T = Y
-            first_derivative(T, dx, bdy, out[0])
-            first_derivative(v, dx, bdy, out[1])
-            out[1] /= f.derivative(T)
+            # rows (T, v) give (T_x, v_x) = (v_t, h'(T) * T_t)
+            first_derivative(Y[::-1], dx, bdy, out)
+            out[1] /= f.derivative(Y[1])
 
     if bdy is Boundary.DIRICHLET_ZERO:
         bare = rhs
@@ -488,9 +489,7 @@ def _dissipation_rates(T, eps, params: ModelParams, f: ConstitutiveFunction, gri
         T_t = (np.asarray(f.value(T)) - eps) / params.gamma
         return _trapezoid(params.gamma * T_t * T_t, grid)
     if params.variant is Variant.STRAIN_RATE:
-        T_x = np.empty(T.shape)
-        for row, out in zip(T, T_x):
-            first_derivative(row, grid.spacing, grid.boundary, out=out)
+        T_x = first_derivative(T, grid.spacing, grid.boundary)
         return _trapezoid(T_x * T_x, grid) * params.nu
     return np.zeros(len(T))
 

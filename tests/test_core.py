@@ -300,3 +300,71 @@ class TestDerivatives:
             d1 = first_derivative(v, spacing, boundary)
         assert d1.dtype == np.float64
         assert np.array_equal(d1, ref, equal_nan=True)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (2,), (3, 2), (2, 0)], ids=str)
+    def test_fewer_than_three_nodes_refused(self, boundary, shape):
+        # no stencil fits: every end formula reaches 3 nodes, and 2 periodic
+        # nodes would wrap each end onto itself
+        with pytest.raises(InvalidParameterError, match="at least 3 nodes"):
+            first_derivative(np.ones(shape), 1.0, boundary)
+        with pytest.raises(InvalidParameterError, match="at least 3 nodes"):
+            first_derivative(np.ones(shape), 1.0, boundary, np.empty(shape))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_three_nodes_are_enough(self, boundary):
+        # spacing 0.5: the stencil width is 1
+        v = np.array([1.0, 4.0, 9.0])
+        if boundary is Boundary.PERIODIC:
+            ref = [4.0 - 9.0, 9.0 - 1.0, 1.0 - 4.0]
+        else:
+            ref = [-3.0 * 1.0 + 4.0 * 4.0 - 9.0, 9.0 - 1.0, 3.0 * 9.0 - 4.0 * 4.0 + 1.0]
+        assert np.array_equal(first_derivative(v, 0.5, boundary), ref)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_strided_row_pair_into_rows_of_another_block(self, boundary):
+        # the stress-rate stage: rows (T, v) of (v, eps, T) into (v_t, eps_t)
+        rng = np.random.default_rng(11)
+        Y, out = rng.normal(size=(3, 16)), np.full((3, 16), np.nan)
+        assert first_derivative(Y[::-2], 0.3, boundary, out[:2]).base is out
+        assert np.array_equal(out[0], first_derivative(Y[2], 0.3, boundary))
+        assert np.array_equal(out[1], first_derivative(Y[0], 0.3, boundary))
+        assert np.all(np.isnan(out[2]))
+        # rows (T, v) into (v, eps) of the same block: both views hold row 0
+        with pytest.raises(InvalidParameterError, match="share no memory"):
+            first_derivative(Y[::-2], 0.3, boundary, Y[:2])
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_a_block_is_differentiated_along_its_last_axis(self, boundary):
+        # rows 0..3, 4..7, 8..11: slope 1 along each row, 4 down each column
+        d = first_derivative(np.arange(12.0).reshape(3, 4), 1.0, boundary)
+        if boundary is Boundary.PERIODIC:  # the wrapped ends see the jump back
+            assert np.array_equal(d, np.tile([-1.0, 1.0, 1.0, -1.0], (3, 1)))
+        else:  # the one-sided ends are exact on a line
+            assert np.array_equal(d, np.ones((3, 4)))
+
+    @given(
+        st.one_of(
+            arrays(
+                np.float64,
+                st.tuples(st.integers(1, 4), st.integers(3, 80)),
+                elements=st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            arrays(
+                np.int64,
+                st.tuples(st.integers(1, 4), st.integers(3, 80)),
+                elements=st.integers(min_value=-(2**31), max_value=2**31),
+            ),
+        ),
+        st.floats(min_value=1e-6, max_value=1e3),
+        st.sampled_from(list(Boundary)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_of_a_block_gets_its_own_bits(self, Y, spacing, boundary):
+        # a block is differentiated row by row with the bits of the 1-D
+        # calls, overflow to inf/nan included
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = first_derivative(Y, spacing, boundary)
+            ref = np.array([first_derivative(row, spacing, boundary) for row in Y])
+        assert d.dtype == np.float64
+        assert np.array_equal(d, ref, equal_nan=True)

@@ -142,6 +142,52 @@ class TestFastPathMatchesReference:
         # the stages skip the checks; only the two snapshots pass through them
         assert len(checked) == 2
 
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet_zero"])
+    @pytest.mark.parametrize("params", [ModelParams(variant="stress_rate", gamma=0.5),
+                                        ModelParams(variant="elastic")],
+                             ids=["stress_rate", "elastic"])
+    def test_stress_rate_and_elastic_stages_take_one_checked_call(
+            self, monkeypatch, boundary, params):
+        # one checked stencil call per stage on the row pair (T, v), looked up
+        # as pde's first_derivative: 4 per RK4 step, none per snapshot
+        import slve.pde
+
+        shapes, public = [], slve.pde.first_derivative
+
+        def counting_public(values, *args):
+            shapes.append(values.shape)
+            return public(values, *args)
+
+        monkeypatch.setattr(slve.pde, "first_derivative", counting_public)
+        g = Grid1D(length=L, n_cells=32, boundary=boundary)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        st = gaussian_bump_state(g, h, center=np.pi, width=0.5, amplitude=0.4)
+        cfg = SolverConfig(params=params, constitutive=h, dt=0.01, t_final=0.03)
+        assert len(simulate(st, cfg)) == 4
+        assert shapes == [(2, g.n_nodes)] * 4 * 3
+
+    def test_strain_rate_energy_series_takes_one_call_per_block(self, monkeypatch):
+        # the dissipation rates of a block of reports come from one checked
+        # call on its (r, N) stresses, not one call per row
+        import slve.pde
+
+        shapes, public = [], slve.pde.first_derivative
+
+        def counting_public(values, *args):
+            shapes.append(values.shape)
+            return public(values, *args)
+
+        g = periodic_grid(32)
+        gfun = make_constitutive("saturating", beta=1.0, a=2.0)
+        st = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
+        cfg = SolverConfig(params=ModelParams(variant="strain_rate", nu=0.5),
+                           constitutive=gfun, dt=1e-3, t_final=9e-3)
+        traj = simulate(st, cfg)
+        monkeypatch.setattr(slve.pde, "first_derivative", counting_public)
+        monkeypatch.setattr(slve.pde, "_REPORT_BLOCK", 3 * g.n_nodes)
+        assert len(energy_series(traj, cfg.params, gfun)) == 8
+        assert shapes == [(3, 32), (3, 32), (2, 32)]
+
     @staticmethod
     def _strain_rate_matches_reference_rk4(boundary):
         # reference: np.roll or one-sided end stencils, v_x taken separately

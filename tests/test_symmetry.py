@@ -14,8 +14,11 @@ catch a formula that the code and a reference written beside it would share:
   every stage.
 
 The runs are short but end on a shortened landing step (20.3 steps of dt).
+The rescaled pair also runs through the command line, where the table's t
+and x columns double and its field columns are the same text.
 """
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -32,6 +35,7 @@ from slve import (
     make_constitutive,
     simulate,
 )
+from slve.cli import main
 
 LENGTH = 2 * np.pi
 N_CELLS = 64
@@ -150,3 +154,58 @@ def test_pinned_blow_up_keeps_the_symmetries():
     assert np.array_equal(reflected.partial.t, base.partial.t)
     assert np.array_equal(_unreflected(reflected.partial.fields, "dirichlet_zero"),
                           base.partial.fields)
+
+
+def _simulate_ini(boundary, scale):
+    """A stress-rate simulate config with every length, time and gamma times scale."""
+    coeffs, dt = VARIANTS["stress_rate"]
+    return f"""
+[run]
+command = simulate
+
+[model]
+variant = stress_rate
+gamma = {scale * coeffs["gamma"]!r}
+
+[constitutive]
+kind = saturating
+beta = 1.0
+a = 2.0
+
+[grid]
+length = {scale * LENGTH!r}
+n_cells = {N_CELLS}
+boundary = {boundary}
+
+[solver]
+dt = {scale * dt!r}
+t_final = {scale * (20.3 * dt)!r}
+output_stride = 5
+
+[initial]
+type = gaussian_bump
+center = {scale * CENTER!r}
+width = {scale * WIDTH!r}
+amplitude = 0.4
+"""
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_cli_rescaled_twin(tmp_path, boundary):
+    # through the command line: the t and x columns double, the field
+    # columns are the same text
+    columns = {}
+    for scale in (1.0, 2.0):
+        ini = tmp_path / f"run-{scale}.ini"
+        ini.write_text(_simulate_ini(boundary, scale))
+        out = tmp_path / f"out-{scale}"
+        assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+        with open(out / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        columns[scale] = {name: [row[name] for row in rows] for name in rows[0]}
+    base, twin = columns[1.0], columns[2.0]
+    assert len(base["t"]) == 6 * (N_CELLS + (boundary == "dirichlet_zero"))
+    for name in ("t", "x"):
+        assert [float(c) for c in twin[name]] == [2.0 * float(c) for c in base[name]]
+    for name in ("v", "eps", "stress"):
+        assert twin[name] == base[name]
