@@ -59,6 +59,20 @@ def one_step(state, params, f, dt=1e-3):
     return simulate(state, SolverConfig(params=params, constitutive=f, dt=dt, t_final=dt))
 
 
+def _record_checked_calls(monkeypatch):
+    """The shapes of the values of every call to pde's first_derivative from now on."""
+    import slve.pde
+
+    shapes, public = [], slve.pde.first_derivative
+
+    def recording(values, *args):
+        shapes.append(values.shape)
+        return public(values, *args)
+
+    monkeypatch.setattr(slve.pde, "first_derivative", recording)
+    return shapes
+
+
 class TestRhs:
     """The right-hand side, seen through one simulate step."""
 
@@ -150,15 +164,7 @@ class TestFastPathMatchesReference:
             self, monkeypatch, boundary, params):
         # one checked stencil call per stage on the row pair (T, v), looked up
         # as pde's first_derivative: 4 per RK4 step, none per snapshot
-        import slve.pde
-
-        shapes, public = [], slve.pde.first_derivative
-
-        def counting_public(values, *args):
-            shapes.append(values.shape)
-            return public(values, *args)
-
-        monkeypatch.setattr(slve.pde, "first_derivative", counting_public)
+        shapes = _record_checked_calls(monkeypatch)
         g = Grid1D(length=L, n_cells=32, boundary=boundary)
         h = make_constitutive("saturating", beta=1.0, a=2.0)
         st = gaussian_bump_state(g, h, center=np.pi, width=0.5, amplitude=0.4)
@@ -171,19 +177,13 @@ class TestFastPathMatchesReference:
         # call on its (r, N) stresses, not one call per row
         import slve.pde
 
-        shapes, public = [], slve.pde.first_derivative
-
-        def counting_public(values, *args):
-            shapes.append(values.shape)
-            return public(values, *args)
-
         g = periodic_grid(32)
         gfun = make_constitutive("saturating", beta=1.0, a=2.0)
         st = gaussian_bump_state(g, gfun, center=np.pi, width=0.5, amplitude=0.4)
         cfg = SolverConfig(params=ModelParams(variant="strain_rate", nu=0.5),
                            constitutive=gfun, dt=1e-3, t_final=9e-3)
         traj = simulate(st, cfg)
-        monkeypatch.setattr(slve.pde, "first_derivative", counting_public)
+        shapes = _record_checked_calls(monkeypatch)
         monkeypatch.setattr(slve.pde, "_REPORT_BLOCK", 3 * g.n_nodes)
         assert len(energy_series(traj, cfg.params, gfun)) == 8
         assert shapes == [(3, 32), (3, 32), (2, 32)]
