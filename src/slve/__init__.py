@@ -31,7 +31,6 @@ from .core import (
     ModelParams,
     NondimScales,
     Variant,
-    dimensionless_params,
     first_derivative,
     integrate_field,
     nondimensionalize,
@@ -104,7 +103,6 @@ __all__ = [
     "ModelParams",
     "NondimScales",
     "nondimensionalize",
-    "dimensionless_params",
     "integrate_field",
     "first_derivative",
     # constitutive

@@ -15,9 +15,11 @@ the library's own checks, so a step over the stability ceiling, an
 overflows and twave end states that are non-finite, coincide or give no
 real speed are all refused before the output directory is made.
 
-Material parameters are given dimensionally in [model]; the front end
-nondimensionalizes once and runs every solver in the unit form, so [grid]
-lengths, [solver] times and all table output are in scaled units.
+Material parameters are given dimensionally in [model]: rho, mu and
+length_scale only scale nu and gamma (and status.json's scales) into the
+unit form every solver runs, so [grid] lengths, [solver] times and all
+table output are in scaled units.  A material whose wave speed or scales
+leave the double range is refused.
 
 Outcomes are machine-parsable: each run writes its tables plus status.json
 into the output directory and prints the same status record to stdout.
@@ -45,7 +47,7 @@ import configparser
 import enum
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
@@ -88,7 +90,7 @@ class RunConfig:
     """Validated run description: what each command runs, built once."""
 
     command: Command
-    params: core.ModelParams  # as given, dimensional
+    scales: core.NondimScales  # of the [model] material
     unit: core.ModelParams  # the unit form every solver runs
     solver: Optional[pde.SolverConfig]  # simulate, energy and audit only
     initial: Optional[pde.SimState]  # likewise; its grid is the [grid] section
@@ -170,8 +172,8 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     if variant_raw is None:
         raise ConfigError("missing [model] variant")
     try:
-        params = core.ModelParams(
-            variant=variant_raw,
+        variant = core.Variant(variant_raw)
+        scales = core.nondimensionalize(
             rho=_get_number(cp, "model", "rho", 1.0),
             mu=_get_number(cp, "model", "mu", 1.0),
             length_scale=_get_number(cp, "model", "length_scale", 1.0),
@@ -179,7 +181,7 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
             gamma=_get_number(cp, "model", "gamma", 0.0),
         )
         # every solver runs the dimensionless coefficients; checks run on them
-        unit = core.dimensionless_params(params)
+        unit = core.ModelParams(variant, nu=scales.nu_bar, gamma=scales.gamma_bar)
     except ValueError as exc:
         raise ConfigError(f"[model] rejected: {exc}") from exc
 
@@ -268,7 +270,7 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
 
     return RunConfig(
         command=command,
-        params=params,
+        scales=scales,
         unit=unit,
         solver=solver,
         initial=initial,
@@ -521,17 +523,10 @@ def run(config: RunConfig) -> RunResult:
     """Execute a validated config; writes tables and status.json."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scales = core.nondimensionalize(config.params)
     base = {
         "command": config.command.value,
-        "variant": config.params.variant.value,
-        "scales": {
-            "x_scale": scales.x_scale,
-            "t_scale": scales.t_scale,
-            "stress_scale": scales.stress_scale,
-            "nu_bar": scales.nu_bar,
-            "gamma_bar": scales.gamma_bar,
-        },
+        "variant": config.unit.variant.value,
+        "scales": asdict(config.scales),
     }
     runners = {
         Command.SIMULATE: _run_simulate,

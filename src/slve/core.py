@@ -11,9 +11,9 @@ and the two rate coefficients carry over as
     nu_bar    = (nu / L) * sqrt(mu / rho),
     gamma_bar = (gamma * mu / L) * sqrt(mu / rho).
 
-Downstream modules assume the dimensionless unit form rho = mu = L = 1;
-`nondimensionalize` / `dimensionless_params` do the conversion at the
-boundary (the CLI), so solver code never mixes unit systems.
+ModelParams holds the dimensionless unit form rho = mu = L = 1 that every
+solver runs; `nondimensionalize` gives its nu and gamma from a dimensional
+material once, at the boundary (the CLI), so solver code never mixes units.
 
 Spatial discretization lives here too: second-order centered differences
 (periodic wrap, or one-sided second-order stencils at fixed ends) and the
@@ -40,7 +40,6 @@ __all__ = [
     "ModelParams",
     "NondimScales",
     "nondimensionalize",
-    "dimensionless_params",
     "integrate_field",
     "first_derivative",
 ]
@@ -145,37 +144,34 @@ class Field:
         return field
 
 
+def _require_rate(name: str, value: float) -> float:
+    # a negative gamma or nu makes the dissipation rate negative
+    value = _require_finite(name, value)
+    if value < 0.0:
+        raise InvalidParameterError(
+            f"{name} must be nonnegative (dissipation requires it), got {value}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Material and model parameters in dimensional form.
+    """The model in the unit form rho = mu = L = 1 that every solver runs.
 
     The variant decides which rate coefficient must be active: stress_rate
     needs gamma > 0, strain_rate needs nu > 0, elastic needs both zero.
-    Both coefficients must be nonnegative regardless (a negative gamma or nu
-    makes the dissipation rate negative, which the models exclude).
+    Both coefficients must be nonnegative and finite regardless.  A
+    dimensional material gives its coefficients through nondimensionalize.
     """
 
     variant: Variant
-    rho: float = 1.0
-    mu: float = 1.0
-    length_scale: float = 1.0
     nu: float = 0.0
     gamma: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
-        for name in ("rho", "mu", "length_scale"):
-            value = _require_finite(name, getattr(self, name))
-            object.__setattr__(self, name, value)
-            if value <= 0.0:
-                raise InvalidParameterError(f"{name} must be positive, got {value}")
-        for name in ("nu", "gamma"):
-            value = _require_finite(name, getattr(self, name))
-            object.__setattr__(self, name, value)
-            if value < 0.0:
-                raise InvalidParameterError(
-                    f"{name} must be nonnegative (dissipation requires it), got {value}"
-                )
+        object.__setattr__(self, "nu", _require_rate("nu", self.nu))
+        object.__setattr__(self, "gamma", _require_rate("gamma", self.gamma))
         if self.variant is Variant.STRESS_RATE and self.gamma == 0.0:
             raise InvalidParameterError("stress_rate variant requires gamma > 0")
         if self.variant is Variant.STRAIN_RATE and self.nu == 0.0:
@@ -204,44 +200,44 @@ class NondimScales:
     gamma_bar: float
 
 
-def nondimensionalize(params: ModelParams) -> NondimScales:
-    """Scale factors and dimensionless coefficients for the given material.
+def nondimensionalize(rho: float = 1.0, mu: float = 1.0, length_scale: float = 1.0,
+                      nu: float = 0.0, gamma: float = 0.0) -> NondimScales:
+    """Scale factors and dimensionless coefficients of a dimensional material.
 
-    Parameters
-    ----------
-    params : ModelParams
-        Dimensional parameters; rho, mu and length_scale must be positive
-        (enforced at construction).
+    rho, mu and length_scale must be positive and finite, nu and gamma
+    nonnegative and finite.  The wave speed sqrt(mu/rho) and t_scale must be
+    positive and finite in double precision; nu_bar and gamma_bar finite,
+    and zero only where nu or gamma is.
 
     Returns
     -------
     NondimScales
         x_scale = L, t_scale = L*sqrt(rho/mu), stress_scale = mu, and the
         dimensionless rate coefficients nu_bar, gamma_bar defined in the
-        module docstring.
+        module docstring: ModelParams(variant, nu=nu_bar, gamma=gamma_bar)
+        is the material's unit form.
     """
-    rho, mu, L = params.rho, params.mu, params.length_scale
+    for name, value in (("rho", rho), ("mu", mu), ("length_scale", length_scale)):
+        if _require_finite(name, value) <= 0.0:
+            raise InvalidParameterError(f"{name} must be positive, got {float(value)}")
+    rho, mu, L = float(rho), float(mu), float(length_scale)
+    nu, gamma = _require_rate("nu", nu), _require_rate("gamma", gamma)
     speed = math.sqrt(mu / rho)  # small-stress wave speed
-    return NondimScales(
+    if not 0.0 < speed < math.inf:
+        raise InvalidParameterError(f"the wave speed sqrt(mu/rho) must be positive and "
+                                    f"finite, got {speed} for mu = {mu}, rho = {rho}")
+    scales = NondimScales(
         x_scale=L,
         t_scale=L / speed,
         stress_scale=mu,
-        nu_bar=params.nu / L * speed,
-        gamma_bar=params.gamma * mu / L * speed,
+        nu_bar=nu / L * speed,
+        gamma_bar=gamma * mu / L * speed,
     )
-
-
-def dimensionless_params(params: ModelParams) -> ModelParams:
-    """The same model in the unit form rho = mu = L = 1 used by the solvers."""
-    scales = nondimensionalize(params)
-    return ModelParams(
-        variant=params.variant,
-        rho=1.0,
-        mu=1.0,
-        length_scale=1.0,
-        nu=scales.nu_bar,
-        gamma=scales.gamma_bar,
-    )
+    for name, value, given in (("t_scale", scales.t_scale, L), ("nu_bar", scales.nu_bar, nu),
+                               ("gamma_bar", scales.gamma_bar, gamma)):
+        if not math.isfinite(value) or (value == 0.0) != (given == 0.0):
+            raise InvalidParameterError(f"{name} = {value} leaves the double range")
+    return scales
 
 
 def _trapezoid(values: np.ndarray, grid: Grid1D):

@@ -150,11 +150,13 @@ def _accepted(model, coeff, k):
     Refuses an unknown model and the elastic variant, which has no rate
     term; a coefficient that is not positive and finite; k that is not
     finite and >= 0, or whose k*k overflows a double (the roots and the
-    residuals would be infinite); for the strain-rate model, k whose nu*k*k
-    overflows (the quadratic's linear coefficient, about the fast decay
-    rate); and, for the stress-rate model, a gamma whose 1/gamma overflows
-    (the real rate at k = 0) and k whose k*k/gamma overflows (the cubic's
-    constant term, and so every root, would not be finite in double
+    residuals would be infinite); for the strain-rate model, a nu whose
+    critical wavenumber 2/nu overflows and k whose nu*k*k overflows (the
+    quadratic's linear coefficient, about the fast decay rate); and, for
+    the stress-rate model, a gamma whose 1/gamma overflows (the real rate
+    at k = 0) or whose 1/gamma**2 does (the cubic's terms at that root, so
+    |p(r)| has no double value), and k whose k*k/gamma overflows (the
+    cubic's constant term, and so every root, would not be finite in double
     precision).
     """
     try:
@@ -180,8 +182,13 @@ def _accepted(model, coeff, k):
         if math.isfinite(bad) and bad >= 0.0:
             raise InvalidParameterError(f"wavenumber {bad} is too large: k*k overflows a double")
         raise InvalidParameterError(f"wavenumber must be finite and >= 0, got {bad}")
-    if model is Variant.STRESS_RATE and not math.isfinite(1.0 / coeff):
-        raise InvalidParameterError(f"gamma {coeff} is too small: 1/gamma overflows a double")
+    if name == "gamma":  # the cubic's k = 0 root 1/gamma, and its terms 1/gamma**2 there
+        for term, value in (("1/gamma", 1.0 / coeff), ("1/gamma**2", 1.0 / coeff / coeff)):
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"gamma {coeff} is too small: {term} overflows a double")
+    elif not math.isfinite(2.0 / coeff):  # the critical wavenumber
+        raise InvalidParameterError(f"nu {coeff} is too small: 2/nu overflows a double")
     with np.errstate(over="ignore"):
         finite = np.isfinite(ks * ks / coeff if name == "gamma" else coeff * ks * ks)
     if not finite.all():

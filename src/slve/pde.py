@@ -14,9 +14,9 @@ and differ in the constitutive closure.  As first-order systems:
 The strain-rate closure eps + nu*eps_t = g(T) is the stress reconstruction
 itself, so that model's strain follows the kinematics alone.
 
-The solvers run only the dimensionless unit form rho = mu = length_scale = 1
-of core.dimensionless_params: SolverConfig and total_energy refuse any other
-params, so no formula here carries rho, mu or length_scale.
+The solvers run the dimensionless unit form rho = mu = length_scale = 1,
+the only form core.ModelParams can hold, so no formula here carries rho, mu
+or length_scale.
 
 Space: second-order centered differences, periodic wrap or one-sided
 second-order stencils with pinned values at dirichlet_zero ends.  Time:
@@ -198,7 +198,6 @@ class SolverConfig:
     blowup_threshold: float = 1e6
 
     def __post_init__(self):
-        _require_unit_form(self.params)
         dt, t_final = _checked_times(self.dt, self.t_final)
         stride = _require_count("output_stride", self.output_stride, 1)
         if not math.isfinite(self.blowup_threshold) or self.blowup_threshold <= 0.0:
@@ -213,14 +212,6 @@ class SolverConfig:
     @property
     def variant(self) -> Variant:
         return self.params.variant
-
-
-def _require_unit_form(params: ModelParams) -> None:
-    if (params.rho, params.mu, params.length_scale) != (1.0, 1.0, 1.0):
-        raise InvalidParameterError(
-            f"the solvers run the unit form rho = mu = length_scale = 1, got rho = {params.rho}, "
-            f"mu = {params.mu}, length_scale = {params.length_scale}; "
-            "pass core.dimensionless_params(params)")
 
 
 @dataclass(frozen=True)
@@ -464,8 +455,7 @@ def stored_energy_density(variant: Variant, f: ConstitutiveFunction, T, eps):
 
 
 def total_energy(state: SimState, params: ModelParams, f: ConstitutiveFunction) -> float:
-    """Kinetic plus stored energy over the grid, for unit-form params."""
-    _require_unit_form(params)
+    """Kinetic plus stored energy over the grid."""
     ke = 0.5 * state.v.values**2
     se = stored_energy_density(params.variant, f, state.stress.values, state.eps.values)
     return float(integrate_field(Field(ke + se, state.grid)))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +203,7 @@ class TestParse:
     def test_minimal_dispersion_config(self):
         cfg = parse_config(DISP_INI.format(out="."))
         assert cfg.command is Command.DISPERSION
-        assert cfg.params.nu == 1.0
+        assert cfg.unit.nu == 1.0
         assert cfg.k_values.tolist() == [0.0, 0.5, 1.0, 2.0, 4.0]
         assert cfg.fmt == "csv"
 
@@ -249,7 +250,7 @@ class TestParse:
 
     def test_overrides_reach_the_model(self):
         cfg = parse_config(DISP_INI.format(out="."), {("model", "nu"): "2.5"})
-        assert cfg.params.nu == 2.5
+        assert cfg.unit.nu == 2.5
 
 
 class TestRunDispersion:
@@ -313,7 +314,7 @@ class TestRunDispersion:
         )
         config = parse_config(text)
         assert run(config).exit_code == 0
-        unit = core.dimensionless_params(config.params)
+        unit = config.unit
         header = ["k", "classification", "max_real_part", "positive_real_root",
                   "k_critical", "discriminant", "max_residual"]
         rows = []
@@ -446,7 +447,7 @@ class TestRunTwave:
         )
         config = parse_config(text)
         assert run(config).exit_code == 0
-        unit = core.dimensionless_params(config.params)
+        unit = config.unit
         spec = config.twave
         problem = twave.make_problem(
             spec.f, spec.t_minus, spec.t_plus, unit.variant, unit.coefficient)
@@ -474,9 +475,7 @@ class TestRunEnergyAudit:
         # the bytes of the same config written with its scaled coefficients
         text = SIM_INI.replace("command = simulate", "command = energy")
         model = "variant = stress_rate\ngamma = 1.0"
-        params = core.ModelParams(variant="stress_rate", rho=4.0, mu=2.0, length_scale=0.5,
-                                  gamma=1.0)
-        scales = core.nondimensionalize(params)
+        scales = core.nondimensionalize(rho=4.0, mu=2.0, length_scale=0.5, gamma=1.0)
         cases = {
             "dimensional": model + "\nrho = 4\nmu = 2\nlength_scale = 0.5",
             "unit": f"variant = stress_rate\nnu = {scales.nu_bar!r}\ngamma = {scales.gamma_bar!r}",
@@ -489,6 +488,8 @@ class TestRunEnergyAudit:
             written[name] = (tmp_path / name / "energy.csv").read_bytes()
         assert scales.gamma_bar != 1.0
         assert written["dimensional"] == written["unit"]
+        status = json.loads((tmp_path / "dimensional" / "status.json").read_text())
+        assert status["scales"] == asdict(scales)
 
     @pytest.mark.parametrize("command", ["energy", "audit"])
     def test_too_few_samples_refused_before_running(self, tmp_path, capsys, command):
@@ -621,13 +622,19 @@ class TestMain:
         + [pytest.param("variant = strain_rate\nnu = 1e150", "1e150", "nu*k*k overflows",
                         id="1e150-nu k*k-strain_rate")]
         + [pytest.param(f"variant = stress_rate\ngamma = {g}", "1.0", "1/gamma overflows",
-                        id=f"{g}-1 over gamma-stress_rate") for g in ("5e-324", "1e-310")],
+                        id=f"{g}-1 over gamma-stress_rate") for g in ("5e-324", "1e-310")]
+        + [pytest.param("variant = stress_rate\ngamma = 1e-225", "0.0", "1/gamma**2 overflows",
+                        id="1e-225-1 over gamma squared-stress_rate")]
+        + [pytest.param("variant = strain_rate\nnu = 1e-310", "0.5", "2/nu overflows",
+                        id="1e-310-2 over nu-strain_rate")],
     )
     def test_bad_wavenumber_exit_2(self, tmp_path, capsys, model, k, reason):
         # at 1e160 k*k is inf: no finite root or residual to report; at 1e154
         # k*k is finite but k*k/gamma is not for gamma = 1e-3; below about
-        # 5.6e-309 no k is solvable, since 1/gamma itself overflows; at nu = 1e150,
-        # k = 1e150 nu*k*k, the strain-rate law's fast decay rate, is inf
+        # 5.6e-309 no k is solvable, since 1/gamma itself overflows, and below
+        # about 7.5e-155 the cubic's terms 1/gamma**2 at that root do; at nu = 1e150,
+        # k = 1e150 nu*k*k, the strain-rate law's fast decay rate, is inf; at
+        # nu = 1e-310 the critical wavenumber 2/nu is
         ini = tmp_path / "run.ini"
         text = DISP_INI.format(out=tmp_path / "out")
         ini.write_text(text.replace("variant = strain_rate\nnu = 1.0", model))
@@ -635,6 +642,45 @@ class TestMain:
         record = json.loads(capsys.readouterr().out)
         assert record["category"] == "config" and "k_values" in record["message"]
         assert reason in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model,message",
+        [
+            ("variant = strain_rate\nnu = 1.0\nrho = 0", "rho must be positive, got 0.0"),
+            ("variant = strain_rate\nnu = 1.0\nmu = -1", "mu must be positive, got -1.0"),
+            ("variant = strain_rate\nnu = 1.0\nlength_scale = nan",
+             "length_scale must be finite, got nan"),
+            ("variant = strain_rate\nnu = -1",
+             "nu must be nonnegative (dissipation requires it), got -1.0"),
+            ("variant = stress_rate\ngamma = inf", "gamma must be finite, got inf"),
+            ("variant = bogus\nnu = 1.0", "'bogus' is not a valid Variant"),
+            ("variant = elastic\nnu = 1.0", "elastic variant requires nu = gamma = 0"),
+            # materials whose wave speed or time scale leaves the double range
+            ("variant = strain_rate\nnu = 1.0\nmu = 1e-320\nrho = 1e300",
+             "the wave speed sqrt(mu/rho) must be positive and finite, got 0.0 "
+             "for mu = 1e-320, rho = 1e+300"),
+            ("variant = stress_rate\ngamma = 1.0\nmu = 1e300\nrho = 1e-300",
+             "the wave speed sqrt(mu/rho) must be positive and finite, got inf "
+             "for mu = 1e+300, rho = 1e-300"),
+            ("variant = strain_rate\nnu = 1.0\nlength_scale = 1e300\nmu = 1e-20",
+             "t_scale = inf leaves the double range"),
+            # a nonzero nu is no elastic model, even where nu/L underflows to 0
+            ("variant = elastic\nnu = 5e-324\nlength_scale = 10",
+             "nu_bar = 0.0 leaves the double range"),
+        ],
+        ids=["rho-0", "mu--1", "length_scale-nan", "nu--1", "gamma-inf", "variant-bogus",
+             "elastic-nu-1", "speed-0", "speed-inf", "t_scale-inf", "elastic-nu_bar-0"],
+    )
+    def test_bad_model_values_exit_2(self, tmp_path, capsys, model, message):
+        # refused while parsing, before the output directory is made
+        ini = tmp_path / "run.ini"
+        text = DISP_INI.format(out=tmp_path / "out")
+        ini.write_text(text.replace("variant = strain_rate\nnu = 1.0", model))
+        assert main(["dispersion", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert record["message"] == f"[model] rejected: {message}"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

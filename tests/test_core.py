@@ -1,5 +1,7 @@
 """Grids, fields, parameter scaling, and the discrete calculus kernels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from slve import (
     Grid1D,
     InvalidParameterError,
     ModelParams,
-    dimensionless_params,
     first_derivative,
     integrate_field,
     nondimensionalize,
@@ -84,6 +85,10 @@ class TestField:
 
 
 class TestModelParams:
+    def test_holds_the_unit_form_only(self):
+        # a dimensional material reaches the model through nondimensionalize
+        assert [f.name for f in dataclasses.fields(ModelParams)] == ["variant", "nu", "gamma"]
+
     def test_variant_rules(self):
         ModelParams(variant="stress_rate", gamma=0.5)
         ModelParams(variant="strain_rate", nu=0.5)
@@ -108,23 +113,20 @@ class TestScaling:
     # rho=1, mu=4, L=2 gives wave speed 2 and time scale 1;
     # nu=0.5 -> nu_bar = 0.5/2*2 = 0.5 and gamma=0.25 -> gamma_bar = 0.25*4/2*2 = 1
     def test_reference_values(self):
-        p = ModelParams(variant="strain_rate", rho=1.0, mu=4.0, length_scale=2.0, nu=0.5)
-        sc = nondimensionalize(p)
+        sc = nondimensionalize(rho=1.0, mu=4.0, length_scale=2.0, nu=0.5)
         assert sc.x_scale == pytest.approx(2.0)
         assert sc.t_scale == pytest.approx(1.0)
         assert sc.stress_scale == pytest.approx(4.0)
         assert sc.nu_bar == pytest.approx(0.5)
 
-        p2 = ModelParams(variant="stress_rate", rho=1.0, mu=4.0, length_scale=2.0, gamma=0.25)
-        assert nondimensionalize(p2).gamma_bar == pytest.approx(1.0)
+        assert nondimensionalize(rho=1.0, mu=4.0, length_scale=2.0,
+                                 gamma=0.25).gamma_bar == pytest.approx(1.0)
 
     def test_roundtrip(self):
         # the scales match their closed forms, and the closed forms solved
         # back for rho and gamma give the material again
         rho, mu, L, gamma = 2.7, 13.0, 0.4, 0.035
-        sc = nondimensionalize(
-            ModelParams(variant="stress_rate", rho=rho, mu=mu, length_scale=L, gamma=gamma)
-        )
+        sc = nondimensionalize(rho=rho, mu=mu, length_scale=L, gamma=gamma)
         assert sc.x_scale == L and sc.stress_scale == mu
         assert sc.t_scale == pytest.approx(L * np.sqrt(rho / mu), rel=1e-14)
         assert sc.gamma_bar == pytest.approx(gamma * mu / L * np.sqrt(mu / rho), rel=1e-14)
@@ -132,15 +134,29 @@ class TestScaling:
         assert sc.stress_scale * (sc.t_scale / sc.x_scale) ** 2 == pytest.approx(rho, rel=1e-14)
         assert sc.gamma_bar * sc.t_scale / sc.stress_scale == pytest.approx(gamma, rel=1e-14)
 
-    def test_dimensionless_params_are_unit_scale(self):
-        p = ModelParams(variant="strain_rate", rho=3.0, mu=7.0, length_scale=2.0, nu=0.9)
-        u = dimensionless_params(p)
-        assert u.rho == 1.0 and u.mu == 1.0 and u.length_scale == 1.0
-        assert u.nu == pytest.approx(nondimensionalize(p).nu_bar)
-
     def test_zero_length_scale_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ModelParams(variant="elastic", length_scale=0.0)
+            nondimensionalize(length_scale=0.0)
+
+    @pytest.mark.parametrize(
+        "material,quantity",
+        [
+            (dict(mu=1e-320, rho=1e300), "wave speed"),  # mu/rho underflows to 0
+            (dict(mu=1e300, rho=1e-300), "wave speed"),  # mu/rho overflows
+            (dict(length_scale=1e300, mu=1e-20, nu=1.0), "t_scale"),  # L/speed overflows
+            (dict(length_scale=5e-324, mu=1e20), "t_scale"),  # L/speed underflows to 0
+            (dict(length_scale=1e-300, nu=1e300), "nu_bar"),  # nu/L overflows
+            (dict(length_scale=10.0, gamma=5e-324), "gamma_bar"),  # gamma/L underflows to 0
+        ],
+    )
+    def test_material_out_of_double_range_refused(self, material, quantity):
+        with pytest.raises(InvalidParameterError, match=quantity):
+            nondimensionalize(**material)
+
+    def test_unit_material_is_the_identity(self):
+        sc = nondimensionalize(nu=0.9, gamma=0.25)
+        assert (sc.x_scale, sc.t_scale, sc.stress_scale) == (1.0, 1.0, 1.0)
+        assert (sc.nu_bar, sc.gamma_bar) == (0.9, 0.25)
 
 
 class TestQuadrature:

@@ -5,6 +5,7 @@ frozen from an independent bisection: 1.4655712318767682.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,27 @@ class TestBatch:
                 stress_rate_dispersion(gamma, k)
         with pytest.raises(InvalidParameterError, match="1/gamma overflows"):
             solve_dispersion("stress_rate", gamma, 1.0)
+
+    @pytest.mark.parametrize("gamma", [1e-225, 1e-200, 7e-155])
+    def test_overflowing_squared_reciprocal_gamma_rejected(self, gamma):
+        # 1/gamma is finite, but the cubic's terms at that root, 1/gamma**2,
+        # are not: |p(r)| has no double value, and its residual would read inf
+        for k in (0.0, 1.0, [0.0, 1.0]):
+            with pytest.raises(InvalidParameterError, match=r"1/gamma\*\*2 overflows"):
+                stress_rate_dispersion(gamma, k)
+        # just inside the range every residual is finite, cast without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(stress_rate_dispersion(7.5e-155, [0.0, 1.0]).residuals()).all()
+
+    @pytest.mark.parametrize("nu", [5e-324, 1e-310])
+    def test_overflowing_critical_wavenumber_rejected(self, nu):
+        # k_critical = 2/nu would read inf
+        with pytest.raises(InvalidParameterError, match="2/nu overflows"):
+            strain_rate_dispersion(nu, 0.5)
+        with pytest.raises(InvalidParameterError, match="2/nu overflows"):
+            solve_dispersion("strain_rate", nu, [0.0, 0.5])
+        assert strain_rate_dispersion(1.2e-308, 0.5).k_critical < np.inf
 
     def test_underflowing_companion_coefficient(self):
         # k*k/gamma rounds to 0 in double while k*k does not: the real rate

@@ -611,23 +611,6 @@ class TestStepper:
         cfg = SolverConfig(params=p, constitutive=make_constitutive("linear"), dt=1e-6, t_final=1.0)
         assert plan(zero_state(g), cfg).ceiling == pytest.approx(0.005)
 
-    @pytest.mark.parametrize("scale", ["rho", "mu", "length_scale"])
-    def test_non_unit_params_refused(self, scale):
-        # the solvers run core.dimensionless_params' unit form and no other
-        g = periodic_grid(16)
-        h = make_constitutive("saturating", beta=1.0, a=2.0)
-        unit = ModelParams(variant="strain_rate", nu=0.5)
-        scaled = dataclasses.replace(unit, **{scale: 2.0})
-        dt = 0.2 * g.spacing**2 / 0.5
-        with pytest.raises(InvalidParameterError, match="dimensionless_params"):
-            SolverConfig(params=scaled, constitutive=h, dt=dt, t_final=4 * dt)
-        st0 = gaussian_bump_state(g, h, center=np.pi, width=0.5, amplitude=0.4)
-        traj = simulate(st0, SolverConfig(params=unit, constitutive=h, dt=dt, t_final=4 * dt))
-        with pytest.raises(InvalidParameterError, match="dimensionless_params"):
-            total_energy(traj[0], scaled, h)
-        with pytest.raises(InvalidParameterError, match="dimensionless_params"):
-            energy_series(traj, scaled, h)
-
     def test_solver_config_validation(self):
         h = make_constitutive("linear")
         p = ModelParams(variant="elastic")
