@@ -38,8 +38,6 @@ from .core import (
 from .dispersion import (
     Classification,
     DispersionResult,
-    fit_mode_rates,
-    locate_critical_wavenumber,
     solve_dispersion,
     strain_rate_dispersion,
     stress_rate_dispersion,
@@ -47,15 +45,8 @@ from .dispersion import (
 from .errors import (
     BlowUpError,
     ConfigError,
-    DegenerateEquilibriaError,
-    InvalidHistoryError,
     InvalidParameterError,
-    InvalidStepError,
-    InvalidWindowError,
     NoKinkError,
-    NoRealSpeedError,
-    OutOfRangeError,
-    SingularLimitError,
     SlveError,
     SpanTooShortError,
     StrainLimitExceededError,
@@ -81,7 +72,6 @@ from .twave import (
     TravelingWaveProblem,
     UnificationReport,
     balance_function,
-    first_order_residual,
     kink_exists,
     kink_initial_state,
     kink_profile,
@@ -120,8 +110,6 @@ __all__ = [
     "solve_dispersion",
     "strain_rate_dispersion",
     "stress_rate_dispersion",
-    "locate_critical_wavenumber",
-    "fit_mode_rates",
     # pde
     "SimState",
     "Trajectory",
@@ -147,19 +135,11 @@ __all__ = [
     "balance_function",
     "kink_exists",
     "kink_profile",
-    "first_order_residual",
     "unified_reduction_check",
     "kink_initial_state",
     # errors
     "SlveError",
     "InvalidParameterError",
-    "InvalidHistoryError",
-    "OutOfRangeError",
-    "InvalidStepError",
-    "InvalidWindowError",
-    "DegenerateEquilibriaError",
-    "NoRealSpeedError",
-    "SingularLimitError",
     "ConfigError",
     "StrainLimitExceededError",
     "BlowUpError",

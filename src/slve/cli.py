@@ -11,9 +11,10 @@ rejected, as are values violating a model precondition (a negative gamma,
 for instance, fails the nonnegative-dissipation requirement gamma >= 0).
 The parser builds what each command runs once, in unit form and through
 the library's own checks, so a step over the stability ceiling, an
-[initial] shape the grid cannot hold, a wavenumber whose k*k (or k*k/gamma)
-overflows and twave end states that are non-finite, coincide or give no
-real speed are all refused before the output directory is made.
+[initial] shape the grid cannot hold, an energy run with no uniformly
+spaced interior sample, a wavenumber whose k*k (or k*k/gamma) overflows
+and twave end states that are non-finite, coincide or give no real speed
+are all refused before the output directory is made.
 
 Material parameters are given dimensionally in [model]: rho, mu and
 length_scale only scale nu and gamma (and status.json's scales) into the
@@ -182,6 +183,8 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
         )
         # every solver runs the dimensionless coefficients; checks run on them
         unit = core.ModelParams(variant, nu=scales.nu_bar, gamma=scales.gamma_bar)
+    except ConfigError:  # a value that is no number names its block already
+        raise
     except ValueError as exc:
         raise ConfigError(f"[model] rejected: {exc}") from exc
 
@@ -192,6 +195,8 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
             beta=_get_number(cp, "constitutive", "beta", 1.0),
             a=_get_number(cp, "constitutive", "a", 1.0),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"[constitutive] rejected: {exc}") from exc
 
@@ -203,6 +208,8 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
                 n_cells=_get_number(cp, "grid", "n_cells", required=True, kind=int),
                 boundary=_get(cp, "grid", "boundary", "periodic"),
             )
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"[grid] rejected: {exc}") from exc
 
@@ -325,6 +332,16 @@ def _stepping_inputs(
         raise ConfigError(
             f"{command.value} needs at least 3 output samples; lower output_stride or dt"
         )
+    if command is Command.ENERGY and snapshots == 3:
+        # simulate records them at 0, output_stride*dt and t_final; this is
+        # energy_series' test of the middle one's two gaps on those times
+        gap = solver.output_stride * solver.dt
+        last = solver.t_final - gap
+        if abs(gap - last) > 1e-9 * max(gap, last):
+            raise ConfigError(
+                f"energy needs a uniformly spaced interior sample, but its 3 output samples "
+                f"are {gap:.6g} and {last:.6g} apart; lower output_stride or dt"
+            )
     return solver, initial
 
 

@@ -39,12 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidHistoryError,
-    InvalidParameterError,
-    OutOfRangeError,
-    SlveError,
-)
+from .errors import InvalidParameterError, SlveError, StrainLimitExceededError
 
 __all__ = [
     "Kind",
@@ -460,12 +455,12 @@ def audit_dissipation(gamma: float, t, stress) -> DissipationAudit:
     stress = np.asarray(stress, dtype=float)
     n = t.size
     if t.ndim != 1 or n < 3 or stress.ndim != 2 or stress.shape[0] != n or not stress.size:
-        raise InvalidHistoryError(
+        raise InvalidParameterError(
             f"histories need times (n >= 3,) and stresses (n, N >= 1), got "
             f"{t.shape} and {stress.shape}"
         )
     if not np.all(np.diff(t) > 0.0):
-        raise InvalidHistoryError("history times must be strictly increasing")
+        raise InvalidParameterError("history times must be strictly increasing")
     # histories go in blocks of about 2**16 samples, which bounds the
     # temporaries however long the run; each block's rates fill one
     # contiguous row per history, so each trapezoid sums in the order of a
@@ -498,9 +493,10 @@ def invert(f: ConstitutiveFunction, y):
     ------
     InvalidParameterError
         If a target is not finite.
-    OutOfRangeError
+    StrainLimitExceededError
         If |y| meets or exceeds the response bound (strain-limited responses
-        never attain their limit at finite stress), or no bracket is found.
+        never attain their limit at finite stress), or no bracket is found;
+        node is the flat index of the first such target and value the target.
     SlveError
         If an entry does not converge in 200 iterations.
     """
@@ -511,8 +507,10 @@ def invert(f: ConstitutiveFunction, y):
         raise InvalidParameterError(f"target must be finite, got {y[~finite][0]}")
     outside = np.abs(y) >= f.bound
     if outside.any():
-        raise OutOfRangeError(
-            f"target {y[outside][0]} is outside the attainable range (|h| < {f.bound})"
+        node = int(np.argmax(outside))
+        raise StrainLimitExceededError(
+            f"target {y[node]} is outside the attainable range (|h| < {f.bound})",
+            node=node, value=float(y[node]),
         )
     tol = 1e-12 * np.maximum(1.0, np.abs(y))
     if f.inverse is not None:
@@ -523,12 +521,13 @@ def invert(f: ConstitutiveFunction, y):
         T = np.zeros_like(y)
         todo = np.arange(y.size)
     if todo.size:
-        T[todo] = _newton_bisection(f, y[todo], T[todo], tol[todo])
+        T[todo] = _newton_bisection(f, y[todo], T[todo], tol[todo], todo)
     return float(T[0]) if y_in.ndim == 0 else T.reshape(y_in.shape)
 
 
-def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
-    """Bracketed, safeguarded Newton on every entry, from starts T."""
+def _newton_bisection(f: ConstitutiveFunction, y, T, tol, nodes) -> np.ndarray:
+    """Bracketed, safeguarded Newton on every entry, from starts T; nodes are
+    the entries' flat indices in the caller's target."""
     # each entry widens its own bracket [lo, hi] until h(lo) <= y <= h(hi)
     scale = np.maximum(1.0, np.abs(y) / max(f.beta, 1e-12))
     lo, hi = -scale, scale
@@ -540,8 +539,10 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
             expansions[grow] += 1
             stuck = (expansions[grow] > 600) | ~np.isfinite(end[grow])
             if stuck.any():
-                raise OutOfRangeError(
-                    f"target {y[grow[stuck][0]]} appears to {side} the attainable range"
+                i = grow[stuck][0]
+                raise StrainLimitExceededError(
+                    f"target {y[i]} appears to {side} the attainable range",
+                    node=int(nodes[i]), value=float(y[i]),
                 )
             grow = grow[short(f.value(end[grow]), y[grow])]
 
@@ -570,13 +571,24 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol) -> np.ndarray:
 
 
 def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
-    """Vectorized invert(); the closed-form inverse when available."""
+    """Vectorized invert(); the closed-form inverse when available.
+
+    Raises
+    ------
+    StrainLimitExceededError
+        If a |target| meets or exceeds the response bound; node is the flat
+        index of the largest |target| and value that target.  A NaN target
+        never fails this check: a closed-form inverse passes it through.
+    Otherwise what invert() raises, when there is no closed form.
+    """
     y = np.asarray(y, dtype=float)
     # fmax skips NaN targets, which maximum would propagate; empty has no max
     if y.size and np.fmax.reduce(np.abs(y), axis=None) >= f.bound:
-        bad = float(y.flat[np.nanargmax(np.abs(y))])  # a NaN target never fails the bound check
-        raise OutOfRangeError(
-            f"target {bad} is outside the attainable range (|h| < {f.bound})"
+        node = int(np.nanargmax(np.abs(y)))  # a NaN target never fails the bound check
+        bad = float(y.flat[node])
+        raise StrainLimitExceededError(
+            f"target {bad} is outside the attainable range (|h| < {f.bound})",
+            node=node, value=bad,
         )
     if f.inverse is not None:
         return np.asarray(f.inverse(y), dtype=float)

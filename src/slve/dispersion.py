@@ -33,8 +33,6 @@ the length-1 batch, so the two agree bit for bit.
 On a periodic grid the centred stencil of pde.simulate turns k into
 kappa = sin(k dx)/dx, so a run with a linear response carries each spatial
 mode at exactly these rates taken at kappa, one RK4 polynomial per step.
-fit_mode_rates recovers the rates from a sampled mode history, and
-locate_critical_wavenumber finds k_c from the root classification alone.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Variant, _require_count
+from .core import Variant
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -55,8 +53,6 @@ __all__ = [
     "strain_rate_dispersion",
     "stress_rate_dispersion",
     "solve_dispersion",
-    "locate_critical_wavenumber",
-    "fit_mode_rates",
 ]
 
 _LD = np.longdouble
@@ -321,58 +317,3 @@ def solve_dispersion(model, coeff: float, k) -> DispersionResult:
     if model is Variant.STRAIN_RATE:
         return strain_rate_dispersion(coeff, k)
     return stress_rate_dispersion(coeff, k)
-
-
-def locate_critical_wavenumber(nu: float, tol: float = 1e-8) -> float:
-    """Bisect for the wavenumber where the root pair stops oscillating.
-
-    Uses only the classification of computed roots (complex pair vs two
-    reals), not the closed-form k_c, so it serves as an independent check of
-    the discriminant's sign change.
-    """
-    if not tol > 0.0:
-        raise InvalidParameterError(f"tol must be positive, got {tol}")
-    lo = 1e-9
-    if not strain_rate_dispersion(nu, lo).is_oscillatory:
-        raise InvalidParameterError(f"no oscillatory band found for nu = {nu}")
-    hi = 1.0
-    while strain_rate_dispersion(nu, hi).is_oscillatory:
-        hi *= 2.0
-        if hi > 1e12:
-            raise InvalidParameterError(f"no monotone band found for nu = {nu}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if strain_rate_dispersion(nu, mid).is_oscillatory:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def fit_mode_rates(times, values, n_modes: int = 2) -> np.ndarray:
-    """Complex rates of an n_modes exponential mixture, by linear recurrence.
-
-    Uniformly sampled z_n = sum_j c_j exp(r_j t_n) satisfies an order-n_modes
-    linear recurrence; the recurrence is fit by least squares and the rates
-    recovered from its characteristic roots.  Exact for noise-free mixtures,
-    which is what a linear constant-coefficient semi-discretization produces
-    in each spatial Fourier bin.
-    """
-    m = _require_count("n_modes", n_modes, 1)
-    t = np.asarray(times, dtype=float)
-    z = np.asarray(values, dtype=complex)
-    if len(t) < 2 * m + 1:
-        raise InvalidParameterError("history too short for the requested mode count")
-    steps = np.diff(t)
-    dt = steps[0]
-    if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise InvalidParameterError("recurrence fit needs uniform sampling")
-    scale = np.max(np.abs(z))
-    if scale == 0.0:
-        raise InvalidParameterError("history is identically zero")
-    z = z / scale
-    cols = [z[j : len(z) - m + j] for j in range(m)]
-    coeffs, *_ = np.linalg.lstsq(np.column_stack(cols), z[m:], rcond=None)
-    lam = np.roots(np.concatenate(([1.0], -coeffs[::-1])))
-    rates = np.log(lam.astype(complex)) / dt
-    return rates[np.argsort(-rates.real)]

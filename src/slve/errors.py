@@ -1,8 +1,22 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one per way a run can end.
 
 Everything raised on purpose derives from SlveError so callers can catch the
-package's failures in one clause.  Most validation errors also inherit
-ValueError, which is what the offending argument would have raised anyway.
+package's failures in one clause.  The CLI maps each class to an outcome:
+
+* InvalidParameterError: an argument violates a documented precondition
+  (a ValueError too, as the offending argument would have raised); the
+  config parser refuses it as a ConfigError, and after parsing it exits 1.
+* ConfigError: config text is malformed or fails validation; exit 2.
+* BlowUpError: an unstable run left the finite or configured range; exit 3.
+* StrainLimitExceededError: a target of the response's inverse is at or
+  past its bound, or no bracket holds it; exit 4 when a strain-rate run's
+  stress reconstruction meets it.
+* NoKinkError: no monotone front connects the twave end states; an ok
+  record that says so (exit 0), or exit 1 when a front's integration fails.
+* SpanTooShortError: the twave window is too short for the tails to
+  settle; exit 1 with its name as the category.
+* SlveError: any other model failure (a quadrature or an inversion that
+  does not converge); exit 1.
 """
 
 from __future__ import annotations
@@ -16,29 +30,14 @@ class InvalidParameterError(SlveError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InvalidHistoryError(SlveError, ValueError):
-    """A time history is too short or its times are not strictly increasing."""
-
-
-class OutOfRangeError(SlveError, ValueError):
-    """Target value lies outside the attainable range of the response."""
-
-
 class StrainLimitExceededError(SlveError):
-    """The reconstructed response argument left the invertible range."""
+    """A target of the response's inverse is outside its attainable range;
+    carries the flat index (node) and the value of the target it names."""
 
-    def __init__(self, message: str, node: int | None = None, value: float | None = None):
+    def __init__(self, message: str, node: int, value: float):
         super().__init__(message)
         self.node = node
         self.value = value
-
-
-class InvalidStepError(SlveError, ValueError):
-    """Time step is nonpositive or exceeds the integration horizon."""
-
-
-class InvalidWindowError(SlveError, ValueError):
-    """State window unsuitable for a finite-difference energy balance."""
 
 
 class BlowUpError(SlveError):
@@ -56,14 +55,6 @@ class BlowUpError(SlveError):
         self.node = node
 
 
-class DegenerateEquilibriaError(SlveError, ValueError):
-    """End states coincide in stress or in response value."""
-
-
-class NoRealSpeedError(SlveError, ValueError):
-    """End states give a nonpositive squared wave speed."""
-
-
 class NoKinkError(SlveError):
     """No monotone front connects the requested end states.
 
@@ -78,10 +69,6 @@ class NoKinkError(SlveError):
 
 class SpanTooShortError(SlveError):
     """Profile window too short for the tails to settle onto the end states."""
-
-
-class SingularLimitError(SlveError, ValueError):
-    """The requested reduction coefficient vanishes (elastic limit)."""
 
 
 class ConfigError(SlveError, ValueError):

@@ -97,14 +97,7 @@ from .core import (
     first_derivative,
     integrate_field,
 )
-from .errors import (
-    BlowUpError,
-    InvalidParameterError,
-    InvalidStepError,
-    InvalidWindowError,
-    OutOfRangeError,
-    StrainLimitExceededError,
-)
+from .errors import BlowUpError, InvalidParameterError, StrainLimitExceededError
 
 __all__ = [
     "SimState",
@@ -242,24 +235,6 @@ def plan(initial: SimState, config: SolverConfig) -> RunPlan:
     return RunPlan(ceiling, steps, last_step, 1 + -(-steps // config.output_stride))
 
 
-def _reconstruct_stress(f: ConstitutiveFunction, target: np.ndarray) -> np.ndarray:
-    """Strain-rate stress T = g^{-1}(target), target = eps + nu * v_x; a
-    strain-limit violation is reported by node."""
-    try:
-        return invert_array(f, target)
-    except OutOfRangeError as exc:
-        # invert_array has scanned the bound; locate the worst node only now
-        if f.bound != math.inf and np.any(np.abs(target) >= f.bound):
-            node = int(np.nanargmax(np.abs(target)))  # a NaN target never fails the bound check
-            raise StrainLimitExceededError(
-                f"response argument {target[node]:.6g} at node {node} reached "
-                f"the strain limit {f.bound:.6g}",
-                node=node,
-                value=float(target[node]),
-            ) from exc
-        raise StrainLimitExceededError(str(exc)) from exc
-
-
 def _make_rhs(
     variant: Variant, f: ConstitutiveFunction, params: ModelParams, grid: Grid1D
 ) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -286,7 +261,7 @@ def _make_rhs(
         def rhs(Y, out):
             # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
             vx = _centered(Y[0], width, periodic, out[1])
-            T = _reconstruct_stress(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target))
+            T = invert_array(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target))
             _centered(T, width, periodic, out[0])
 
     else:
@@ -322,7 +297,7 @@ def _write_snapshot(out: np.ndarray, Y: np.ndarray, config: SolverConfig, grid: 
     out[_EVOLVED[config.variant]] = Y
     if config.variant is Variant.STRAIN_RATE:
         vx = first_derivative(Y[0], grid.spacing, grid.boundary)
-        out[2] = _reconstruct_stress(config.constitutive, Y[1] + config.params.nu * vx)
+        out[2] = invert_array(config.constitutive, Y[1] + config.params.nu * vx)
     elif config.variant is Variant.ELASTIC:
         out[1] = config.constitutive.value(Y[1])
 
@@ -362,11 +337,11 @@ def _checked_times(dt, t_final) -> Tuple[float, float]:
     dt = float(dt)
     t_final = float(t_final)
     if not math.isfinite(dt) or dt <= 0.0:
-        raise InvalidStepError(f"dt must be positive, got {dt}")
+        raise InvalidParameterError(f"dt must be positive, got {dt}")
     if not math.isfinite(t_final) or t_final <= 0.0:
         raise InvalidParameterError(f"t_final must be positive, got {t_final}")
     if dt > t_final:
-        raise InvalidStepError(f"dt = {dt} exceeds t_final = {t_final}")
+        raise InvalidParameterError(f"dt = {dt} exceeds t_final = {t_final}")
     return dt, t_final
 
 
@@ -411,7 +386,8 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
         magnitude threshold; carries the time it happened.
     StrainLimitExceededError
         When the strain-rate stress reconstruction reaches the strain limit;
-        carries the node.  Both carry the snapshots so far as ``partial``.
+        carries the node and the value.  Both carry the snapshots so far as
+        ``partial``.
     """
     p = plan(initial, config)
     grid = initial.grid
@@ -506,13 +482,13 @@ def energy_series(
     that such a quadrature shares its adaptive subdivision across the block.
     """
     if len(traj) < 3:
-        raise InvalidWindowError(f"energy series needs >= 3 states, got {len(traj)}")
+        raise InvalidParameterError(f"energy series needs >= 3 states, got {len(traj)}")
     totals = np.array([total_energy(state, params, f) for state in traj])
     steps = np.diff(traj.t)
     d1, d2 = steps[:-1], steps[1:]
     uniform = np.abs(d1 - d2) <= 1e-9 * np.maximum(d1, d2)
     if not uniform.any():
-        raise InvalidWindowError("no uniformly spaced interior sample in the run")
+        raise InvalidParameterError("no uniformly spaced interior sample in the run")
     dEdt = ((totals[2:] - totals[:-2]) / (d1 + d2))[uniform]
     mids = np.flatnonzero(uniform) + 1
     grid = traj.grid

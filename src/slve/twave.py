@@ -39,14 +39,7 @@ import numpy as np
 
 from .constitutive import ConstitutiveFunction
 from .core import Field, Grid1D, Variant, _require_count, _require_finite
-from .errors import (
-    DegenerateEquilibriaError,
-    InvalidParameterError,
-    NoKinkError,
-    NoRealSpeedError,
-    SingularLimitError,
-    SpanTooShortError,
-)
+from .errors import InvalidParameterError, NoKinkError, SpanTooShortError
 from .pde import SimState
 
 __all__ = [
@@ -60,7 +53,6 @@ __all__ = [
     "balance_function",
     "kink_exists",
     "kink_profile",
-    "first_order_residual",
     "unified_reduction_check",
     "kink_initial_state",
 ]
@@ -94,26 +86,24 @@ def wave_speed(f: ConstitutiveFunction, t_minus: float, t_plus: float) -> Tuple[
 
     Raises
     ------
-    DegenerateEquilibriaError
-        If the end states coincide in stress or in response value.
-    NoRealSpeedError
-        If the end states give c**2 <= 0 (response decreasing between them).
     InvalidParameterError
-        If an end state is not finite; the message names it.
+        If an end state is not finite (the message names it), the end states
+        coincide in stress or in response value, or they give c**2 <= 0
+        (response decreasing between them: no real speed).
     """
     t_minus = _require_finite("t_minus", t_minus)
     t_plus = _require_finite("t_plus", t_plus)
     if t_minus == t_plus:
-        raise DegenerateEquilibriaError(f"end states coincide: {t_minus}")
+        raise InvalidParameterError(f"end states coincide: {t_minus}")
     fm = float(f.value(t_minus))
     fp = float(f.value(t_plus))
     if fm == fp:
-        raise DegenerateEquilibriaError(
+        raise InvalidParameterError(
             f"response takes the same value {fm} at both end states"
         )
     c_squared = (t_plus - t_minus) / (fp - fm)
     if c_squared <= 0.0:
-        raise NoRealSpeedError(
+        raise InvalidParameterError(
             f"end states give c^2 = {c_squared:.6g} <= 0; no real speed"
         )
     a2 = t_minus - c_squared * fm
@@ -133,7 +123,7 @@ def reduction_kappa(variant: Variant | str, coeff: float, c: float) -> float:
     if c <= 0.0 or not math.isfinite(c):
         raise InvalidParameterError(f"speed must be positive, got {c}")
     if variant is Variant.ELASTIC or coeff == 0.0:
-        raise SingularLimitError(
+        raise InvalidParameterError(
             "kappa vanishes: the profile equation degenerates in the elastic limit"
         )
     if coeff < 0.0 or not math.isfinite(coeff):
@@ -489,15 +479,6 @@ def kink_profile(
         interpolant=interpolant,
         diagnostic=diag,
     )
-
-
-def first_order_residual(profile: KinkProfile, h: float = 0.01) -> np.ndarray:
-    """kappa*T' - B(T) at the samples, T' from a 5-point centered stencil."""
-    half = float(profile.xi[-1])
-    xi = profile.xi[(profile.xi >= -half + 2.05 * h) & (profile.xi <= half - 2.05 * h)]
-    f = profile.interpolant
-    d1 = (-f(xi + 2 * h) + 8 * f(xi + h) - 8 * f(xi - h) + f(xi - 2 * h)) / (12 * h)
-    return profile.kappa_signed * d1 - balance_function(profile.problem, f(xi))
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,10 @@ from slve import (
     SolverConfig,
     audit_dissipation,
     energy_series,
-    first_order_residual,
-    fit_mode_rates,
     gaussian_bump_state,
     invert,
     kink_initial_state,
     kink_profile,
-    locate_critical_wavenumber,
     make_constitutive,
     make_problem,
     relax_stress,
@@ -41,6 +38,8 @@ from slve import (
     total_energy,
     unified_reduction_check,
 )
+
+from oracles import first_order_residual, fit_mode_rates, locate_critical_wavenumber
 
 SUPERGOLDEN = 1.4655712318767682  # positive root of r^3 - r^2 - 1
 

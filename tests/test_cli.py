@@ -503,6 +503,39 @@ class TestRunEnergyAudit:
         assert "at least 3 output samples" in record["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "t_final,stride,refused",
+        [("0.015", "1", True), ("0.03", "2", True), ("0.02", "1", False), ("0.04", "2", False),
+         ("0.025", "1", False)],
+    )
+    def test_energy_without_a_uniform_interior_sample_refused_before_running(
+        self, tmp_path, capsys, t_final, stride, refused
+    ):
+        # 3 samples at 0, stride*dt and t_final have one interior sample, which
+        # needs equal gaps; 4 or more always have one with equal gaps
+        ini = tmp_path / "run.ini"
+        text = (SIM_INI.format(out=tmp_path / "out")
+                .replace("variant = stress_rate\ngamma = 1.0", "variant = strain_rate\nnu = 0.5")
+                .replace("n_cells = 64", "n_cells = 16").replace("dt = 0.04", "dt = 0.01")
+                .replace("t_final = 0.4", f"t_final = {t_final}")
+                .replace("output_stride = 5", f"output_stride = {stride}"))
+        ini.write_text(text)
+        assert main(["energy", "--config", str(ini)]) == (2 if refused else 0)
+        record = json.loads(capsys.readouterr().out)
+        assert (record["status"], (tmp_path / "out").exists()) == (
+            ("error", False) if refused else ("ok", True))
+        if refused:
+            assert record["category"] == "config"
+            assert "energy needs a uniformly spaced interior sample" in record["message"]
+        # the refusal is energy_series' own verdict on the run's snapshots
+        config = parse_config(text)
+        traj = pde.simulate(config.initial, config.solver)
+        if refused:
+            with pytest.raises(slve.InvalidParameterError, match="no uniformly spaced"):
+                pde.energy_series(traj, config.unit, config.solver.constitutive)
+        else:
+            assert pde.energy_series(traj, config.unit, config.solver.constitutive)
+
     def test_audit_table_passes(self, tmp_path):
         text = SIM_INI.format(out=tmp_path).replace("command = simulate", "command = audit")
         result = run(parse_config(text))
@@ -681,6 +714,26 @@ class TestMain:
         record = json.loads(capsys.readouterr().out)
         assert record["status"] == "error" and record["category"] == "config"
         assert record["message"] == f"[model] rejected: {message}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [("nu = 1.0", "nu = abc", "[model] nu = 'abc' is not a number"),
+         ("beta = 1.0", "beta = x", "[constitutive] beta = 'x' is not a number"),
+         ("length = 6.283185307179586", "length = y", "[grid] length = 'y' is not a number"),
+         ("n_cells = 64", "n_cells = 6.5", "[grid] n_cells = '6.5' is not an integer"),
+         ("length = 6.283185307179586\n", "",
+          "missing required key 'length' in section [grid]")],
+        ids=["model", "constitutive", "grid", "grid-int", "grid-missing"],
+    )
+    def test_unreadable_value_names_its_block_once(self, tmp_path, capsys, old, new, message):
+        ini = tmp_path / "run.ini"
+        text = (SIM_INI.format(out=tmp_path / "out")
+                .replace("variant = stress_rate\ngamma = 1.0", "variant = strain_rate\nnu = 1.0"))
+        ini.write_text(text.replace(old, new))
+        assert main(["simulate", "--config", str(ini)]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["category"] == "config" and record["message"] == message
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

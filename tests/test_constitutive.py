@@ -22,11 +22,10 @@ from scipy.integrate import quad
 
 from slve import (
     DissipationAudit,
-    InvalidHistoryError,
     InvalidParameterError,
     Kind,
-    OutOfRangeError,
     SlveError,
+    StrainLimitExceededError,
     audit_dissipation,
     custom_constitutive,
     invert,
@@ -307,9 +306,10 @@ def _no_inverse_targets(draw):
 class TestInvert:
     def test_out_of_range(self):
         h = make_constitutive("saturating", beta=1.0, a=1.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(StrainLimitExceededError,
+                           match=r"target 1.0 is outside the attainable range \(\|h\| < 1.0\)"):
             invert(h, 1.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(StrainLimitExceededError, match="target -1.2 is outside"):
             invert(h, -1.2)
 
     def test_newton_path_without_analytic_inverse(self):
@@ -335,18 +335,50 @@ class TestInvert:
 
     def test_invert_array_out_of_range_element(self):
         h = make_constitutive("arctan", beta=1.0)
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(StrainLimitExceededError, match="target 1.0 is outside"):
             invert_array(h, np.array([0.0, 0.5, 1.0]))
 
     def test_invert_array_names_the_largest_non_nan_target(self):
         h = make_constitutive("saturating", beta=1.0, a=1.0)  # bound 1
-        with pytest.raises(OutOfRangeError, match="target 2.0 is outside"):
+        with pytest.raises(StrainLimitExceededError, match="target 2.0 is outside"):
             invert_array(h, np.array([np.nan, 0.1, 2.0]))
-        with pytest.raises(OutOfRangeError, match="target -3.0 is outside"):
+        with pytest.raises(StrainLimitExceededError, match="target -3.0 is outside"):
             invert_array(h, np.array([[0.5, np.nan], [-3.0, 2.0]]))
         # a NaN target alone is within no bound check: it passes through
         T = invert_array(h, np.array([np.nan, 0.1]))
         assert np.isnan(T[0]) and T[1] == invert(h, 0.1)
+
+    def test_strain_limit_names_the_flat_node_and_value(self):
+        h = make_constitutive("saturating", beta=1.0, a=1.0)  # bound 1
+        y = np.array([[0.5, 0.2], [-1.5, 3.0]])
+        # invert names the first target past the bound, invert_array the largest
+        for call, node, value in ((invert, 2, -1.5), (invert_array, 3, 3.0)):
+            with pytest.raises(StrainLimitExceededError, match=f"target {value} is outside") as ei:
+                call(h, y)
+            assert (ei.value.node, ei.value.value) == (node, value)
+        with pytest.raises(StrainLimitExceededError) as ei:
+            invert(h, 1.0)
+        assert (ei.value.node, ei.value.value) == (0, 1.0)
+
+    def test_failed_bracket_names_its_node(self):
+        # tanh declared unbounded: no bracket reaches 2.0
+        def slope(T):
+            return 1.0 / np.cosh(T) ** 2
+
+        f = custom_constitutive(np.tanh, derivative=slope)
+        y = np.array([[0.1, -0.3], [0.2, 2.0]])
+        for call in (invert, invert_array):
+            with pytest.raises(StrainLimitExceededError,
+                               match="target 2.0 appears to exceed the attainable range") as ei:
+                call(f, y)
+            assert (ei.value.node, ei.value.value) == (3, 2.0)
+        # a closed form that misses leaves only some entries to iterate: the
+        # node is still the index in the whole target, not among those
+        f = custom_constitutive(np.tanh, derivative=slope, inverse=lambda y: 0.0 * y)
+        with pytest.raises(StrainLimitExceededError,
+                           match="target -2.0 appears to be below") as ei:
+            invert(f, np.array([0.0, 0.1, -2.0]))
+        assert (ei.value.node, ei.value.value) == (2, -2.0)
 
     @given(_no_inverse_targets())
     @settings(max_examples=150, deadline=None)
@@ -370,7 +402,7 @@ class TestInvert:
         f = NO_INVERSE["bounded"][0]
         with pytest.raises(InvalidParameterError):
             invert(f, np.array([0.1, np.nan, 0.2]))
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(StrainLimitExceededError, match="target -1.0 is outside"):
             invert(f, np.array([0.1, -1.0, 0.2]))
 
     @given(st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=1, max_size=30))
@@ -570,16 +602,16 @@ class TestAudit:
             audit_dissipation(-0.5, t, t[:, None])
 
     def test_short_history_rejected(self):
-        with pytest.raises(InvalidHistoryError):
+        with pytest.raises(InvalidParameterError, match=r"histories need times \(n >= 3,\)"):
             audit_dissipation(0.1, np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
 
     @pytest.mark.parametrize("shape", [(5,), (5, 0), (4, 2), (5, 2, 1)])
     def test_bad_stress_shape_rejected(self, shape):
-        with pytest.raises(InvalidHistoryError):
+        with pytest.raises(InvalidParameterError, match=r"histories need times \(n >= 3,\)"):
             audit_dissipation(0.1, np.linspace(0.0, 1.0, 5), np.zeros(shape))
 
     def test_non_monotone_times_rejected(self):
-        with pytest.raises(InvalidHistoryError):
+        with pytest.raises(InvalidParameterError, match="times must be strictly increasing"):
             audit_dissipation(0.1, np.array([0.0, 0.5, 0.4]), np.array([[0.0], [0.1], [0.2]]))
 
     @pytest.mark.parametrize("n,n_hist", [(3, 2), (9, 5), (200, 7), (1001, 40), (1001, 150)])

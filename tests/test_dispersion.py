@@ -16,12 +16,9 @@ from slve import (
     Classification,
     Grid1D,
     InvalidParameterError,
-    InvalidStepError,
     ModelParams,
     SolverConfig,
     Variant,
-    fit_mode_rates,
-    locate_critical_wavenumber,
     make_constitutive,
     simulate,
     single_mode_state,
@@ -29,6 +26,8 @@ from slve import (
     strain_rate_dispersion,
     stress_rate_dispersion,
 )
+
+from oracles import fit_mode_rates, locate_critical_wavenumber
 
 SUPERGOLDEN = 1.4655712318767682  # bisection oracle for r^3 = r^2 + 1
 
@@ -409,14 +408,14 @@ class TestModeEvolution:
                                  make_constitutive("linear"), k=k, amplitude=0.1)
 
     def test_invalid_steps_rejected(self):
-        for dt, t_final, error in [
-            (0.0, 1.0, InvalidStepError),
-            (2.0, 1.0, InvalidStepError),
-            (np.nan, 1.0, InvalidStepError),
-            (0.1, np.inf, InvalidParameterError),
-            (0.1, np.nan, InvalidParameterError),
+        for dt, t_final, message in [
+            (0.0, 1.0, "dt must be positive"),
+            (2.0, 1.0, "dt = 2.0 exceeds t_final = 1.0"),
+            (np.nan, 1.0, "dt must be positive"),
+            (0.1, np.inf, "t_final must be positive"),
+            (0.1, np.nan, "t_final must be positive"),
         ]:
-            with pytest.raises(error):
+            with pytest.raises(InvalidParameterError, match=message):
                 simulate(self.mode(), self.config(dt, t_final))
 
     def test_exact_landing(self):

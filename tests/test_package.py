@@ -26,6 +26,18 @@ def test_submodule_exports_resolve(name):
     assert missing == []
 
 
+def test_one_error_class_per_outcome():
+    exported = {name for name in slve.__all__
+                if isinstance(getattr(slve, name), type)
+                and issubclass(getattr(slve, name), BaseException)}
+    assert exported == {"SlveError", "InvalidParameterError", "ConfigError", "BlowUpError",
+                        "StrainLimitExceededError", "NoKinkError", "SpanTooShortError"}
+    defined = {name for name, obj in vars(slve.errors).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert defined == exported
+    assert len(slve.__all__) == 55
+
+
 def test_dispersion_is_the_submodule():
     # the model-switching solver is exported as solve_dispersion, so no
     # function shadows the submodule of the same name

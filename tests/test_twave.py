@@ -10,17 +10,13 @@ from scipy.integrate import solve_ivp
 
 import slve.twave as twave
 from slve import (
-    DegenerateEquilibriaError,
     InvalidParameterError,
     Grid1D,
     NoKinkError,
-    NoRealSpeedError,
-    SingularLimitError,
     SpanTooShortError,
     Variant,
     balance_function,
     custom_constitutive,
-    first_order_residual,
     kink_exists,
     kink_initial_state,
     kink_profile,
@@ -30,6 +26,8 @@ from slve import (
     unified_reduction_check,
     wave_speed,
 )
+
+from oracles import first_order_residual
 
 
 def saturating_problem(variant="stress_rate", coeff=1.0):
@@ -61,7 +59,7 @@ class TestSpeed:
 
     def test_coincident_states_rejected(self):
         f = make_constitutive("linear")
-        with pytest.raises(DegenerateEquilibriaError):
+        with pytest.raises(InvalidParameterError, match="end states coincide: 0.3"):
             wave_speed(f, 0.3, 0.3)
 
     def test_no_real_speed_for_backward_response(self):
@@ -69,7 +67,7 @@ class TestSpeed:
         f = custom_constitutive(
             value=lambda T: T - T**3, derivative=lambda T: 1.0 - 3.0 * T**2
         )
-        with pytest.raises(NoRealSpeedError):
+        with pytest.raises(InvalidParameterError, match=r"c\^2 = -\S+ <= 0; no real speed"):
             wave_speed(f, 0.0, 1.5)
 
     def test_equal_response_values_rejected(self):
@@ -77,7 +75,7 @@ class TestSpeed:
         f = custom_constitutive(
             value=lambda T: T * (1.0 - T), derivative=lambda T: 1.0 - 2.0 * T
         )
-        with pytest.raises(DegenerateEquilibriaError):
+        with pytest.raises(InvalidParameterError, match="same value 0.0 at both end states"):
             wave_speed(f, 0.0, 1.0)
 
 
@@ -89,10 +87,9 @@ class TestReduction:
         assert reduction_kappa("stress_rate", 0.5, 2.0) == pytest.approx(4.0)
 
     def test_elastic_and_zero_coefficient_singular(self):
-        with pytest.raises(SingularLimitError):
-            reduction_kappa("elastic", 0.0, 1.0)
-        with pytest.raises(SingularLimitError):
-            reduction_kappa("stress_rate", 0.0, 1.0)
+        for variant in ("elastic", "stress_rate"):
+            with pytest.raises(InvalidParameterError, match="kappa vanishes"):
+                reduction_kappa(variant, 0.0, 1.0)
 
     def test_problem_carries_consistent_kappa(self):
         prob = saturating_problem("strain_rate", 2.0)
