@@ -76,7 +76,6 @@ from .twave import (
     kink_initial_state,
     kink_profile,
     make_problem,
-    reduction_kappa,
     unified_reduction_check,
     wave_speed,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "KinkProfile",
     "UnificationReport",
     "wave_speed",
-    "reduction_kappa",
     "make_problem",
     "balance_function",
     "kink_exists",

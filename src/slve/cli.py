@@ -13,8 +13,9 @@ The parser builds what each command runs once, in unit form and through
 the library's own checks, so a step over the stability ceiling, an
 [initial] shape the grid cannot hold, an energy run with no uniformly
 spaced interior sample, a wavenumber whose k*k (or k*k/gamma) overflows
-and twave end states that are non-finite, coincide or give no real speed
-are all refused before the output directory is made.
+and twave end states that are non-finite, coincide, give no real speed or
+give a kappa beyond the double range are all refused before the output
+directory is made.
 
 Material parameters are given dimensionally in [model]: rho, mu and
 length_scale only scale nu and gamma (and status.json's scales) into the
@@ -261,7 +262,7 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
         if k_values is None:
             raise ConfigError("command 'dispersion' needs [dispersion] k_values")
         try:  # the solvers' own checks: a rate variant, finite k*k (and 1/gamma, k*k/gamma)
-            dispersion._accepted(unit.variant, unit.coefficient, k_values)
+            dispersion._accepted(unit, k_values)
         except ValueError as exc:
             raise ConfigError(f"[dispersion] k_values rejected for the {unit.variant.value} "
                               f"variant: {exc}") from exc
@@ -269,8 +270,7 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
         if front is None:
             raise ConfigError("command 'twave' needs a [twave] section")
         try:  # the end-state algebra, the rate variant and the window
-            problem = twave.make_problem(
-                response, front["t_minus"], front["t_plus"], unit.variant, unit.coefficient)
+            problem = twave.make_problem(response, front["t_minus"], front["t_plus"], unit)
             window = twave._window(front["xi_span"], front["n_samples"])
         except ValueError as exc:
             raise ConfigError(f"[twave] {exc}") from exc
@@ -474,7 +474,7 @@ def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]
 def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
     variant = config.unit.variant
     coeff = config.unit.coefficient
-    res = solve_dispersion(variant, coeff, config.k_values)
+    res = solve_dispersion(config.unit, config.k_values)
     n_modes, n_roots = res.roots.shape
     header = ["k", "classification", "max_real_part", "positive_real_root",
               "k_critical", "discriminant", "max_residual"]

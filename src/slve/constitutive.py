@@ -39,6 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .core import _require_rate
 from .errors import InvalidParameterError, SlveError, StrainLimitExceededError
 
 __all__ = [
@@ -447,10 +448,7 @@ def audit_dissipation(gamma: float, t, stress) -> DissipationAudit:
         and passed = (min_rate >= -1e-12).  Each history audits to the bits
         of its own (n, 1) call.
     """
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise InvalidParameterError(
-            f"gamma must be nonnegative (dissipation requires it), got {gamma}"
-        )
+    gamma = _require_rate("gamma", gamma)
     t = np.asarray(t, dtype=float)
     stress = np.asarray(stress, dtype=float)
     n = t.size
@@ -471,7 +469,7 @@ def audit_dissipation(gamma: float, t, stress) -> DissipationAudit:
     block = max(1, 2**16 // n)
     for lo in range(0, n_hist, block):
         T_t = np.gradient(stress[:, lo:lo + block].T, t, axis=1, edge_order=2)
-        rates = np.multiply(float(gamma), T_t, order="C")
+        rates = np.multiply(gamma, T_t, order="C")
         rates *= T_t
         min_rate[lo:lo + block] = rates.min(axis=1)
         total[lo:lo + block] = np.trapezoid(rates, t)
@@ -578,7 +576,7 @@ def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
     StrainLimitExceededError
         If a |target| meets or exceeds the response bound; node is the flat
         index of the largest |target| and value that target.  A NaN target
-        never fails this check: a closed-form inverse passes it through.
+        never fails this check and comes back NaN.
     Otherwise what invert() raises, when there is no closed form.
     """
     y = np.asarray(y, dtype=float)
@@ -592,4 +590,9 @@ def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
         )
     if f.inverse is not None:
         return np.asarray(f.inverse(y), dtype=float)
-    return np.asarray(invert(f, y))
+    # invert refuses NaN: it inverts 0 in a NaN's place, so its node still
+    # counts every target, and the NaN goes back after
+    nan = np.isnan(y)
+    T = np.asarray(invert(f, np.where(nan, 0.0, y)))
+    T[nan] = np.nan
+    return T

@@ -45,14 +45,24 @@ __all__ = [
 ]
 
 
-class Boundary(str, enum.Enum):
+class _Choice(str, enum.Enum):
+    """A string enum that refuses an unknown value as InvalidParameterError."""
+
+    @classmethod
+    def _missing_(cls, value):
+        known = ", ".join(member.value for member in cls)
+        raise InvalidParameterError(
+            f"unknown {cls.__name__.lower()} {value!r}; expected one of {known}")
+
+
+class Boundary(_Choice):
     """Supported boundary treatments of the truncated interval."""
 
     PERIODIC = "periodic"
     DIRICHLET_ZERO = "dirichlet_zero"
 
 
-class Variant(str, enum.Enum):
+class Variant(_Choice):
     """Which constitutive rate term the model carries.
 
     stress_rate: strain = h(T) - gamma * T_t   (rate acts on the stress)

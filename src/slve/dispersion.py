@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Variant
+from .core import ModelParams, Variant
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -139,12 +139,12 @@ def _result(scalar, model, k, coeff, roots, k_critical, disc, positive) -> Dispe
     return DispersionResult(model, k, coeff, roots, classification, k_critical, disc, positive)
 
 
-def _accepted(model, coeff, k):
-    """The (model, coefficient, wavenumbers) a solver runs, and whether k
-    was given as a scalar; the wavenumbers come back as a 1-D float array.
+def _accepted(params: ModelParams, k):
+    """The rate coefficient and the wavenumbers a solver runs for params, and
+    whether k was given as a scalar; the wavenumbers come back as a 1-D
+    float array.  params itself holds a positive, finite coefficient.
 
-    Refuses an unknown model and the elastic variant, which has no rate
-    term; a coefficient that is not positive and finite; k that is not
+    Refuses the elastic variant, which has no rate term; k that is not
     finite and >= 0, or whose k*k overflows a double (the roots and the
     residuals would be infinite); for the strain-rate model, a nu whose
     critical wavenumber 2/nu overflows and k whose nu*k*k overflows (the
@@ -155,16 +155,10 @@ def _accepted(model, coeff, k):
     cubic's constant term, and so every root, would not be finite in double
     precision).
     """
-    try:
-        model = Variant(model)
-    except ValueError:
-        raise InvalidParameterError(f"no linearized model named {model!r}") from None
-    if model is Variant.ELASTIC:
+    if params.variant is Variant.ELASTIC:
         raise InvalidParameterError("the elastic variant has no rate term to linearize")
-    name = "nu" if model is Variant.STRAIN_RATE else "gamma"
-    coeff = float(coeff)
-    if not math.isfinite(coeff) or coeff <= 0.0:
-        raise InvalidParameterError(f"{name} must be positive and finite, got {coeff}")
+    name = "nu" if params.variant is Variant.STRAIN_RATE else "gamma"
+    coeff = params.coefficient
     k = np.asarray(k, dtype=float)
     if k.ndim > 1:
         raise InvalidParameterError(
@@ -192,7 +186,7 @@ def _accepted(model, coeff, k):
         raise InvalidParameterError(
             f"wavenumber {float(ks[~finite][0])} is too large: {term} overflows a double"
         )
-    return model, coeff, ks, k.ndim == 0
+    return coeff, ks, k.ndim == 0
 
 
 def _newton(r: np.ndarray, p_and_dp, steps: int) -> np.ndarray:
@@ -235,7 +229,7 @@ def strain_rate_dispersion(nu: float, k) -> DispersionResult:
     DispersionResult with two roots, k_critical = 2/nu, and discriminant
     k**2 * (nu**2 * k**2 - 4); batched along a leading axis for array k.
     """
-    _, nu, k, scalar = _accepted(Variant.STRAIN_RATE, nu, k)
+    nu, k, scalar = _accepted(ModelParams(Variant.STRAIN_RATE, nu=nu), k)
 
     kL = k.astype(_LD)
     b = _LD(nu) * kL * kL
@@ -279,7 +273,7 @@ def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
     gamma k**2 is tiny.  Both starts take four Newton steps in extended
     precision.
     """
-    _, gamma, k, scalar = _accepted(Variant.STRESS_RATE, gamma, k)
+    gamma, k, scalar = _accepted(ModelParams(Variant.STRESS_RATE, gamma=gamma), k)
 
     gL = _LD(gamma)
     kL = k.astype(_LD)
@@ -306,14 +300,13 @@ def stress_rate_dispersion(gamma: float, k) -> DispersionResult:
     return _result(scalar, Variant.STRESS_RATE, k, gamma, roots, None, disc, positive)
 
 
-def solve_dispersion(model, coeff: float, k) -> DispersionResult:
-    """Model-switching wrapper over the two dispersion solvers.
+def solve_dispersion(params: ModelParams, k) -> DispersionResult:
+    """The dispersion solver of params' variant, run at its rate coefficient.
 
-    model is the strain_rate or stress_rate Variant, or its string value;
-    the elastic variant has no rate term and so no dispersion here.  k is a
+    The elastic variant has no rate term and so no dispersion here.  k is a
     scalar or a 1-D array, as for the solvers themselves.
     """
-    model = _accepted(model, coeff, k)[0]
-    if model is Variant.STRAIN_RATE:
-        return strain_rate_dispersion(coeff, k)
-    return stress_rate_dispersion(coeff, k)
+    _accepted(params, k)
+    if params.variant is Variant.STRAIN_RATE:
+        return strain_rate_dispersion(params.nu, k)
+    return stress_rate_dispersion(params.gamma, k)

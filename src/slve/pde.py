@@ -577,8 +577,7 @@ def relax_stress(
     its linearized rate at the equilibrium h(T*) = eps.  eps and T0 may be
     scalars or arrays (broadcast together).  Returns T at t_final.
     """
-    if gamma <= 0.0 or not math.isfinite(float(gamma)):
-        raise InvalidParameterError(f"gamma must be positive, got {gamma}")
+    gamma = ModelParams(Variant.STRESS_RATE, gamma=gamma).gamma
     dt, t_final = _checked_times(dt, t_final)
     eps_arr, T = np.broadcast_arrays(np.asarray(eps, dtype=float), np.asarray(T0, dtype=float))
     scalar = T.ndim == 0

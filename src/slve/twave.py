@@ -10,8 +10,9 @@ with the single coefficient
     kappa = gamma * c**3   (stress-rate model, f = h)
     kappa = nu * c         (strain-rate model, f = g),
 
-so the two models share every profile shape up to the xi-scaling kappa.  The
-end states fix the speed and the momentum constant:
+so the two models share every profile shape up to the xi-scaling kappa, which
+make_problem computes from the unit-form ModelParams.  The end states fix the
+speed and the momentum constant:
 
     c**2 = (T_plus - T_minus) / (f(T_plus) - f(T_minus)),
     A2   = T_minus - c**2 * f(T_minus),
@@ -38,7 +39,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .constitutive import ConstitutiveFunction
-from .core import Field, Grid1D, Variant, _require_count, _require_finite
+from .core import Field, Grid1D, ModelParams, Variant, _require_count, _require_finite
 from .errors import InvalidParameterError, NoKinkError, SpanTooShortError
 from .pde import SimState
 
@@ -48,7 +49,6 @@ __all__ = [
     "KinkProfile",
     "UnificationReport",
     "wave_speed",
-    "reduction_kappa",
     "make_problem",
     "balance_function",
     "kink_exists",
@@ -110,38 +110,15 @@ def wave_speed(f: ConstitutiveFunction, t_minus: float, t_plus: float) -> Tuple[
     return c_squared, a2
 
 
-def reduction_kappa(variant: Variant | str, coeff: float, c: float) -> float:
-    """The single profile-ODE coefficient kappa for a variant.
-
-    gamma * c**3 for stress-rate, nu * c for strain-rate.  A vanishing
-    coefficient (or the elastic variant) collapses the reduction to the
-    algebraic relation B(T) = 0 and selects no profile.
-    """
-    variant = Variant(variant)
-    coeff = float(coeff)
-    c = float(c)
-    if c <= 0.0 or not math.isfinite(c):
-        raise InvalidParameterError(f"speed must be positive, got {c}")
-    if variant is Variant.ELASTIC or coeff == 0.0:
-        raise InvalidParameterError(
-            "kappa vanishes: the profile equation degenerates in the elastic limit"
-        )
-    if coeff < 0.0 or not math.isfinite(coeff):
-        raise InvalidParameterError(f"rate coefficient must be positive, got {coeff}")
-    if variant is Variant.STRESS_RATE:
-        return coeff * c**3
-    return coeff * c
-
-
 @dataclass(frozen=True)
 class TravelingWaveProblem:
-    """A front connection problem with its derived constants."""
+    """A front connection problem with its derived constants; params is the
+    unit-form model whose rate coefficient sets kappa."""
 
     f: ConstitutiveFunction
     t_minus: float
     t_plus: float
-    variant: Variant
-    coeff: float
+    params: ModelParams
     c_squared: float
     c: float
     kappa: float
@@ -152,20 +129,34 @@ def make_problem(
     f: ConstitutiveFunction,
     t_minus: float,
     t_plus: float,
-    variant: Variant | str,
-    coeff: float,
+    params: ModelParams,
 ) -> TravelingWaveProblem:
-    """Assemble a TravelingWaveProblem, validating the equilibrium algebra."""
-    variant = Variant(variant)
+    """Assemble a TravelingWaveProblem, validating the equilibrium algebra.
+
+    kappa is gamma * c**3 for the stress-rate variant and nu * c for the
+    strain-rate one.  The elastic variant has no rate term: kappa vanishes,
+    the reduction collapses to the algebraic relation B(T) = 0 and selects
+    no profile.  A speed or a kappa beyond the double range is refused too.
+    """
     c_squared, a2 = wave_speed(f, t_minus, t_plus)
     c = math.sqrt(c_squared)
-    kappa = reduction_kappa(variant, coeff, c)
+    if not math.isfinite(c):
+        raise InvalidParameterError(f"speed must be positive, got {c}")
+    if params.variant is Variant.ELASTIC:
+        raise InvalidParameterError(
+            "kappa vanishes: the profile equation degenerates in the elastic limit"
+        )
+    try:
+        kappa = params.gamma * c**3 if params.variant is Variant.STRESS_RATE else params.nu * c
+    except OverflowError:  # c**3 beyond the double range
+        kappa = math.inf
+    if kappa == math.inf:
+        raise InvalidParameterError(f"kappa overflows a double at speed c = {c}")
     problem = TravelingWaveProblem(
         f=f,
         t_minus=float(t_minus),
         t_plus=float(t_plus),
-        variant=variant,
-        coeff=float(coeff),
+        params=params,
         c_squared=c_squared,
         c=c,
         kappa=kappa,
@@ -507,8 +498,8 @@ def unified_reduction_check(
     xi * kappa_strain / kappa_stress; the report carries the largest
     mismatch over a window where both interpolants are in range.
     """
-    prob_stress = make_problem(f, t_minus, t_plus, Variant.STRESS_RATE, gamma)
-    prob_strain = make_problem(f, t_minus, t_plus, Variant.STRAIN_RATE, nu)
+    prob_stress = make_problem(f, t_minus, t_plus, ModelParams(Variant.STRESS_RATE, gamma=gamma))
+    prob_strain = make_problem(f, t_minus, t_plus, ModelParams(Variant.STRAIN_RATE, nu=nu))
     profile_stress = kink_profile(prob_stress, xi_span=xi_span)
     profile_strain = kink_profile(prob_strain, xi_span=xi_span)
     ks = prob_stress.kappa

@@ -144,7 +144,7 @@ def kink_run():
     not disturb the wave until it approaches a wall.
     """
     f = make_constitutive("saturating", beta=1.0, a=1.0)
-    problem = make_problem(f, 0.0, 1.0, "strain_rate", 1.0)
+    problem = make_problem(f, 0.0, 1.0, ModelParams("strain_rate", nu=1.0))
     profile = kink_profile(problem, xi_span=200.0)
     grid = Grid1D(length=100.0, n_cells=3072, boundary="dirichlet_zero")
     st0 = kink_initial_state(profile, grid, center=50.0)
@@ -310,7 +310,7 @@ def test_criterion_6_dissipation_audit(mode_runs, bump_runs, kink_run, capsys):
 
 def test_criterion_7_traveling_wave(kink_run, capsys):
     f = make_constitutive("saturating", beta=1.0, a=1.0)
-    problem = make_problem(f, 0.0, 1.0, "strain_rate", 1.0)
+    problem = make_problem(f, 0.0, 1.0, ModelParams("strain_rate", nu=1.0))
     err_c = abs(problem.c - math.sqrt(2.0))
     states, profile, grid = kink_run
     ode_resid = float(np.max(np.abs(first_order_residual(profile))))

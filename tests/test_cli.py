@@ -319,7 +319,7 @@ class TestRunDispersion:
                   "k_critical", "discriminant", "max_residual"]
         rows = []
         for k in config.k_values:
-            res = solve_dispersion(unit.variant, unit.coefficient, float(k))
+            res = solve_dispersion(unit, float(k))
             root = res.positive_real_root
             row = [float(k), res.classification.value, float(res.max_real_part),
                    None if root is None else float(root), res.k_critical,
@@ -449,8 +449,7 @@ class TestRunTwave:
         assert run(config).exit_code == 0
         unit = config.unit
         spec = config.twave
-        problem = twave.make_problem(
-            spec.f, spec.t_minus, spec.t_plus, unit.variant, unit.coefficient)
+        problem = twave.make_problem(spec.f, spec.t_minus, spec.t_plus, unit)
         xi_span, n_samples = config.window
         profile = twave.kink_profile(problem, xi_span=xi_span, n_samples=n_samples)
         rows = [
@@ -687,7 +686,8 @@ class TestMain:
             ("variant = strain_rate\nnu = -1",
              "nu must be nonnegative (dissipation requires it), got -1.0"),
             ("variant = stress_rate\ngamma = inf", "gamma must be finite, got inf"),
-            ("variant = bogus\nnu = 1.0", "'bogus' is not a valid Variant"),
+            ("variant = bogus\nnu = 1.0",
+             "unknown variant 'bogus'; expected one of stress_rate, strain_rate, elastic"),
             ("variant = elastic\nnu = 1.0", "elastic variant requires nu = gamma = 0"),
             # materials whose wave speed or time scale leaves the double range
             ("variant = strain_rate\nnu = 1.0\nmu = 1e-320\nrho = 1e300",
@@ -775,6 +775,32 @@ class TestMain:
         assert record["status"] == "error" and record["category"] == "config"
         assert "[twave]" in record["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_kappa_exit_2(self, tmp_path, capsys):
+        # the states 0 and 1e308 give c = 1e154, whose gamma * c**3 has no double value
+        ini = tmp_path / "run.ini"
+        text = TWAVE_INI.format(out=tmp_path / "out")
+        ini.write_text(text.replace("t_plus = 1.0", "t_plus = 1e308"))
+        assert main(["twave", "--config", str(ini)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "error", "category": "config",
+            "message": "[twave] kappa overflows a double at speed c = 1e+154"}
+        assert not (tmp_path / "out").exists()
+
+    def test_interior_equilibrium_reported_without_a_table(self, tmp_path, capsys):
+        # saturating a = 1 from -1 to 2: c**2 = 18/7, A2 = 2/7, and B vanishes
+        # at -2/7, between two scan nodes
+        ini = tmp_path / "run.ini"
+        text = TWAVE_INI.format(out=tmp_path / "out")
+        ini.write_text(text.replace("t_minus = 0.0", "t_minus = -1.0").replace(
+            "t_plus = 1.0", "t_plus = 2.0"))
+        assert main(["twave", "--config", str(ini)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "ok" and record["files"] == []
+        assert record["exists"] is False and record["degenerate"] is False
+        (zero,) = record["interior_zeros"]
+        assert zero == pytest.approx(-2.0 / 7.0, abs=1e-12)
+        assert not (tmp_path / "out" / "twave.csv").exists()
 
     def test_twave_scans_for_the_front_once(self, tmp_path, capsys, monkeypatch):
         calls = []

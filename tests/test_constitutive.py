@@ -348,6 +348,23 @@ class TestInvert:
         T = invert_array(h, np.array([np.nan, 0.1]))
         assert np.isnan(T[0]) and T[1] == invert(h, 0.1)
 
+    def test_invert_array_passes_nan_without_a_closed_form(self):
+        # the custom twin of saturating a = 2 has no closed-form inverse; a
+        # NaN target comes back NaN, as the catalog's closed form gives it,
+        # and every other entry keeps the bits of invert
+        twin = custom_constitutive(lambda T: T / np.sqrt(1.0 + T * T), bound=1.0)
+        assert twin.inverse is None
+        y = np.array([[np.nan, 0.1], [-0.6, np.nan]])
+        nan = np.isnan(y)
+        for h in (twin, make_constitutive("saturating", beta=1.0, a=2.0)):
+            T = invert_array(h, y)
+            assert np.array_equal(np.isnan(T), nan)
+        T = invert_array(twin, y)
+        assert np.array_equal(T[~nan], invert(twin, y[~nan]))
+        assert np.isnan(invert_array(twin, np.nan))
+        with pytest.raises(InvalidParameterError, match="target must be finite, got nan"):
+            invert(twin, y)
+
     def test_strain_limit_names_the_flat_node_and_value(self):
         h = make_constitutive("saturating", beta=1.0, a=1.0)  # bound 1
         y = np.array([[0.5, 0.2], [-1.5, 3.0]])
@@ -372,6 +389,10 @@ class TestInvert:
                                match="target 2.0 appears to exceed the attainable range") as ei:
                 call(f, y)
             assert (ei.value.node, ei.value.value) == (3, 2.0)
+        # a NaN target still counts toward the node
+        with pytest.raises(StrainLimitExceededError) as ei:
+            invert_array(f, np.array([np.nan, 0.1, 2.0]))
+        assert (ei.value.node, ei.value.value) == (2, 2.0)
         # a closed form that misses leaves only some entries to iterate: the
         # node is still the index in the whole target, not among those
         f = custom_constitutive(np.tanh, derivative=slope, inverse=lambda y: 0.0 * y)
@@ -598,8 +619,11 @@ class TestAudit:
 
     def test_negative_gamma_rejected(self):
         t = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"gamma must be nonnegative "
+                           r"\(dissipation requires it\), got -0.5"):
             audit_dissipation(-0.5, t, t[:, None])
+        with pytest.raises(InvalidParameterError, match="gamma must be finite, got nan"):
+            audit_dissipation(np.nan, t, t[:, None])
 
     def test_short_history_rejected(self):
         with pytest.raises(InvalidParameterError, match=r"histories need times \(n >= 3,\)"):

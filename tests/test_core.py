@@ -40,6 +40,11 @@ class TestGrid:
         with pytest.raises(InvalidParameterError):
             Grid1D(length=length, n_cells=8)
 
+    def test_unknown_boundary_refused_naming_the_known_ones(self):
+        with pytest.raises(InvalidParameterError, match="^unknown boundary 'bogus'; expected one "
+                           "of periodic, dirichlet_zero$"):
+            Grid1D(length=1.0, n_cells=8, boundary="bogus")
+
     def test_too_few_cells_rejected(self):
         # a non-finite count is refused before int() can overflow on it, and
         # a non-number whatever int() would make of it
@@ -99,6 +104,11 @@ class TestModelParams:
             ModelParams(variant="strain_rate", nu=0.0)
         with pytest.raises(InvalidParameterError):
             ModelParams(variant="elastic", nu=0.1)
+
+    def test_unknown_variant_refused_naming_the_known_ones(self):
+        with pytest.raises(InvalidParameterError, match="^unknown variant 'bogus'; expected one "
+                           "of stress_rate, strain_rate, elastic$"):
+            ModelParams(variant="bogus")
 
     def test_negative_gamma_message_mentions_dissipation(self):
         with pytest.raises(InvalidParameterError, match="dissipation"):

@@ -116,8 +116,11 @@ class TestStrainRateQuadratic:
         assert float(np.sum(res.roots).real) == pytest.approx(-0.3 * 49.0, rel=1e-13)
 
     def test_bad_nu_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        # the coefficient rule is ModelParams'
+        with pytest.raises(InvalidParameterError, match="strain_rate variant requires nu > 0"):
             strain_rate_dispersion(0.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="nu must be finite, got inf"):
+            strain_rate_dispersion(np.inf, 1.0)
         for k in BAD_WAVENUMBERS:
             with pytest.raises(InvalidParameterError, match="finite and >= 0"):
                 strain_rate_dispersion(1.0, k)
@@ -176,10 +179,14 @@ class TestStressRateCubic:
         assert float(np.prod(res.roots).real) == pytest.approx(k * k / gamma, rel=1e-12)
 
     def test_bad_gamma_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        # the coefficient rule is ModelParams'
+        with pytest.raises(InvalidParameterError, match=r"gamma must be nonnegative "
+                           r"\(dissipation requires it\), got -1.0"):
             stress_rate_dispersion(-1.0, 1.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="stress_rate variant requires gamma > 0"):
             stress_rate_dispersion(0.0, 1.0)
+        with pytest.raises(InvalidParameterError, match="gamma must be finite, got nan"):
+            stress_rate_dispersion(np.nan, 1.0)
         for k in BAD_WAVENUMBERS:
             with pytest.raises(InvalidParameterError, match="finite and >= 0"):
                 stress_rate_dispersion(1.0, k)
@@ -233,24 +240,26 @@ class TestResiduals:
 
 
 class TestWrapperAndCurve:
-    def test_wrapper_accepts_strings(self):
-        res = solve_dispersion("strain_rate", 1.0, 1.0)
+    def test_wrapper_runs_the_variants_solver(self):
+        res = solve_dispersion(ModelParams("strain_rate", nu=1.0), 1.0)
         assert res.model is Variant.STRAIN_RATE
-        res2 = solve_dispersion("stress_rate", 1.0, 1.0)
+        res2 = solve_dispersion(ModelParams("stress_rate", gamma=1.0), 1.0)
         assert res2.model is Variant.STRESS_RATE
         assert res2.positive_real_root == pytest.approx(SUPERGOLDEN, rel=1e-14)
-        same = solve_dispersion(Variant.STRESS_RATE, 1.0, 1.0)
+        same = stress_rate_dispersion(1.0, 1.0)
         assert same.positive_real_root == res2.positive_real_root
-        for model in ("elastic", Variant.ELASTIC, "stress_rate_linear"):
-            with pytest.raises(InvalidParameterError):
-                solve_dispersion(model, 1.0, 1.0)
+        with pytest.raises(InvalidParameterError,
+                           match="the elastic variant has no rate term to linearize"):
+            solve_dispersion(ModelParams(Variant.ELASTIC), 1.0)
+        with pytest.raises(InvalidParameterError, match="unknown variant 'stress_rate_linear'"):
+            ModelParams("stress_rate_linear", gamma=1.0)
 
     def test_growth_rate_curve_shapes_and_monotonicity(self):
         ks = np.linspace(0.0, 20.0, 41)
-        growth = solve_dispersion("stress_rate", 1.0, ks).max_real_part
+        growth = solve_dispersion(ModelParams("stress_rate", gamma=1.0), ks).max_real_part
         assert growth.shape == (41,)
         assert np.all(np.diff(growth) > 0.0)  # growth rate increases with k
-        decay = solve_dispersion("strain_rate", 1.0, ks).max_real_part
+        decay = solve_dispersion(ModelParams("strain_rate", nu=1.0), ks).max_real_part
         assert decay[0] == 0.0 and np.all(decay[1:] < 0.0)
 
     def test_locate_critical_wavenumber(self):
@@ -294,11 +303,12 @@ class TestBatch:
     @settings(max_examples=80, deadline=None)
     def test_batch_equals_scalar_calls_bit_for_bit(self, model, coeff, ks):
         ks = ks + [2.0 / coeff]  # the strain-rate critical wavenumber, exactly
-        batch = solve_dispersion(model, coeff, np.array(ks))
+        params = ModelParams(model, **{"nu" if model == "strain_rate" else "gamma": coeff})
+        batch = solve_dispersion(params, np.array(ks))
         residuals = batch.residuals()
         assert batch.roots.shape == (len(ks), 2 if model == "strain_rate" else 3)
         for i, k in enumerate(ks):
-            one = solve_dispersion(model, coeff, k)
+            one = solve_dispersion(params, k)
             assert one.k == batch.k[i] == k
             assert one.classification is batch.classification[i]
             assert one.k_critical == batch.k_critical
@@ -358,7 +368,7 @@ class TestBatch:
             with pytest.raises(InvalidParameterError, match="1/gamma overflows"):
                 stress_rate_dispersion(gamma, k)
         with pytest.raises(InvalidParameterError, match="1/gamma overflows"):
-            solve_dispersion("stress_rate", gamma, 1.0)
+            solve_dispersion(ModelParams("stress_rate", gamma=gamma), 1.0)
 
     @pytest.mark.parametrize("gamma", [1e-225, 1e-200, 7e-155])
     def test_overflowing_squared_reciprocal_gamma_rejected(self, gamma):
@@ -378,7 +388,7 @@ class TestBatch:
         with pytest.raises(InvalidParameterError, match="2/nu overflows"):
             strain_rate_dispersion(nu, 0.5)
         with pytest.raises(InvalidParameterError, match="2/nu overflows"):
-            solve_dispersion("strain_rate", nu, [0.0, 0.5])
+            solve_dispersion(ModelParams("strain_rate", nu=nu), [0.0, 0.5])
         assert strain_rate_dispersion(1.2e-308, 0.5).k_critical < np.inf
 
     def test_underflowing_companion_coefficient(self):

@@ -798,7 +798,7 @@ class TestDiscreteDispersion:
         if variant == "elastic":
             roots = np.stack([1j * kappa, -1j * kappa], axis=1)
         else:
-            roots = solve_dispersion(variant, coeff, kappa).roots.astype(complex)
+            roots = solve_dispersion(params, kappa).roots.astype(complex)
         # each mode's roots against its eigenvalues in their best order
         gap = np.min(
             [np.max(np.abs(eig[:, list(perm)] - roots), axis=1)
@@ -1087,6 +1087,23 @@ class TestInitialData:
         st = single_mode_state(g, h, k=3.0, amplitude=0.1)
         assert st.stress.values[0] == pytest.approx(0.1)
 
+    def test_single_mode_on_a_pinned_grid_is_a_sine(self):
+        g = Grid1D(length=2.0, n_cells=16, boundary="dirichlet_zero")
+        h = make_constitutive("linear")
+        k = 1.5 * np.pi  # three half-turns over the length
+        st = single_mode_state(g, h, k=k, amplitude=0.1)
+        assert np.array_equal(st.stress.values, 0.1 * np.sin(k * g.nodes()))
+        assert np.all(st.v.values == 0.0)
+        assert np.array_equal(st.eps.values, st.stress.values)  # h(T) = T
+        # sin(0) is 0 exactly; 3*pi has no double value, so its sine is 0 to roundoff only
+        assert st.stress.values[0] == 0.0
+        assert abs(st.stress.values[-1]) < 1e-16
+        # none, or not a whole number, of half-turns
+        for bad in (1.0, 0.0, -0.5 * np.pi):
+            with pytest.raises(InvalidParameterError,
+                               match="does not vanish at the pinned ends for length 2.0"):
+                single_mode_state(g, h, k=bad, amplitude=0.1)
+
     def test_bad_bump_width_rejected(self):
         g = periodic_grid()
         h = make_constitutive("linear")
@@ -1122,8 +1139,10 @@ class TestRelaxStress:
 
     def test_validation(self):
         h = make_constitutive("linear")
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="stress_rate variant requires gamma > 0"):
             relax_stress(h, 0.0, 0.0, t_final=1.0, dt=0.1)
+        with pytest.raises(InvalidParameterError, match="gamma must be finite, got inf"):
+            relax_stress(h, 0.0, np.inf, t_final=1.0, dt=0.1)
         with pytest.raises(InvalidParameterError, match="dt = 2.0 exceeds t_final = 1.0"):
             relax_stress(h, 0.0, 1.0, t_final=1.0, dt=2.0)
         with pytest.raises(InvalidParameterError, match="dt must be positive, got nan"):

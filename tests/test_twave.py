@@ -12,6 +12,7 @@ import slve.twave as twave
 from slve import (
     InvalidParameterError,
     Grid1D,
+    ModelParams,
     NoKinkError,
     SpanTooShortError,
     Variant,
@@ -22,7 +23,6 @@ from slve import (
     kink_profile,
     make_constitutive,
     make_problem,
-    reduction_kappa,
     unified_reduction_check,
     wave_speed,
 )
@@ -30,9 +30,17 @@ from slve import (
 from oracles import first_order_residual
 
 
+STRESS = ModelParams(Variant.STRESS_RATE, gamma=1.0)  # the workhorse rate model
+
+
+def unit(variant, coeff):
+    """The unit-form model of variant whose active rate coefficient is coeff."""
+    return ModelParams(variant, **{"nu" if variant == "strain_rate" else "gamma": coeff})
+
+
 def saturating_problem(variant="stress_rate", coeff=1.0):
     f = make_constitutive("saturating", beta=1.0, a=1.0)
-    return make_problem(f, 0.0, 1.0, variant, coeff)
+    return make_problem(f, 0.0, 1.0, unit(variant, coeff))
 
 
 def interior_zero_response():
@@ -81,20 +89,41 @@ class TestSpeed:
 
 class TestReduction:
     def test_kappa_values(self):
-        c = np.sqrt(2.0)
-        assert reduction_kappa("stress_rate", 1.0, c) == pytest.approx(2.0 * np.sqrt(2.0))
-        assert reduction_kappa("strain_rate", 1.0, c) == pytest.approx(np.sqrt(2.0))
-        assert reduction_kappa("stress_rate", 0.5, 2.0) == pytest.approx(4.0)
+        # the saturating a=1 states 0 and 1 give c = sqrt(2)
+        assert saturating_problem("stress_rate", 1.0).kappa == pytest.approx(2.0 * np.sqrt(2.0))
+        assert saturating_problem("strain_rate", 1.0).kappa == pytest.approx(np.sqrt(2.0))
+        # a linear response of slope 1/4 gives c = 2 exactly
+        quarter = make_constitutive("linear", beta=0.25)
+        assert make_problem(quarter, 0.0, 1.0, unit("stress_rate", 0.5)).kappa == 4.0
 
-    def test_elastic_and_zero_coefficient_singular(self):
-        for variant in ("elastic", "stress_rate"):
-            with pytest.raises(InvalidParameterError, match="kappa vanishes"):
-                reduction_kappa(variant, 0.0, 1.0)
+    def test_stress_rate_kappa_is_gamma_times_c_cubed(self):
+        # gamma * c**3 as written: c * c * c rounds 1 ulp lower at these states
+        f = make_constitutive("saturating", beta=1.0, a=1.0)
+        prob = make_problem(f, 0.03, 1.0, STRESS)
+        assert prob.kappa == 2.9566562194479094 == prob.c**3
+
+    def test_elastic_kappa_vanishes(self):
+        f = make_constitutive("saturating", beta=1.0, a=1.0)
+        with pytest.raises(InvalidParameterError, match="^kappa vanishes: the profile equation "
+                           "degenerates in the elastic limit$"):
+            make_problem(f, 0.0, 1.0, ModelParams(Variant.ELASTIC))
+        # a rate variant with a zero coefficient is no model at all
+        with pytest.raises(InvalidParameterError, match="stress_rate variant requires gamma > 0"):
+            unit("stress_rate", 0.0)
+
+    @pytest.mark.parametrize("params", [STRESS, unit("strain_rate", 1e308)],
+                             ids=["c**3", "nu*c"])
+    def test_overflowing_kappa_refused(self, params):
+        # c = 1e154: c**3 overflows a double, and so does nu * c at nu = 1e308
+        f = make_constitutive("saturating", beta=1.0, a=1.0)
+        with pytest.raises(InvalidParameterError, match="^kappa overflows a double at speed "
+                           "c = 1e[+]?154$"):
+            make_problem(f, 0.0, 1e308, params)
 
     def test_problem_carries_consistent_kappa(self):
         prob = saturating_problem("strain_rate", 2.0)
         assert prob.kappa == pytest.approx(2.0 * prob.c)
-        assert prob.variant is Variant.STRAIN_RATE
+        assert prob.params == ModelParams(Variant.STRAIN_RATE, nu=2.0)
 
 
 class TestExistence:
@@ -105,7 +134,7 @@ class TestExistence:
         assert bool(diag)
 
     def test_linear_response_degenerate(self):
-        prob = make_problem(make_constitutive("linear"), 0.0, 1.0, "stress_rate", 1.0)
+        prob = make_problem(make_constitutive("linear"), 0.0, 1.0, STRESS)
         diag = kink_exists(prob)
         assert diag.degenerate and not diag.exists
 
@@ -115,10 +144,19 @@ class TestExistence:
             value=lambda T: T + 2.0 * T * (T - 1.0) * (T - 0.5),
             derivative=lambda T: 1.0 + 2.0 * ((T - 1.0) * (T - 0.5) + T * (T - 0.5) + T * (T - 1.0)),
         )
-        prob = make_problem(f, 0.0, 1.0, "stress_rate", 1.0)
+        prob = make_problem(f, 0.0, 1.0, STRESS)
         diag = kink_exists(prob)
         assert not diag.exists and not diag.degenerate
         assert any(z == pytest.approx(0.5, abs=1e-9) for z in diag.interior_zeros)
+
+    def test_interior_zero_off_the_scan_nodes_is_bisected(self):
+        # B(T) = T - f(T) = -2T(T - 1)(T - 1/3) changes sign at 1/3, between
+        # two scan nodes, so the bisection finds it
+        f = custom_constitutive(value=lambda T: T + 2.0 * T * (T - 1.0) * (T - 1.0 / 3.0))
+        diag = kink_exists(make_problem(f, 0.0, 1.0, STRESS))
+        assert not diag.exists and not diag.degenerate
+        (zero,) = diag.interior_zeros
+        assert abs(zero - 1.0 / 3.0) < 1e-12
 
     def test_balance_function_signs(self):
         prob = saturating_problem()
@@ -154,7 +192,7 @@ class TestBalanceFunction:
     @pytest.mark.parametrize("T", [0.3, 1, np.float64(0.7), np.array(1.7), 1.0 / 3.0, -0.25])
     def test_scalar_has_the_bits_of_the_array_call(self, case, T):
         f, t_minus, t_plus = _BALANCE_CASES[case]
-        prob = make_problem(f, t_minus, t_plus, "stress_rate", 1.0)
+        prob = make_problem(f, t_minus, t_plus, STRESS)
         got = balance_function(prob, T)
         want = balance_function(prob, np.array([float(T)]))[0]
         assert np.float64(got).tobytes() == want.tobytes()
@@ -171,7 +209,7 @@ class TestBalanceFunction:
     @pytest.mark.parametrize("case", ["saturating_a1", "saturating_a1.5", "arctan"])
     def test_profile_equals_the_array_formula(self, monkeypatch, case):
         f, t_minus, t_plus = _BALANCE_CASES[case]
-        prob = make_problem(f, t_minus, t_plus, "strain_rate", 0.7)
+        prob = make_problem(f, t_minus, t_plus, ModelParams("strain_rate", nu=0.7))
         T = kink_profile(prob).T
         monkeypatch.setattr(twave, "balance_function", _array_balance)
         assert (kink_profile(prob).T == T).all()
@@ -198,8 +236,8 @@ class TestProfile:
 
     def test_label_swap_mirrors_profile(self):
         f = make_constitutive("saturating", beta=1.0, a=1.0)
-        p1 = make_problem(f, 0.0, 1.0, "stress_rate", 1.0)
-        p2 = make_problem(f, 1.0, 0.0, "stress_rate", 1.0)
+        p1 = make_problem(f, 0.0, 1.0, STRESS)
+        p2 = make_problem(f, 1.0, 0.0, STRESS)
         prof1, prof2 = kink_profile(p1), kink_profile(p2)
         assert prof2.signed_speed == pytest.approx(-prof1.signed_speed, rel=1e-14)
         xs = np.linspace(-60.0, 60.0, 41)
@@ -258,12 +296,12 @@ class TestProfile:
             kink_profile(saturating_problem(), xi_span=10.0)
 
     def test_no_kink_profile_raises(self):
-        prob = make_problem(make_constitutive("linear"), 0.0, 1.0, "stress_rate", 1.0)
+        prob = make_problem(make_constitutive("linear"), 0.0, 1.0, STRESS)
         with pytest.raises(NoKinkError):
             kink_profile(prob)
 
     def test_no_kink_error_carries_the_scan(self):
-        prob = make_problem(interior_zero_response(), 0.0, 1.0, "stress_rate", 1.0)
+        prob = make_problem(interior_zero_response(), 0.0, 1.0, STRESS)
         with pytest.raises(NoKinkError) as info:
             kink_profile(prob)
         diag = info.value.diagnostic
@@ -310,7 +348,7 @@ class TestIntegratorOracle:
     ])
     def test_samples_match_oracle(self, kind, beta, a, t_minus, t_plus, variant, coeff):
         f = make_constitutive(kind, beta=beta, a=a)
-        prof = kink_profile(make_problem(f, t_minus, t_plus, variant, coeff))
+        prof = kink_profile(make_problem(f, t_minus, t_plus, unit(variant, coeff)))
         assert prof.reversed_orientation == (t_minus < t_plus)
         assert np.max(np.abs(prof.T - _oracle_samples(prof))) < 1e-9
 
@@ -320,7 +358,7 @@ class TestIntegratorOracle:
         f = custom_constitutive(
             value=lambda T: np.where((T > 0.7) & (T < 0.8), np.nan, T / (1.0 + np.abs(T)))
         )
-        prob = make_problem(f, 0.0, 1.0, "stress_rate", 1.0)
+        prob = make_problem(f, 0.0, 1.0, STRESS)
         calls = []
 
         def counted(problem, T):
