@@ -23,6 +23,7 @@ from slve import (
     ModelParams,
     SolverConfig,
     audit_dissipation,
+    balance_function,
     energy_series,
     gaussian_bump_state,
     invert,
@@ -329,6 +330,50 @@ def test_criterion_7_traveling_wave(kink_run, capsys):
         f"|c - sqrt(2)| = {err_c:.1e} (1e-10); profile residual {ode_resid:.1e} (1e-8); "
         f"variant overlay {overlay:.1e} (1e-9); translated shape err {shape_err:.1e} (1e-3)",
     )
+
+
+def _closed_form_front_error(profile, beta):
+    """Largest stress error of a saturating a = 1 front's samples against the
+    exact implicit profile.
+
+    For end states T-, T+ of one sign, (1 + beta T) B(T) = beta (T - T-)(T - T+),
+    so kappa_signed T' = B(T) integrates in closed form to
+        xi(T) = kappa_signed / (beta (T+ - T-))
+                * [(1 + beta T+) log|T - T+| - (1 + beta T-) log|T - T-|] + C
+    with xi(T_mid) = 0.  Each sample's xi mismatch becomes a stress mismatch
+    through T' = B / kappa_signed; samples within 1e-9 of an end are skipped.
+    """
+    problem = profile.problem
+    lo, hi = problem.t_minus, problem.t_plus
+
+    def xi_exact(T):
+        return profile.kappa_signed / (beta * (hi - lo)) * (
+            (1.0 + beta * hi) * np.log(np.abs(T - hi)) - (1.0 + beta * lo) * np.log(np.abs(T - lo))
+        )
+
+    T = profile.T
+    inner = (np.abs(T - lo) > 1e-9) & (np.abs(T - hi) > 1e-9)
+    d_xi = profile.xi[inner] - (xi_exact(T[inner]) - xi_exact(0.5 * (lo + hi)))
+    slope = balance_function(problem, T[inner]) / profile.kappa_signed
+    return float(np.max(np.abs(d_xi * slope)))
+
+
+def test_criterion_7_front_matches_closed_form(capsys):
+    cases = [(1.0, t_minus, t_plus, variant)
+             for t_minus, t_plus in ((0.03, 1.0), (0.0, 0.95), (0.049, 1.09))
+             for variant in ("stress_rate", "strain_rate")]
+    # labels against the raw ODE's direction, and a beta other than 1
+    cases += [(1.0, 1.0, 0.03, "stress_rate"), (2.5, 0.0, 1.0, "strain_rate")]
+    worst = 0.0
+    for beta, t_minus, t_plus, variant in cases:
+        f = make_constitutive("saturating", beta=beta, a=1.0)
+        params = ModelParams(variant, **{"nu" if variant == "strain_rate" else "gamma": 1.0})
+        profile = kink_profile(make_problem(f, t_minus, t_plus, params), xi_span=400.0,
+                               n_samples=5001)
+        worst = max(worst, _closed_form_front_error(profile, beta))
+    _report(capsys, 7, worst < 1e-9,
+            f"front against its closed form: max |T - T_exact| {worst:.1e} over "
+            f"{len(cases)} fronts (1e-9)")
 
 
 def test_criterion_8a_stress_relaxes_to_inverse(capsys):
