@@ -14,8 +14,8 @@ the library's own checks, so a step over the stability ceiling, an
 [initial] shape the grid cannot hold, an energy run with no uniformly
 spaced interior sample, a wavenumber whose k*k (or k*k/gamma) overflows
 and twave end states that are non-finite, coincide, give no real speed or
-give a kappa beyond the double range are all refused before the output
-directory is made.
+give a kappa beyond the double range or one that underflows to 0 are all
+refused before the output directory is made.
 
 Material parameters are given dimensionally in [model]: rho, mu and
 length_scale only scale nu and gamma (and status.json's scales) into the
@@ -36,10 +36,10 @@ as the trajectory table.  Reruns of one config are byte-identical.  CSV
 floats carry 17 significant digits and JSONL floats are json's repr, so
 parsing either back loses nothing.
 
-Every command runs on numpy alone; none loads scipy.  twave integrates the
-front with its own Dormand-Prince pair, and energy with a saturating
-response with a not in {1, 2}, whose stored energy has no closed-form
-antiderivative, integrates it with a numpy quadrature.
+Every command runs on numpy alone; none loads scipy.  twave computes the
+front as a Gauss-Legendre quadrature of its separable profile equation, and
+energy with a saturating response with a not in {1, 2}, whose stored energy
+has no closed-form antiderivative, integrates it with a numpy quadrature.
 """
 
 from __future__ import annotations

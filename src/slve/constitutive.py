@@ -65,20 +65,14 @@ class Kind(str, enum.Enum):
     CUSTOM = "custom"
 
 
-def _elementwise(fn: Callable[[np.ndarray], np.ndarray], floats: bool = False) -> Callable:
+def _elementwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Make an array function accept scalars and return scalars for them.
 
     fn gets a float array, 0-d for a scalar, and a 0-d result comes back as
-    a float.  With floats set, a Python float skips the array: fn gets it as
-    it is and float(fn(T)) comes back, with the bits of the one-element
-    array call.  The catalog's closed forms set it: their arithmetic rounds
-    a float as it rounds an array entry, and their ufuncs see the same
-    operand either way.
+    a float.
     """
 
     def wrapped(T):
-        if floats and type(T) is float:
-            return float(fn(T))
         arr = np.asarray(T, dtype=float)
         out = np.asarray(fn(arr))
         if arr.ndim == 0:
@@ -94,10 +88,8 @@ class ConstitutiveFunction:
 
     value, derivative, antiderivative accept scalars or arrays; inverse is
     None when no closed form exists (invert() then falls back to iteration).
-    A scalar gives a float.  The catalog's closed forms (linear, arctan and
-    saturating a = 1 or 2) take a Python float without building an array,
-    and give the bits of the one-element array call; the masked forms of any
-    other a and every custom callable are called with arrays.
+    A scalar gives a float; the catalog's has the bits of the one-element
+    array call.
     bound is sup |value|, np.inf when unbounded; derivative must be positive
     for the inversion contract to hold (true for the whole catalog).
     """
@@ -159,23 +151,19 @@ def _saturating_callables(beta: float, a: float):
     # one factor at a time so that no power of a huge |u| overflows
     if a == 1.0:
 
-        # builtin abs keeps a float a float; the denominators of value and
-        # derivative are >= 1, so float division never raises
         def raw_value(arr):
             u = beta * arr
-            return u / (1.0 + abs(u))
+            return u / (1.0 + np.abs(u))
 
         def raw_deriv(arr):
-            s = 1.0 + beta * abs(arr)
+            s = 1.0 + beta * np.abs(arr)
             return beta / s / s
 
         def raw_antider(arr):
-            u = beta * abs(arr)
+            u = beta * np.abs(arr)
             return (u - np.log1p(u)) / beta
 
         def raw_inverse(arr):
-            # np.abs makes the denominator numpy's, so |w| = 1 gives inf as
-            # an array entry does, not ZeroDivisionError
             return arr / (beta * (1.0 - np.abs(arr)))
 
     elif a == 2.0:
@@ -212,7 +200,6 @@ def _arctan_callables(beta: float):
     def raw_value(arr):
         return (2.0 / math.pi) * np.arctan(c * arr)
 
-    # x * x, not x ** 2: float ** raises OverflowError where numpy gives inf
     def raw_deriv(arr):
         x = c * arr
         return beta / (1.0 + x * x)
@@ -279,8 +266,7 @@ def make_constitutive(kind: Kind | str, beta: float = 1.0, a: float = 1.0) -> Co
         raw = _arctan_callables(beta)
     else:
         raise InvalidParameterError("use custom_constitutive() for kind='custom'")
-    closed = kind is not Kind.SATURATING or a in (1.0, 2.0)  # any other a masks arrays
-    value, derivative, antiderivative, inverse = (_elementwise(fn, closed) for fn in raw)
+    value, derivative, antiderivative, inverse = map(_elementwise, raw)
     return ConstitutiveFunction(kind=kind, beta=beta, a=a, value=value, derivative=derivative,
                                 antiderivative=antiderivative, inverse=inverse, bound=bound)
 

@@ -564,6 +564,7 @@ def single_mode_state(
                 f"k = {k} does not vanish at the pinned ends for length {grid.length}"
             )
         T0 = amplitude * np.sin(k * x)
+        T0[[0, -1]] = 0.0  # sin(k * length) is 0 only to rounding
     return _manifold_state(grid, f, T0)
 
 

@@ -60,21 +60,12 @@ __all__ = [
 # interior scan resolution for sign changes of the balance function
 _SCAN_POINTS = 10000
 
-# front integrator: the Dormand-Prince 5(4) pair (Dormand & Prince 1980) with
-# Shampine's quartic dense output (1986); Hairer, Norsett & Wanner, Solving
-# ODEs I, II.4-II.5.  _front_branch spells the tableau out as literal
-# fractions, which compile to constants.
-_RTOL, _ATOL = 1e-11, 1e-13
-_MAX_ATTEMPTS = 100_000  # accepted plus rejected steps, per half window
-# rows for k1, k3, k4, k5, k6, k7 (k2's row is zero); columns for x, ..., x**4
-_DENSE = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# front quadrature: the 5-point Gauss-Legendre rule on [0, 1], in closed form
+_GL_R = (math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0,
+         math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0)
+_GL_X = 0.5 + 0.5 * np.array([-_GL_R[0], -_GL_R[1], 0.0, _GL_R[1], _GL_R[0]])
+_GL_W = np.array([322.0 - 13.0 * math.sqrt(70.0), 322.0 + 13.0 * math.sqrt(70.0), 512.0,
+                  322.0 + 13.0 * math.sqrt(70.0), 322.0 - 13.0 * math.sqrt(70.0)]) / 1800.0
 
 
 def wave_speed(f: ConstitutiveFunction, t_minus: float, t_plus: float) -> Tuple[float, float]:
@@ -136,7 +127,8 @@ def make_problem(
     kappa is gamma * c**3 for the stress-rate variant and nu * c for the
     strain-rate one.  The elastic variant has no rate term: kappa vanishes,
     the reduction collapses to the algebraic relation B(T) = 0 and selects
-    no profile.  A speed or a kappa beyond the double range is refused too.
+    no profile.  A speed or a kappa beyond the double range is refused too,
+    and so is a kappa that underflows to 0.
     """
     c_squared, a2 = wave_speed(f, t_minus, t_plus)
     c = math.sqrt(c_squared)
@@ -152,6 +144,8 @@ def make_problem(
         kappa = math.inf
     if kappa == math.inf:
         raise InvalidParameterError(f"kappa overflows a double at speed c = {c}")
+    if kappa == 0.0:
+        raise InvalidParameterError(f"kappa underflows to 0 at speed c = {c}")
     problem = TravelingWaveProblem(
         f=f,
         t_minus=float(t_minus),
@@ -298,81 +292,60 @@ class KinkProfile:
 def _front_branch(
     problem: TravelingWaveProblem, y0: float, rate: float, length: float
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Integrate T' = rate * B(T) from T(0) = y0 over s in [0, length].
+    """T(s) solving T' = rate * B(T), T(0) = y0, for s in [0, length].
 
-    Adaptive Dormand-Prince 5(4) on Python floats, one balance_function call
-    per stage, local extrapolation and the standard step control; the first
-    step follows Hairer II.4.  Returns the dense output, a vectorized
-    function of s in [0, length].
+    T runs from y0 to the end state e that rate * B(y0) points to.  With
+    T(u) = e - (e - y0) exp(-u) the equation is the quadrature s(u) = integral
+    of g = (e - T) / (rate * B(T)) from 0, and g stays bounded as T -> e
+    wherever B'(e) != 0.  s is tabulated by Gauss-Legendre on panels of width
+    1/8 in u, in one balance_function call, until |e - T| is within 1e-13 of
+    max(1, |e|, |A2|), the scale B(T) is rounded at.  The returned vectorized
+    function inverts it: a cubic Hermite start for u(s) in its panel (slopes
+    1/g at the panel ends), then one Newton step with the partial panel done
+    by the same rule.  Past the table it returns e.
 
-    Raises
-    ------
-    NoKinkError
-        On a non-finite stage, a step below 10 ulp of s, or more than
-        _MAX_ATTEMPTS steps.
+    Raises NoKinkError on a non-finite or non-positive g in the table before
+    s reaches length.
     """
-    bf = balance_function
-    s, y = 0.0, float(y0)
-    k1 = bf(problem, y)
-    scale = _ATOL + _RTOL * abs(y)
-    d0, d1 = abs(y) / scale, abs(rate * k1) / scale
-    h0 = min(length, 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1)
-    d2 = abs(rate * (bf(problem, y + h0 * rate * k1) - k1)) / scale / h0
-    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, length)
+    e = problem.t_plus if (rate * balance_function(problem, y0) > 0.0) == (
+        problem.t_plus > y0) else problem.t_minus
+    gap, panel = e - y0, 0.125
+    n = max(1, math.ceil(math.log(abs(gap) / (1e-13 * max(1.0, abs(e), abs(problem.a2)))) / panel))
 
-    steps = []
-    rejected = False
-    for _ in range(_MAX_ATTEMPTS):
-        if h < 10.0 * math.ulp(s):
-            raise NoKinkError(f"profile integration failed: step size underflow at |xi| = {s:.9g}")
-        s_new = min(s + h, length)
-        step = s_new - s
-        hk = step * rate
-        k2 = bf(problem, y + hk * (k1 / 5))
-        k3 = bf(problem, y + hk * (3 / 40 * k1 + 9 / 40 * k2))
-        k4 = bf(problem, y + hk * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-        k5 = bf(problem, y + hk * (19372 / 6561 * k1 - 25360 / 2187 * k2
-                                   + 64448 / 6561 * k3 - 212 / 729 * k4))
-        k6 = bf(problem, y + hk * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
-                                   + 49 / 176 * k4 - 5103 / 18656 * k5))
-        # fifth-order solution (b_2 = 0) and the embedded pair's difference
-        y_new = y + hk * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
-                          - 2187 / 6784 * k5 + 11 / 84 * k6)
-        k7 = bf(problem, y_new)
-        err = abs(hk * (-71 / 57600 * k1 + 71 / 16695 * k3 - 71 / 1920 * k4
-                        + 17253 / 339200 * k5 - 22 / 525 * k6 + k7 / 40)) / (
-            _ATOL + _RTOL * max(abs(y), abs(y_new)))
-        # a NaN or infinite stage reaches err through k7 or the stages after it
-        if not math.isfinite(err):
-            raise NoKinkError(
-                f"profile integration failed: non-finite B(T) near |xi| = {s:.9g}, T = {y!r}"
-            )
-        if err < 1.0:
-            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err**-0.2)
-            steps.append((s, step, y, hk, k1, k3, k4, k5, k6, k7))
-            s, y, k1 = s_new, y_new, k7
-            if s >= length:
-                break
-            h = step * (min(1.0, factor) if rejected else factor)
-            rejected = False
-        else:
-            h = step * max(0.2, 0.9 * err**-0.2)
-            rejected = True
-    else:
-        raise NoKinkError(
-            f"profile integration failed: {_MAX_ATTEMPTS} steps did not reach |xi| = {length}"
-        )
+    def g(u):
+        d = gap * np.exp(-u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return d / (rate * balance_function(problem, e - d))
 
-    t, width, start, hk, *k = np.array(steps).T
-    # T(t_i + x*width_i) = start_i + sum_j q_j * x**j with q = hk * (k @ _DENSE)
-    q1, q2, q3, q4 = hk * (_DENSE.T @ np.array(k))
+    ends = panel * np.arange(n + 1)
+    table = g(np.concatenate([ends, (ends[:-1, None] + panel * _GL_X).ravel()]))
+    g_ends = table[: n + 1]
+    S = np.concatenate([[0.0], np.cumsum(panel * (table[n + 1 :].reshape(n, 5) @ _GL_W))])
+    ok = (table > 0.0) & (table < math.inf)  # NaN fails both
+    bad = np.flatnonzero(~(ok[n + 1 :].reshape(n, 5).all(axis=1) & ok[:n] & ok[1 : n + 1]))
+    if bad.size:  # keep the panels before the first bad one if they reach length
+        k = bad[0]
+        if S[k] < length:
+            raise NoKinkError("profile quadrature failed: non-finite or non-positive 1/B(T) "
+                              f"past T = {e - gap * math.exp(-ends[k])!r}, |xi| = {S[k]:.9g}")
+        S, ends, g_ends = S[: k + 1], ends[: k + 1], g_ends[: k + 1]
+    x = np.append(_GL_X, 1.0)  # the partial panel's nodes, then its end
 
     def dense(s_eval: np.ndarray) -> np.ndarray:
-        # t[0] = 0 <= s_eval, so i indexes the step that holds s_eval
-        i = np.searchsorted(t, s_eval, side="right") - 1
-        x = (s_eval - t[i]) / width[i]
-        return start[i] + x * (q1[i] + x * (q2[i] + x * (q3[i] + x * q4[i])))
+        out = np.full(s_eval.shape, e)
+        inside = s_eval < S[-1]
+        s = s_eval[inside]
+        i = np.searchsorted(S, s, side="right") - 1  # S[0] = 0 <= s
+        h = S[i + 1] - S[i]
+        t = (s - S[i]) / h
+        u = ends[i] + t * t * (3.0 - 2.0 * t) * panel + t * (1.0 - t) * h * (
+            (1.0 - t) / g_ends[i] - t / g_ends[i + 1])
+        du = u - ends[i]
+        gu = g(ends[i, None] + du[:, None] * x)
+        # column by column, so each entry has the bits of its one-element call
+        u -= (S[i] + du * sum(w * gu[:, j] for j, w in enumerate(_GL_W)) - s) / gu[:, 5]
+        out[inside] = e - gap * np.exp(-u)
+        return out
 
     return dense
 
@@ -390,14 +363,14 @@ def kink_profile(
     xi_span: float = 200.0,
     n_samples: int = 2001,
 ) -> KinkProfile:
-    """Integrate the profile ODE outward from the middle of the front, the
+    """Solve the profile ODE outward from the middle of the front, the
     midpoint stress of the end states, which sits at xi = 0.
 
-    Each half of the window is one Dormand-Prince 5(4) run (_front_branch,
-    numpy and Python floats only) at rtol 1e-11, atol 1e-13, of
-    kappa_signed * T' = B(T), so T runs from t_minus to t_plus; the
-    interpolant evaluates its quartic dense output.  The existence scan runs
-    once and the profile carries its verdict as diagnostic.
+    kappa_signed * T' = B(T) is separable, so each half of the window is one
+    quadrature of xi(T) = kappa_signed * integral dS / B(S) toward its end
+    state (_front_branch, numpy alone), and the interpolant inverts it; T
+    runs from t_minus to t_plus.  The existence scan runs once and the
+    profile carries its verdict as diagnostic.
 
     Parameters
     ----------
@@ -414,9 +387,9 @@ def kink_profile(
         integer >= 9.
     NoKinkError
         When no monotone front connects the end states (the scan's
-        KinkDiagnostic is the error's diagnostic), or the integration fails
-        (a non-finite B, step-size underflow, the step budget; diagnostic
-        None).
+        KinkDiagnostic is the error's diagnostic), or the quadrature meets a
+        non-finite B(T) or one of the wrong sign inside the window
+        (diagnostic None).
     SpanTooShortError
         When the window ends are not within 1e-6 of the end states.
     """

@@ -787,6 +787,18 @@ class TestMain:
             "message": "[twave] kappa overflows a double at speed c = 1e+154"}
         assert not (tmp_path / "out").exists()
 
+    def test_underflowing_kappa_exit_2(self, tmp_path, capsys):
+        # beta = 1e300 from 0 to 1e-310 gives c = 1e-150, whose gamma * c**3 rounds to 0
+        ini = tmp_path / "run.ini"
+        text = TWAVE_INI.format(out=tmp_path / "out")
+        ini.write_text(text.replace("beta = 1.0", "beta = 1e300").replace(
+            "t_plus = 1.0", "t_plus = 1e-310"))
+        assert main(["twave", "--config", str(ini)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "error", "category": "config",
+            "message": "[twave] kappa underflows to 0 at speed c = 1.00000000005e-150"}
+        assert not (tmp_path / "out").exists()
+
     def test_interior_equilibrium_reported_without_a_table(self, tmp_path, capsys):
         # saturating a = 1 from -1 to 2: c**2 = 18/7, A2 = 2/7, and B vanishes
         # at -2/7, between two scan nodes
@@ -970,7 +982,7 @@ class TestFreshInterpreter:
         _assert_tables_match_in_process_runs(tmp_path, configs)
 
     def test_twave_never_loads_scipy_with_identical_tables(self, tmp_path):
-        # twave integrates the front with the numpy Dormand-Prince pair
+        # twave computes the front by a numpy quadrature of its separable ODE
         configs = {"twave": TWAVE_INI}
         assert _fresh_runs(tmp_path, configs) == {"codes": [0], "scipy": [False, False]}
         _assert_tables_match_in_process_runs(tmp_path, configs)

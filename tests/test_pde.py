@@ -1092,12 +1092,16 @@ class TestInitialData:
         h = make_constitutive("linear")
         k = 1.5 * np.pi  # three half-turns over the length
         st = single_mode_state(g, h, k=k, amplitude=0.1)
-        assert np.array_equal(st.stress.values, 0.1 * np.sin(k * g.nodes()))
+        assert np.array_equal(st.stress.values[1:-1], 0.1 * np.sin(k * g.nodes()[1:-1]))
         assert np.all(st.v.values == 0.0)
         assert np.array_equal(st.eps.values, st.stress.values)  # h(T) = T
-        # sin(0) is 0 exactly; 3*pi has no double value, so its sine is 0 to roundoff only
+        # 3*pi has no double value, so its sine is 0 to roundoff only; both
+        # ends are set to 0 exactly
         assert st.stress.values[0] == 0.0
-        assert abs(st.stress.values[-1]) < 1e-16
+        assert st.stress.values[-1] == 0.0
+        # the docstring's case: k * length = pi
+        st = single_mode_state(Grid1D(np.pi, 16, "dirichlet_zero"), h, k=1.0, amplitude=1.0)
+        assert st.stress.values[0] == st.stress.values[-1] == 0.0
         # none, or not a whole number, of half-turns
         for bad in (1.0, 0.0, -0.5 * np.pi):
             with pytest.raises(InvalidParameterError,

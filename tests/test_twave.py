@@ -120,6 +120,17 @@ class TestReduction:
                            "c = 1e[+]?154$"):
             make_problem(f, 0.0, 1e308, params)
 
+    @pytest.mark.parametrize("params", [STRESS, unit("strain_rate", 1e-200)],
+                             ids=["c**3", "nu*c"])
+    def test_underflowing_kappa_refused(self, params):
+        # beta = 1e300 from 0 to 1e-310 gives c = 1e-150: gamma * c**3 and
+        # nu * c at nu = 1e-200 round to 0, which would divide kink_profile's
+        # rate by zero
+        f = make_constitutive("saturating", beta=1e300, a=1.0)
+        with pytest.raises(InvalidParameterError, match="^kappa underflows to 0 at speed "
+                           "c = 1.00000000005e-150$"):
+            make_problem(f, 0.0, 1e-310, params)
+
     def test_problem_carries_consistent_kappa(self):
         prob = saturating_problem("strain_rate", 2.0)
         assert prob.kappa == pytest.approx(2.0 * prob.c)
@@ -315,11 +326,11 @@ class TestProfile:
         assert prof.diagnostic.reversed_orientation == prof.reversed_orientation
 
 
-def _oracle_samples(profile):
-    """The profile's samples from scipy's DOP853 at rtol 1e-13, atol 1e-15,
+def _oracle(profile, xi):
+    """The profile at xi from scipy's DOP853 at rtol 1e-13, atol 1e-15,
     integrated outward from the midpoint stress as kink_profile does."""
     problem = profile.problem
-    half = float(profile.xi[-1])
+    half = float(np.max(np.abs(xi)))
     center = 0.5 * (problem.t_minus + problem.t_plus)
 
     def ode(_, y):
@@ -329,13 +340,13 @@ def _oracle_samples(profile):
     fwd = solve_ivp(ode, (0.0, half), [center], **opts)
     bwd = solve_ivp(ode, (0.0, -half), [center], **opts)
     assert fwd.success and bwd.success
-    s = -profile.xi if profile.reversed_orientation else profile.xi
+    s = -xi if profile.reversed_orientation else xi
     return np.where(s >= 0.0, fwd.sol(np.abs(s))[0], bwd.sol(-np.abs(s))[0])
 
 
 class TestIntegratorOracle:
-    """The Dormand-Prince front integrator against scipy's DOP853 at tighter
-    tolerances: every sample within 1e-9."""
+    """The front quadrature against scipy's DOP853 at tight tolerances:
+    every sample within 1e-9."""
 
     @pytest.mark.parametrize("kind, beta, a, t_minus, t_plus, variant, coeff", [
         ("saturating", 1.0, 1.0, 0.0, 1.0, "stress_rate", 1.0),
@@ -350,7 +361,27 @@ class TestIntegratorOracle:
         f = make_constitutive(kind, beta=beta, a=a)
         prof = kink_profile(make_problem(f, t_minus, t_plus, unit(variant, coeff)))
         assert prof.reversed_orientation == (t_minus < t_plus)
-        assert np.max(np.abs(prof.T - _oracle_samples(prof))) < 1e-9
+        assert np.max(np.abs(prof.T - _oracle(prof, prof.xi))) < 1e-9
+
+    def test_steep_front_matches_oracle(self):
+        # kappa = 2.8e-4: the tails decay by e every 1/3,500 in xi, so the
+        # default window is some 10^5 decay lengths wide
+        prof = kink_profile(saturating_problem("stress_rate", 1e-4))
+        xi = np.linspace(-0.05, 0.05, 2001)
+        assert np.max(np.abs(prof.interpolant(xi) - _oracle(prof, xi))) < 1e-9
+        # every sample but the middle one is clamped to its end state
+        mid = len(prof.xi) // 2
+        assert prof.T[mid] == 0.5
+        assert (prof.T[:mid] == 0.0).all() and (prof.T[mid + 1:] == 1.0).all()
+
+    @pytest.mark.parametrize("variant", ["stress_rate", "strain_rate"])
+    def test_wide_front_of_large_end_states_is_too_long(self, variant):
+        # c^2 is about 1e6 and A2 about -1e6: the front is wider than the
+        # window, and B stays well above its rounding floor where the
+        # quadrature stops
+        f = make_constitutive("saturating", beta=1.0, a=1.0)
+        with pytest.raises(SpanTooShortError, match="increase xi_span"):
+            kink_profile(make_problem(f, 1000.0, 1005.0, unit(variant, 1.0)))
 
     def test_nan_balance_raises_within_the_step_budget(self, monkeypatch):
         # h is NaN on (0.7, 0.8), between the end states, so B is NaN on
@@ -368,15 +399,9 @@ class TestIntegratorOracle:
         monkeypatch.setattr(twave, "balance_function", counted)
         with pytest.raises(NoKinkError, match="non-finite"):
             kink_profile(prob)
-        # one half window runs whole (about 2,100 calls) and the other stops
-        # at its first NaN stage (about 100); shrinking the step on the NaN
-        # until it underflows would take some 2,700 more
+        # the existence scan, then the first half window's direction and its
+        # table, which holds the NaN: three calls, none spent retrying it
         assert len(calls) < 3000
-
-    def test_step_budget_raises(self, monkeypatch):
-        monkeypatch.setattr(twave, "_MAX_ATTEMPTS", 10)
-        with pytest.raises(NoKinkError, match="10 steps"):
-            kink_profile(saturating_problem())
 
 
 class TestUnification:
