@@ -345,8 +345,8 @@ def _oracle(profile, xi):
 
 
 class TestIntegratorOracle:
-    """The front quadrature against scipy's DOP853 at tight tolerances:
-    every sample within 1e-9."""
+    """The front quadrature against scipy's DOP853 at tight tolerances, or
+    against a closed form: every sample within 1e-9."""
 
     @pytest.mark.parametrize("kind, beta, a, t_minus, t_plus, variant, coeff", [
         ("saturating", 1.0, 1.0, 0.0, 1.0, "stress_rate", 1.0),
@@ -364,8 +364,8 @@ class TestIntegratorOracle:
         assert np.max(np.abs(prof.T - _oracle(prof, prof.xi))) < 1e-9
 
     def test_steep_front_matches_oracle(self):
-        # kappa = 2.8e-4: the tails decay by e every 1/3,500 in xi, so the
-        # default window is some 10^5 decay lengths wide
+        # kappa = 2.8e-4: the tails decay by e every 1/1,770 in xi or
+        # faster, so the default window is some 10^5 decay lengths wide
         prof = kink_profile(saturating_problem("stress_rate", 1e-4))
         xi = np.linspace(-0.05, 0.05, 2001)
         assert np.max(np.abs(prof.interpolant(xi) - _oracle(prof, xi))) < 1e-9
@@ -382,6 +382,23 @@ class TestIntegratorOracle:
         f = make_constitutive("saturating", beta=1.0, a=1.0)
         with pytest.raises(SpanTooShortError, match="increase xi_span"):
             kink_profile(make_problem(f, 1000.0, 1005.0, unit(variant, 1.0)))
+
+    def test_degenerate_end_state_keeps_its_algebraic_tail(self):
+        # B(T) = -T (1 - T)**2 has a double root at T = 1, so T' = T (1 - T)**2
+        # has the algebraic right tail xi = log(T / (1 - T)) + 1 / (1 - T) - 2;
+        # B rounds to 0 near 1 - T = 1e-8, far past either window's end, and
+        # the quadrature's table stops there without refusing the front
+        f = custom_constitutive(value=lambda T: T + T * (1.0 - T) ** 2,
+                                derivative=lambda T: 2.0 - 4.0 * T + 3.0 * T * T)
+        prob = make_problem(f, 0.0, 1.0, STRESS)
+        with pytest.raises(SpanTooShortError, match="0.989736344"):
+            kink_profile(prob)
+        prof = kink_profile(prob, xi_span=1e7)
+        inner = (prof.T > 1e-9) & (prof.T < 1.0 - 1e-9)
+        T, xi = prof.T[inner], prof.xi[inner]
+        xi_exact = np.log(T / (1.0 - T)) + 1.0 / (1.0 - T) - 2.0
+        # the xi mismatch as a stress mismatch, through T'
+        assert np.max(np.abs((xi - xi_exact) * T * (1.0 - T) ** 2)) < 1e-9
 
     def test_nan_balance_raises_within_the_step_budget(self, monkeypatch):
         # h is NaN on (0.7, 0.8), between the end states, so B is NaN on
