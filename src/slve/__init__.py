@@ -17,7 +17,6 @@ of it from INI configs.
 from .constitutive import (
     ConstitutiveFunction,
     DissipationAudit,
-    Kind,
     audit_dissipation,
     custom_constitutive,
     invert,
@@ -95,7 +94,6 @@ __all__ = [
     "integrate_field",
     "first_derivative",
     # constitutive
-    "Kind",
     "ConstitutiveFunction",
     "DissipationAudit",
     "make_constitutive",

@@ -49,6 +49,7 @@ import configparser
 import enum
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -59,8 +60,7 @@ import numpy as np
 from . import constitutive as con
 from . import core, dispersion, pde, twave
 from .dispersion import Classification, solve_dispersion
-from .errors import (BlowUpError, ConfigError, InvalidParameterError, NoKinkError,
-                     SlveError, StrainLimitExceededError)
+from .errors import BlowUpError, ConfigError, NoKinkError, SlveError, StrainLimitExceededError
 
 __all__ = ["Command", "RunConfig", "RunResult", "parse_config", "run", "main"]
 
@@ -127,9 +127,19 @@ def _load_ini(text: str) -> configparser.ConfigParser:
 
 
 def _get(cp, section: str, key: str, default=None) -> Optional[str]:
-    if cp.has_section(section) and key in cp[section]:
-        return cp[section][key]
-    return default
+    return cp.get(section, key, fallback=default)
+
+
+@contextmanager
+def _refused(prefix: str):
+    """Refuse a library ValueError as ConfigError(prefix + its message); a
+    ConfigError, which names its block already, goes out as it is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _get_number(cp, section: str, key: str, default=None, required: bool = False,
@@ -173,7 +183,7 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     variant_raw = _get(cp, "model", "variant")
     if variant_raw is None:
         raise ConfigError("missing [model] variant")
-    try:
+    with _refused("[model] rejected: "):
         variant = core.Variant(variant_raw)
         scales = core.nondimensionalize(
             rho=_get_number(cp, "model", "rho", 1.0),
@@ -184,35 +194,23 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
         )
         # every solver runs the dimensionless coefficients; checks run on them
         unit = core.ModelParams(variant, nu=scales.nu_bar, gamma=scales.gamma_bar)
-    except ConfigError:  # a value that is no number names its block already
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[model] rejected: {exc}") from exc
 
     kind = _get(cp, "constitutive", "kind", "linear")
-    try:
+    with _refused("[constitutive] rejected: "):
         response = con.make_constitutive(
             kind,
             beta=_get_number(cp, "constitutive", "beta", 1.0),
             a=_get_number(cp, "constitutive", "a", 1.0),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[constitutive] rejected: {exc}") from exc
 
     grid = None
     if cp.has_section("grid"):
-        try:
+        with _refused("[grid] rejected: "):
             grid = core.Grid1D(
                 length=_get_number(cp, "grid", "length", required=True),
                 n_cells=_get_number(cp, "grid", "n_cells", required=True, kind=int),
                 boundary=_get(cp, "grid", "boundary", "periodic"),
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[grid] rejected: {exc}") from exc
 
     # [initial] and [solver] values are read for every command; the stepping
     # commands build them into their initial state and solver config below
@@ -261,19 +259,15 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     elif command is Command.DISPERSION:
         if k_values is None:
             raise ConfigError("command 'dispersion' needs [dispersion] k_values")
-        try:  # the solvers' own checks: a rate variant, finite k*k (and 1/gamma, k*k/gamma)
+        # the solvers' own checks: a rate variant, finite k*k (and 1/gamma, k*k/gamma)
+        with _refused(f"[dispersion] k_values rejected for the {unit.variant.value} variant: "):
             dispersion._accepted(unit, k_values)
-        except ValueError as exc:
-            raise ConfigError(f"[dispersion] k_values rejected for the {unit.variant.value} "
-                              f"variant: {exc}") from exc
     else:  # twave
         if front is None:
             raise ConfigError("command 'twave' needs a [twave] section")
-        try:  # the end-state algebra, the rate variant and the window
+        with _refused("[twave] "):  # the end-state algebra, the rate variant and the window
             problem = twave.make_problem(response, front["t_minus"], front["t_plus"], unit)
             window = twave._window(front["xi_span"], front["n_samples"])
-        except ValueError as exc:
-            raise ConfigError(f"[twave] {exc}") from exc
 
     return RunConfig(
         command=command,
@@ -312,7 +306,7 @@ def _stepping_inputs(
             f"audit checks the stress-rate dissipation gamma*(T_t)**2 and needs "
             f"the stress_rate variant, got {unit.variant.value}"
         )
-    try:
+    with _refused("[initial] rejected: "):
         if shape["type"] == "zero":
             initial = pde.zero_state(grid)
         elif shape["type"] == "gaussian_bump":
@@ -321,13 +315,9 @@ def _stepping_inputs(
                 grid, response, center, shape["width"], shape["amplitude"])
         else:
             initial = pde.single_mode_state(grid, response, shape["k"], shape["amplitude"])
-    except InvalidParameterError as exc:
-        raise ConfigError(f"[initial] rejected: {exc}") from exc
-    try:
+    with _refused("[solver] rejected: "):
         solver = pde.SolverConfig(params=unit, constitutive=response, **steps)
         snapshots = pde.plan(initial, solver).snapshots
-    except ValueError as exc:
-        raise ConfigError(f"[solver] rejected: {exc}") from exc
     if command is not Command.SIMULATE and snapshots < 3:
         raise ConfigError(
             f"{command.value} needs at least 3 output samples; lower output_stride or dt"
@@ -472,9 +462,8 @@ def _run_audit(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]
 
 
 def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], dict]:
-    variant = config.unit.variant
-    coeff = config.unit.coefficient
     res = solve_dispersion(config.unit, config.k_values)
+    k_critical = res.k_critical
     n_modes, n_roots = res.roots.shape
     header = ["k", "classification", "max_real_part", "positive_real_root",
               "k_critical", "discriminant", "max_residual"]
@@ -483,7 +472,7 @@ def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], 
         np.array([c.value for c in res.classification]),
         res.max_real_part,
         res.positive_real_root,  # None for the strain-rate law
-        None if res.k_critical is None else np.full(n_modes, res.k_critical),
+        None if k_critical is None else np.full(n_modes, k_critical),
         res.discriminant,
         np.max(res.residuals(), axis=-1),
     ]
@@ -497,13 +486,13 @@ def _run_dispersion(config: RunConfig, out_dir: Path) -> Tuple[Tuple[str, ...], 
     name = f"dispersion.{config.fmt}"
     _write_table(out_dir / name, header, columns, config.fmt)
     extra = {
-        "model": variant.value,
-        "coefficient": coeff,
+        "model": config.unit.variant.value,
+        "coefficient": config.unit.coefficient,
         "n_modes": n_modes,
         "worst_classification": worst.value,
     }
-    if variant is core.Variant.STRAIN_RATE:
-        extra["k_critical"] = 2.0 / coeff
+    if k_critical is not None:  # the strain-rate law's
+        extra["k_critical"] = k_critical
     return (name,), extra
 
 

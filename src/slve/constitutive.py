@@ -12,7 +12,9 @@ The catalog:
     saturating  h(T) = beta*T / (1 + (beta*|T|)**a)**(1/a),   bound 1
     arctan      h(T) = (2/pi)*arctan(beta*pi*T/2),             bound 1
 
-all normalized so dh/dT at 0 equals beta.  Each carries its derivative
+all normalized so dh/dT at 0 equals beta.  The name only chooses which h
+make_constitutive builds; a response is its h, and keeps no record of the
+entry that built it.  Each carries its derivative
 (the compliance), its antiderivative H(T) = int_0^T h(s) ds (the stored
 complementary potential rho*phi_c), and a monotone inverse where one exists
 in closed form.  For a = 1 and a = 2 the saturating value, derivative and
@@ -31,7 +33,6 @@ for the stress-rate coefficient.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -43,7 +44,6 @@ from .core import _require_rate
 from .errors import InvalidParameterError, SlveError, StrainLimitExceededError
 
 __all__ = [
-    "Kind",
     "ConstitutiveFunction",
     "DissipationAudit",
     "make_constitutive",
@@ -56,13 +56,6 @@ __all__ = [
 # Step scale for one-shot centered differences: eps**(1/3) balances
 # truncation against roundoff for second-order stencils.
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
-
-class Kind(str, enum.Enum):
-    LINEAR = "linear"
-    SATURATING = "saturating"
-    ARCTAN = "arctan"
-    CUSTOM = "custom"
 
 
 def _elementwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -84,19 +77,18 @@ def _elementwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
 @dataclass(frozen=True)
 class ConstitutiveFunction:
-    """A response function bundled with its calculus.
+    """A response function bundled with its calculus: the response is h
+    itself, with no label of the catalog entry or custom call that built it.
 
-    value, derivative, antiderivative accept scalars or arrays; inverse is
-    None when no closed form exists (invert() then falls back to iteration).
-    A scalar gives a float; the catalog's has the bits of the one-element
-    array call.
+    beta is dh/dT at 0.  value, derivative, antiderivative accept scalars or
+    arrays; inverse is None when no closed form exists (invert() then falls
+    back to iteration).  A scalar gives a float; the catalog's has the bits
+    of the one-element array call.
     bound is sup |value|, np.inf when unbounded; derivative must be positive
     for the inversion contract to hold (true for the whole catalog).
     """
 
-    kind: Kind
     beta: float
-    a: Optional[float]
     value: Callable
     derivative: Callable
     antiderivative: Callable
@@ -227,12 +219,14 @@ def _arctan_callables(beta: float):
     return raw_value, raw_deriv, raw_antider, raw_inverse
 
 
-def make_constitutive(kind: Kind | str, beta: float = 1.0, a: float = 1.0) -> ConstitutiveFunction:
+def make_constitutive(kind: str, beta: float = 1.0, a: float = 1.0) -> ConstitutiveFunction:
     """Build a catalog response function.
 
     Parameters
     ----------
     kind : {"linear", "saturating", "arctan"}
+        The catalog entry; "custom" is refused with a pointer to
+        custom_constitutive().
     beta : float
         Small-stress slope dh/dT at T = 0; must be positive and finite.
     a : float
@@ -242,32 +236,28 @@ def make_constitutive(kind: Kind | str, beta: float = 1.0, a: float = 1.0) -> Co
     -------
     ConstitutiveFunction
     """
-    try:
-        kind = Kind(kind)
-    except ValueError:
-        known = ", ".join(k.value for k in Kind if k is not Kind.CUSTOM)
+    if kind not in ("linear", "saturating", "arctan", "custom"):
         raise InvalidParameterError(
-            f"unknown response kind {kind!r}; catalog kinds are {known}"
-        ) from None
+            f"unknown response kind {kind!r}; catalog kinds are linear, saturating, arctan")
     beta = float(beta)
     if not math.isfinite(beta) or beta <= 0.0:
         raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
-    if kind is Kind.LINEAR:
-        a, bound = None, math.inf
+    if kind == "linear":
+        bound = math.inf
         raw = (lambda arr: beta * arr, lambda arr: beta * np.ones_like(arr),
                lambda arr: 0.5 * beta * arr * arr, lambda arr: arr / beta)
-    elif kind is Kind.SATURATING:
+    elif kind == "saturating":
         a, bound = float(a), 1.0
         if not math.isfinite(a) or a <= 0.0:
             raise InvalidParameterError(f"saturation exponent a must be positive, got {a}")
         raw = _saturating_callables(beta, a)
-    elif kind is Kind.ARCTAN:
-        a, bound = None, 1.0
+    elif kind == "arctan":
+        bound = 1.0
         raw = _arctan_callables(beta)
     else:
         raise InvalidParameterError("use custom_constitutive() for kind='custom'")
     value, derivative, antiderivative, inverse = map(_elementwise, raw)
-    return ConstitutiveFunction(kind=kind, beta=beta, a=a, value=value, derivative=derivative,
+    return ConstitutiveFunction(beta=beta, value=value, derivative=derivative,
                                 antiderivative=antiderivative, inverse=inverse, bound=bound)
 
 
@@ -392,9 +382,7 @@ def custom_constitutive(
     )
     inverse = _elementwise(inverse) if inverse is not None else None
     return ConstitutiveFunction(
-        kind=Kind.CUSTOM,
         beta=float(derivative(0.0)),
-        a=None,
         value=value,
         derivative=derivative,
         antiderivative=antiderivative,

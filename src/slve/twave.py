@@ -260,14 +260,14 @@ class KinkProfile:
     the exact end states beyond it.  signed_speed is +c when B's sign already
     drives T' = B(T)/kappa from t_minus to t_plus, -c when the labels need the
     reversed direction.  diagnostic is the existence scan kink_profile ran,
-    so a caller has the verdict without scanning again.
+    so a caller has the verdict without scanning again; its
+    reversed_orientation is the one record of which way the front runs.
     """
 
     problem: TravelingWaveProblem
     xi: np.ndarray
     T: np.ndarray
     signed_speed: float
-    reversed_orientation: bool
     interpolant: Callable
     diagnostic: KinkDiagnostic
 
@@ -278,7 +278,7 @@ class KinkProfile:
         kappa is odd in the speed (gamma*c^3 or nu*c), so a front traveling
         at -c satisfies its first-order equation with -kappa.
         """
-        return -self.problem.kappa if self.reversed_orientation else self.problem.kappa
+        return -self.problem.kappa if self.diagnostic.reversed_orientation else self.problem.kappa
 
     def strain(self, xi):
         """Strain along the wave: eps = (T - A2)/c^2."""
@@ -290,25 +290,24 @@ class KinkProfile:
 
 
 def _front_branch(
-    problem: TravelingWaveProblem, y0: float, rate: float, length: float
+    problem: TravelingWaveProblem, y0: float, e: float, rate: float, length: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """T(s) solving T' = rate * B(T), T(0) = y0, for s in [0, length].
 
-    T runs from y0 to the end state e that rate * B(y0) points to.  With
-    T(u) = e - (e - y0) exp(-u) the equation is the quadrature s(u) = integral
-    of g = (e - T) / (rate * B(T)) from 0, and g stays bounded as T -> e
-    wherever B'(e) != 0.  s is tabulated by Gauss-Legendre on panels of width
-    1/8 in u, in one balance_function call, until |e - T| is within 1e-13 of
-    max(1, |e|, |A2|), the scale B(T) is rounded at.  The returned vectorized
-    function inverts it: a cubic Hermite start for u(s) in its panel (slopes
-    1/g at the panel ends), then one Newton step with the partial panel done
-    by the same rule.  Past the table it returns e.
+    T runs from y0 to its end state e.  With T(u) = e - (e - y0) exp(-u) the
+    equation is the quadrature s(u) = integral of g = (e - T) / (rate * B(T))
+    from 0, and g stays bounded as T -> e wherever B'(e) != 0.  s is
+    tabulated by Gauss-Legendre on panels of width 1/8 in u, in one
+    balance_function call, until |e - T| is within 1e-13 of max(1, |e|,
+    |A2|), the scale B(T) is rounded at.  The returned vectorized function
+    inverts it: a cubic Hermite start for u(s) in its panel (slopes 1/g at
+    the panel ends), then one Newton step with the partial panel done by the
+    same rule.  Past the table it returns e, calling no balance_function
+    when no entry is inside the table.
 
     Raises NoKinkError on a non-finite or non-positive g in the table before
     s reaches length.
     """
-    e = problem.t_plus if (rate * balance_function(problem, y0) > 0.0) == (
-        problem.t_plus > y0) else problem.t_minus
     gap, panel = e - y0, 0.125
     n = max(1, math.ceil(math.log(abs(gap) / (1e-13 * max(1.0, abs(e), abs(problem.a2)))) / panel))
 
@@ -335,6 +334,8 @@ def _front_branch(
         out = np.full(s_eval.shape, e)
         inside = s_eval < S[-1]
         s = s_eval[inside]
+        if not s.size:
+            return out
         i = np.searchsorted(S, s, side="right") - 1  # S[0] = 0 <= s
         h = S[i + 1] - S[i]
         t = (s - S[i]) / h
@@ -403,8 +404,8 @@ def kink_profile(
 
     half = 0.5 * xi_span
     # kappa_signed*T' = B(T) forward in xi, and in s = -xi for the left half
-    right = _front_branch(problem, center_value, 1.0 / kappa_signed, half)
-    left = _front_branch(problem, center_value, -1.0 / kappa_signed, half)
+    right = _front_branch(problem, center_value, problem.t_plus, 1.0 / kappa_signed, half)
+    left = _front_branch(problem, center_value, problem.t_minus, -1.0 / kappa_signed, half)
 
     def interpolant(xi):
         arr = np.asarray(xi, dtype=float)
@@ -439,7 +440,6 @@ def kink_profile(
         xi=xi,
         T=T,
         signed_speed=-problem.c if flip else problem.c,
-        reversed_orientation=flip,
         interpolant=interpolant,
         diagnostic=diag,
     )

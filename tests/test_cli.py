@@ -737,6 +737,38 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "template,old,new,prefix,library",
+        [(SIM_INI, "beta = 1.0", "beta = -1", "[constitutive] rejected: ",
+          "beta must be positive and finite, got -1.0"),
+         (SIM_INI, "n_cells = 64", "n_cells = 2", "[grid] rejected: ",
+          "n_cells must be an integer >= 4, got 2"),
+         (SIM_INI, "width = 0.5", "width = 0", "[initial] rejected: ",
+          "width must be positive, got 0.0"),
+         (SIM_INI, "output_stride = 5", "output_stride = 0", "[solver] rejected: ",
+          "output_stride must be an integer >= 1, got 0"),
+         (DISP_INI, "k_values = 0.0 0.5 1.0 2.0 4.0", "k_values = -1",
+          "[dispersion] k_values rejected for the strain_rate variant: ",
+          "wavenumber must be finite and >= 0, got -1.0"),
+         (TWAVE_INI, "t_minus = 0.0\nt_plus = 1.0", "t_minus = 0.5\nt_plus = 0.5", "[twave] ",
+          "end states coincide: 0.5")],
+        ids=["constitutive", "grid", "initial", "solver", "dispersion", "twave"],
+    )
+    def test_refusal_is_prefix_and_library_message(
+        self, tmp_path, capsys, template, old, new, prefix, library
+    ):
+        # the library's own message, behind its block's prefix, named once
+        text = template.format(out=tmp_path / "out")
+        assert old in text
+        ini = tmp_path / "run.ini"
+        ini.write_text(text.replace(old, new))
+        command = re.search(r"command = (\w+)", text).group(1)
+        assert main([command, "--config", str(ini)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "error", "category": "config", "message": prefix + library}
+        assert library.count(prefix.split()[0]) == 0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "key,value",
         [("n_samples", "5"), ("n_samples", "8"), ("xi_span", "0.0"), ("xi_span", "-200.0"),
          ("xi_span", "inf"), ("xi_span", "nan")],

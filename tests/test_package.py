@@ -35,7 +35,7 @@ def test_one_error_class_per_outcome():
     defined = {name for name, obj in vars(slve.errors).items()
                if isinstance(obj, type) and issubclass(obj, BaseException)}
     assert defined == exported
-    assert len(slve.__all__) == 54
+    assert len(slve.__all__) == 53
     # make_problem holds the kappa formula; no separate kappa function is left
     assert not hasattr(slve.twave, "reduction_kappa")
 

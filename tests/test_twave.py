@@ -237,7 +237,7 @@ class TestProfile:
         assert prof.T[0] == pytest.approx(0.0, abs=1e-6)
         assert prof.T[-1] == pytest.approx(1.0, abs=1e-6)
         # interior decrease of B forces the xi-reflected branch: speed -c
-        assert prof.reversed_orientation
+        assert prof.diagnostic.reversed_orientation
         assert prof.signed_speed == pytest.approx(-np.sqrt(2.0), rel=1e-12)
         assert prof.kappa_signed == pytest.approx(-prof.problem.kappa)
 
@@ -323,7 +323,23 @@ class TestProfile:
     def test_profile_carries_the_scan(self):
         prof = kink_profile(saturating_problem())
         assert prof.diagnostic == kink_exists(saturating_problem())
-        assert prof.diagnostic.reversed_orientation == prof.reversed_orientation
+
+    @pytest.mark.parametrize("variant", ["stress_rate", "strain_rate"])
+    def test_balance_function_runs_on_entries_only(self, monkeypatch, variant):
+        # one scan, one table per half and one block of samples per half: the
+        # window-end checks, which land past each table, evaluate no B
+        shapes = []
+
+        def counted(problem, T):
+            shapes.append(np.shape(T))
+            return balance_function(problem, T)
+
+        f = make_constitutive("saturating", beta=1.0, a=1.0)
+        prob = make_problem(f, 0.03, 1.0, unit(variant, 1.0))
+        monkeypatch.setattr(twave, "balance_function", counted)
+        kink_profile(prob, xi_span=400.0, n_samples=5001)
+        assert len(shapes) == 5
+        assert all(np.prod(shape) > 0 for shape in shapes), shapes
 
 
 def _oracle(profile, xi):
@@ -340,7 +356,7 @@ def _oracle(profile, xi):
     fwd = solve_ivp(ode, (0.0, half), [center], **opts)
     bwd = solve_ivp(ode, (0.0, -half), [center], **opts)
     assert fwd.success and bwd.success
-    s = -xi if profile.reversed_orientation else xi
+    s = -xi if profile.diagnostic.reversed_orientation else xi
     return np.where(s >= 0.0, fwd.sol(np.abs(s))[0], bwd.sol(-np.abs(s))[0])
 
 
@@ -360,7 +376,7 @@ class TestIntegratorOracle:
     def test_samples_match_oracle(self, kind, beta, a, t_minus, t_plus, variant, coeff):
         f = make_constitutive(kind, beta=beta, a=a)
         prof = kink_profile(make_problem(f, t_minus, t_plus, unit(variant, coeff)))
-        assert prof.reversed_orientation == (t_minus < t_plus)
+        assert prof.diagnostic.reversed_orientation == (t_minus < t_plus)
         assert np.max(np.abs(prof.T - _oracle(prof, prof.xi))) < 1e-9
 
     def test_steep_front_matches_oracle(self):
