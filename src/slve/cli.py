@@ -6,9 +6,10 @@ Usage:
                                     [--t-final X] [--out DIR]
 
 Commands: simulate, dispersion, twave, audit, energy.  The config is INI
-text (see the section schema in _SCHEMA); unknown sections or keys are
-rejected, as are values violating a model precondition (a negative gamma,
-for instance, fails the nonnegative-dissipation requirement gamma >= 0).
+text; _SCHEMA is its one table of sections, keys, types and defaults (the
+README lists it).  Unknown sections or keys are rejected, as are values
+violating a model precondition (a negative gamma, for instance, fails the
+nonnegative-dissipation requirement gamma >= 0).
 The parser builds what each command runs once, in unit form and through
 the library's own checks, so a step over the stability ceiling, an
 [initial] shape the grid cannot hold, an energy run with no uniformly
@@ -53,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,18 +74,29 @@ class Command(str, enum.Enum):
     ENERGY = "energy"
 
 
-# section -> allowed keys; anything else in the config is an error
-_SCHEMA: Dict[str, Tuple[str, ...]] = {
-    "run": ("command",),
-    "model": ("variant", "rho", "mu", "length_scale", "nu", "gamma"),
-    "constitutive": ("kind", "beta", "a"),
-    "grid": ("length", "n_cells", "boundary"),
-    "solver": ("dt", "t_final", "output_stride", "blowup_threshold"),
-    "initial": ("type", "center", "width", "amplitude", "k"),
-    "dispersion": ("k_values",),
-    "twave": ("t_minus", "t_plus", "xi_span", "n_samples"),
-    "output": ("directory", "format"),
+def _numbers(raw: str) -> np.ndarray:
+    """A number list: floats separated by commas or whitespace."""
+    return np.asarray([float(tok) for tok in raw.replace(",", " ").split()], dtype=float)
+
+
+# section -> key -> (type, default); a default of ... marks a key required
+# when its section is present, and anything else in the config is an error
+_SCHEMA: Dict[str, Dict[str, Tuple[Callable, Any]]] = {
+    "run": {"command": (str, None)},
+    "model": {"variant": (str, None), "rho": (float, 1.0), "mu": (float, 1.0),
+              "length_scale": (float, 1.0), "nu": (float, 0.0), "gamma": (float, 0.0)},
+    "constitutive": {"kind": (str, "linear"), "beta": (float, 1.0), "a": (float, 1.0)},
+    "grid": {"length": (float, ...), "n_cells": (int, ...), "boundary": (str, "periodic")},
+    "solver": {"dt": (float, None), "t_final": (float, None), "output_stride": (int, 1),
+               "blowup_threshold": (float, 1e6)},
+    "initial": {"type": (str, "zero"), "center": (float, None), "width": (float, 1.0),
+                "amplitude": (float, 1.0), "k": (float, None)},
+    "dispersion": {"k_values": (_numbers, None)},
+    "twave": {"t_minus": (float, ...), "t_plus": (float, ...), "xi_span": (float, 200.0),
+              "n_samples": (int, 2001)},
+    "output": {"directory": (str, "."), "format": (str, "csv")},
 }
+_WHAT = {float: "a number", int: "an integer", _numbers: "a number list"}
 
 
 @dataclass
@@ -111,7 +123,7 @@ class RunResult:
     record: dict
 
 
-def _load_ini(text: str) -> configparser.ConfigParser:
+def _load_ini(text: str, overrides: Dict[Tuple[str, str], str]) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -123,11 +135,28 @@ def _load_ini(text: str) -> configparser.ConfigParser:
         for key in cp[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    for (section, key), raw in overrides.items():
+        if key not in _SCHEMA.get(section, ()):
+            raise ConfigError(f"override targets unknown key [{section}] {key}")
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp[section][key] = raw
     return cp
 
 
-def _get(cp, section: str, key: str, default=None) -> Optional[str]:
-    return cp.get(section, key, fallback=default)
+def _section(cp: configparser.ConfigParser, name: str) -> Dict[str, Any]:
+    """Every key of [name], in _SCHEMA's order, as its type; default when absent."""
+    raw = cp[name] if cp.has_section(name) else {}
+    values = {}
+    for key, (kind, default) in _SCHEMA[name].items():
+        text = raw.get(key)
+        if text is None and default is ...:
+            raise ConfigError(f"missing required key '{key}' in section [{name}]")
+        try:
+            values[key] = default if text is None else kind(text)
+        except ValueError:
+            raise ConfigError(f"[{name}] {key} = {text!r} is not {_WHAT[kind]}") from None
+    return values
 
 
 @contextmanager
@@ -142,21 +171,6 @@ def _refused(prefix: str):
         raise ConfigError(prefix + str(exc)) from exc
 
 
-def _get_number(cp, section: str, key: str, default=None, required: bool = False,
-                kind=float):
-    """The key's value as a float (or kind=int), default when it is absent."""
-    raw = _get(cp, section, key)
-    if raw is None:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return default
-    try:
-        return kind(raw)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from None
-
-
 def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = None) -> RunConfig:
     """Parse and validate INI config text into a RunConfig.
 
@@ -164,15 +178,9 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     text is read (this is how the CLI flags land).  Validation failures
     raise ConfigError naming the offending section, key, or precondition.
     """
-    cp = _load_ini(source)
-    for (section, key), raw in (overrides or {}).items():
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"override targets unknown key [{section}] {key}")
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp[section][key] = raw
+    cp = _load_ini(source, overrides or {})
 
-    raw_command = _get(cp, "run", "command")
+    raw_command = _section(cp, "run")["command"]
     if raw_command is None:
         raise ConfigError("missing [run] command (or pass the command on the CLI)")
     try:
@@ -180,79 +188,42 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
     except ValueError:
         raise ConfigError(f"unknown command {raw_command!r}") from None
 
-    variant_raw = _get(cp, "model", "variant")
-    if variant_raw is None:
+    model = _section(cp, "model")
+    if model["variant"] is None:
         raise ConfigError("missing [model] variant")
     with _refused("[model] rejected: "):
-        variant = core.Variant(variant_raw)
-        scales = core.nondimensionalize(
-            rho=_get_number(cp, "model", "rho", 1.0),
-            mu=_get_number(cp, "model", "mu", 1.0),
-            length_scale=_get_number(cp, "model", "length_scale", 1.0),
-            nu=_get_number(cp, "model", "nu", 0.0),
-            gamma=_get_number(cp, "model", "gamma", 0.0),
-        )
+        variant = core.Variant(model.pop("variant"))
+        scales = core.nondimensionalize(**model)
         # every solver runs the dimensionless coefficients; checks run on them
         unit = core.ModelParams(variant, nu=scales.nu_bar, gamma=scales.gamma_bar)
 
-    kind = _get(cp, "constitutive", "kind", "linear")
     with _refused("[constitutive] rejected: "):
-        response = con.make_constitutive(
-            kind,
-            beta=_get_number(cp, "constitutive", "beta", 1.0),
-            a=_get_number(cp, "constitutive", "a", 1.0),
-        )
+        response = con.make_constitutive(**_section(cp, "constitutive"))
 
     grid = None
     if cp.has_section("grid"):
         with _refused("[grid] rejected: "):
-            grid = core.Grid1D(
-                length=_get_number(cp, "grid", "length", required=True),
-                n_cells=_get_number(cp, "grid", "n_cells", required=True, kind=int),
-                boundary=_get(cp, "grid", "boundary", "periodic"),
-            )
+            grid = core.Grid1D(**_section(cp, "grid"))
 
     # [initial] and [solver] values are read for every command; the stepping
     # commands build them into their initial state and solver config below
     shape = None
     if cp.has_section("initial"):
-        shape = {"type": _get(cp, "initial", "type", "zero")}
+        shape = _section(cp, "initial")
         if shape["type"] not in ("zero", "gaussian_bump", "single_mode"):
             raise ConfigError(f"[initial] type = {shape['type']!r} is not a known shape")
-        for key, default in (("center", None), ("width", 1.0), ("amplitude", 1.0), ("k", None)):
-            shape[key] = _get_number(cp, "initial", key, default)
 
-    k_values = None
-    raw_ks = _get(cp, "dispersion", "k_values")
-    if raw_ks is not None:
-        try:
-            k_values = np.asarray(
-                [float(tok) for tok in raw_ks.replace(",", " ").split()], dtype=float
-            )
-        except ValueError:
-            raise ConfigError(f"[dispersion] k_values = {raw_ks!r} is not a number list") from None
-        if k_values.size == 0:
-            raise ConfigError("[dispersion] k_values is empty")
+    k_values = _section(cp, "dispersion")["k_values"]
+    if k_values is not None and k_values.size == 0:
+        raise ConfigError("[dispersion] k_values is empty")
 
-    front = None
-    if cp.has_section("twave"):
-        front = dict(
-            t_minus=_get_number(cp, "twave", "t_minus", required=True),
-            t_plus=_get_number(cp, "twave", "t_plus", required=True),
-            xi_span=_get_number(cp, "twave", "xi_span", 200.0),
-            n_samples=_get_number(cp, "twave", "n_samples", 2001, kind=int),
-        )
+    front = _section(cp, "twave") if cp.has_section("twave") else None
 
-    fmt = _get(cp, "output", "format", "csv")
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"[output] format must be csv or jsonl, got {fmt!r}")
+    output = _section(cp, "output")
+    if output["format"] not in ("csv", "jsonl"):
+        raise ConfigError(f"[output] format must be csv or jsonl, got {output['format']!r}")
 
-    steps = dict(
-        dt=_get_number(cp, "solver", "dt"),
-        t_final=_get_number(cp, "solver", "t_final"),
-        output_stride=_get_number(cp, "solver", "output_stride", 1, kind=int),
-        blowup_threshold=_get_number(cp, "solver", "blowup_threshold", 1e6),
-    )
+    steps = _section(cp, "solver")
     solver = initial = problem = window = None
     if command in (Command.SIMULATE, Command.AUDIT, Command.ENERGY):
         solver, initial = _stepping_inputs(command, unit, response, grid, steps, shape)
@@ -269,18 +240,9 @@ def parse_config(source: str, overrides: Optional[Dict[Tuple[str, str], str]] = 
             problem = twave.make_problem(response, front["t_minus"], front["t_plus"], unit)
             window = twave._window(front["xi_span"], front["n_samples"])
 
-    return RunConfig(
-        command=command,
-        scales=scales,
-        unit=unit,
-        solver=solver,
-        initial=initial,
-        k_values=k_values,
-        twave=problem,
-        window=window,
-        out_dir=_get(cp, "output", "directory", "."),
-        fmt=fmt,
-    )
+    return RunConfig(command=command, scales=scales, unit=unit, solver=solver, initial=initial,
+                     k_values=k_values, twave=problem, window=window,
+                     out_dir=output["directory"], fmt=output["format"])
 
 
 def _stepping_inputs(
@@ -560,6 +522,16 @@ def run(config: RunConfig) -> RunResult:
     return RunResult(status=status, exit_code=exit_code, files=tuple(files), record=record)
 
 
+# the numeric flags: flag, help text, and the (section, key) pairs it overrides
+_FLAGS = (
+    ("--nu", "override [model] nu", [("model", "nu")]),
+    ("--gamma", "override [model] gamma", [("model", "gamma")]),
+    ("--k", "override the wavenumber ([initial] k and [dispersion] k_values)",
+     [("initial", "k"), ("dispersion", "k_values")]),
+    ("--t-final", "override [solver] t_final", [("solver", "t_final")]),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="slve",
@@ -568,24 +540,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("command", choices=[c.value for c in Command])
     parser.add_argument("--config", required=True, help="path to an INI config file")
-    parser.add_argument("--nu", type=float, help="override [model] nu")
-    parser.add_argument("--gamma", type=float, help="override [model] gamma")
-    parser.add_argument("--k", type=float, help="override the wavenumber "
-                        "([initial] k and [dispersion] k_values)")
-    parser.add_argument("--t-final", type=float, help="override [solver] t_final")
+    for flag, help_text, _ in _FLAGS:
+        parser.add_argument(flag, type=float, help=help_text)
     parser.add_argument("--out", help="override [output] directory")
     args = parser.parse_args(argv)
 
     overrides: Dict[Tuple[str, str], str] = {("run", "command"): args.command}
-    if args.nu is not None:
-        overrides[("model", "nu")] = repr(args.nu)
-    if args.gamma is not None:
-        overrides[("model", "gamma")] = repr(args.gamma)
-    if args.k is not None:
-        overrides[("initial", "k")] = repr(args.k)
-        overrides[("dispersion", "k_values")] = repr(args.k)
-    if args.t_final is not None:
-        overrides[("solver", "t_final")] = repr(args.t_final)
+    for flag, _, targets in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            overrides.update(dict.fromkeys(targets, repr(value)))
     if args.out is not None:
         overrides[("output", "directory")] = args.out
 

@@ -184,6 +184,12 @@ class KinkDiagnostic:
     def __bool__(self) -> bool:
         return self.exists
 
+    @property
+    def sign(self) -> float:
+        """-1.0 for a reversed orientation, else +1.0: the sign of the front's
+        speed and of its kappa_signed."""
+        return -1.0 if self.reversed_orientation else 1.0
+
 
 def kink_exists(problem: TravelingWaveProblem) -> KinkDiagnostic:
     """Scan the balance function strictly between the end states.
@@ -260,8 +266,8 @@ class KinkProfile:
     the exact end states beyond it.  signed_speed is +c when B's sign already
     drives T' = B(T)/kappa from t_minus to t_plus, -c when the labels need the
     reversed direction.  diagnostic is the existence scan kink_profile ran,
-    so a caller has the verdict without scanning again; its
-    reversed_orientation is the one record of which way the front runs.
+    so a caller has the verdict without scanning again; its sign, read from
+    reversed_orientation, is the one record of which way the front runs.
     """
 
     problem: TravelingWaveProblem
@@ -278,7 +284,7 @@ class KinkProfile:
         kappa is odd in the speed (gamma*c^3 or nu*c), so a front traveling
         at -c satisfies its first-order equation with -kappa.
         """
-        return -self.problem.kappa if self.diagnostic.reversed_orientation else self.problem.kappa
+        return self.diagnostic.sign * self.problem.kappa
 
     def strain(self, xi):
         """Strain along the wave: eps = (T - A2)/c^2."""
@@ -399,8 +405,7 @@ def kink_profile(
     if not diag.exists:
         raise NoKinkError(diag.message, diagnostic=diag)
     center_value = 0.5 * (problem.t_minus + problem.t_plus)
-    flip = diag.reversed_orientation
-    kappa_signed = -problem.kappa if flip else problem.kappa
+    kappa_signed = diag.sign * problem.kappa
 
     half = 0.5 * xi_span
     # kappa_signed*T' = B(T) forward in xi, and in s = -xi for the left half
@@ -439,7 +444,7 @@ def kink_profile(
         problem=problem,
         xi=xi,
         T=T,
-        signed_speed=-problem.c if flip else problem.c,
+        signed_speed=diag.sign * problem.c,
         interpolant=interpolant,
         diagnostic=diag,
     )

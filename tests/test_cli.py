@@ -26,7 +26,9 @@ from slve import (
     twave,
 )
 from slve.cli import (
+    _SCHEMA,
     Command,
+    _numbers,
     _write_table,
     main,
     parse_config,
@@ -199,6 +201,42 @@ directory = {out}
 """
 
 
+# the fewest keys a stepping run and a front take; every other key is left to its default
+MINIMAL_SIM_INI = """
+[run]
+command = simulate
+
+[model]
+variant = elastic
+
+[grid]
+length = 8.0
+n_cells = 16
+
+[solver]
+dt = 0.1
+t_final = 1.0
+
+[initial]
+"""
+
+MINIMAL_TWAVE_INI = """
+[run]
+command = twave
+
+[model]
+variant = stress_rate
+gamma = 1.0
+
+[constitutive]
+kind = saturating
+
+[twave]
+t_minus = 0.0
+t_plus = 1.0
+"""
+
+
 class TestParse:
     def test_minimal_dispersion_config(self):
         cfg = parse_config(DISP_INI.format(out="."))
@@ -251,6 +289,100 @@ class TestParse:
     def test_overrides_reach_the_model(self):
         cfg = parse_config(DISP_INI.format(out="."), {("model", "nu"): "2.5"})
         assert cfg.unit.nu == 2.5
+
+    @pytest.mark.parametrize(
+        "text,read,expected",
+        [
+            # rho = mu = length_scale = 1 leave every scale at 1; the elastic
+            # variant refuses a nonzero nu or gamma
+            pytest.param(MINIMAL_SIM_INI, lambda c: (
+                c.scales.x_scale, c.scales.t_scale, c.scales.stress_scale, c.unit.nu,
+                c.unit.gamma), (1.0, 1.0, 1.0, 0.0, 0.0), id="model"),
+            # kind = linear with beta = 1 is h(T) = T, unbounded
+            pytest.param(MINIMAL_SIM_INI, lambda c: (
+                c.solver.constitutive.value(3.0), c.solver.constitutive.bound), (3.0, math.inf),
+                id="constitutive"),
+            # a = 1 is the saturating T/(1 + |T|)
+            pytest.param(MINIMAL_TWAVE_INI, lambda c: c.twave.f.value(1.0), 0.5,
+                         id="constitutive-a"),
+            pytest.param(MINIMAL_SIM_INI, lambda c: c.initial.grid.boundary,
+                         core.Boundary.PERIODIC, id="grid"),
+            pytest.param(MINIMAL_SIM_INI, lambda c: (
+                c.solver.output_stride, c.solver.blowup_threshold), (1, 1e6), id="solver"),
+            pytest.param(MINIMAL_SIM_INI, lambda c: [
+                f.values.tolist() for f in (c.initial.v, c.initial.eps, c.initial.stress)],
+                [[0.0] * 16] * 3, id="initial"),
+            # a bump's center is the grid's middle, its width and amplitude 1
+            pytest.param(MINIMAL_SIM_INI + "type = gaussian_bump\n",
+                         lambda c: c.initial.stress.values.tolist(),
+                         [math.exp(-(x - 4.0) ** 2) for x in np.arange(16) * 0.5],
+                         id="initial-bump"),
+            pytest.param(MINIMAL_SIM_INI, lambda c: c.k_values, None, id="dispersion"),
+            pytest.param(MINIMAL_TWAVE_INI, lambda c: c.window, (200.0, 2001), id="twave"),
+            pytest.param(MINIMAL_SIM_INI, lambda c: (c.out_dir, c.fmt), (".", "csv"),
+                         id="output"),
+        ],
+    )
+    def test_defaults(self, text, read, expected):
+        assert read(parse_config(text)) == expected
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (MINIMAL_SIM_INI.replace("command = simulate", ""),
+             "missing [run] command (or pass the command on the CLI)"),
+            (MINIMAL_SIM_INI.replace("command = simulate", "command = fly"),
+             "unknown command 'fly'"),
+            (MINIMAL_SIM_INI.replace("variant = elastic", ""), "missing [model] variant"),
+            (MINIMAL_SIM_INI.replace("n_cells = 16", ""),
+             "missing required key 'n_cells' in section [grid]"),
+            (MINIMAL_TWAVE_INI.replace("t_plus = 1.0", ""),
+             "missing required key 't_plus' in section [twave]"),
+            (MINIMAL_SIM_INI + "type = bogus\n", "[initial] type = 'bogus' is not a known shape"),
+            (MINIMAL_SIM_INI + "[output]\nformat = xml\n",
+             "[output] format must be csv or jsonl, got 'xml'"),
+            (MINIMAL_SIM_INI + "[dispersion]\nk_values = ,\n", "[dispersion] k_values is empty"),
+            (MINIMAL_SIM_INI.replace("command = simulate", "command = dispersion"),
+             "command 'dispersion' needs [dispersion] k_values"),
+            (MINIMAL_SIM_INI.replace("command = simulate", "command = twave"),
+             "command 'twave' needs a [twave] section"),
+            (MINIMAL_SIM_INI.replace("length = 8.0\nn_cells = 16", "").replace("[grid]", ""),
+             "command 'simulate' needs a [grid] section"),
+            (MINIMAL_SIM_INI.replace("t_final = 1.0", ""),
+             "command 'simulate' needs [solver] dt and t_final"),
+            (MINIMAL_SIM_INI.replace("[initial]", ""), "command 'simulate' needs an [initial] section"),
+        ],
+        ids=["run-command", "run-command-unknown", "model-variant", "grid-required",
+             "twave-required", "initial-type", "output-format", "dispersion-empty",
+             "dispersion-needed", "twave-needed", "grid-needed", "solver-needed", "initial-needed"],
+    )
+    def test_refusal_message(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    def test_override_of_an_unknown_key_refused(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL_SIM_INI, {("model", "bogus"): "1"})
+        assert str(info.value) == "override targets unknown key [model] bogus"
+
+    def test_readme_lists_every_key_with_its_type_and_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = {(section, key): rest for section, key, *rest in re.findall(
+            r"^\| `\[(\w+)\]` \| `(\w+)` \| ([\w ]+) \| (.+?) \| (.+?) \|$", readme, re.M)}
+        assert set(rows) == {(section, key) for section in _SCHEMA for key in _SCHEMA[section]}
+        names = {str: "text", float: "number", int: "integer", _numbers: "number list"}
+        for (section, key), (type_name, default_cell, required) in rows.items():
+            kind, default = _SCHEMA[section][key]
+            assert type_name == names[kind], (section, key)
+            if default is None or default is ...:
+                assert default_cell == "none", (section, key)
+            else:
+                assert default_cell == f"`{default_cell.strip('`')}`", (section, key)
+                cell = kind(default_cell.strip("`"))
+                assert (cell, type(cell)) == (default, type(default)), (section, key)
+            # ... marks the keys required whenever their section is present
+            assert (required == "if the section is present") == (default is ...), (section, key)
 
 
 class TestRunDispersion:
@@ -723,8 +855,16 @@ class TestMain:
          ("length = 6.283185307179586", "length = y", "[grid] length = 'y' is not a number"),
          ("n_cells = 64", "n_cells = 6.5", "[grid] n_cells = '6.5' is not an integer"),
          ("length = 6.283185307179586\n", "",
-          "missing required key 'length' in section [grid]")],
-        ids=["model", "constitutive", "grid", "grid-int", "grid-missing"],
+          "missing required key 'length' in section [grid]"),
+         ("output_stride = 5", "output_stride = 2.5",
+          "[solver] output_stride = '2.5' is not an integer"),
+         # [twave] and [dispersion] values are read for every command
+         ("[output]", "[twave]\nt_minus = 0.0\nt_plus = 1.0\nn_samples = 9.5\n\n[output]",
+          "[twave] n_samples = '9.5' is not an integer"),
+         ("[output]", "[dispersion]\nk_values = 1 x\n\n[output]",
+          "[dispersion] k_values = '1 x' is not a number list")],
+        ids=["model", "constitutive", "grid", "grid-int", "grid-missing", "solver-int",
+             "twave-int", "dispersion-list"],
     )
     def test_unreadable_value_names_its_block_once(self, tmp_path, capsys, old, new, message):
         ini = tmp_path / "run.ini"

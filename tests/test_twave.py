@@ -254,6 +254,16 @@ class TestProfile:
         xs = np.linspace(-60.0, 60.0, 41)
         assert np.max(np.abs(prof2.interpolant(xs) - prof1.interpolant(-xs))) < 1e-10
 
+    @pytest.mark.parametrize("t_minus,t_plus,sign", [(0.0, 1.0, -1.0), (1.0, 0.0, 1.0)])
+    def test_one_sign_orients_speed_and_kappa(self, t_minus, t_plus, sign):
+        f = make_constitutive("saturating", beta=1.0, a=1.0)
+        prof = kink_profile(make_problem(f, t_minus, t_plus, STRESS))
+        assert prof.diagnostic.sign == sign
+        assert prof.diagnostic.reversed_orientation == (sign < 0.0)
+        # x * -1.0 is -x to the bit, so both read exactly the one sign
+        assert prof.signed_speed == sign * prof.problem.c
+        assert prof.kappa_signed == sign * prof.problem.kappa
+
     def test_monotone_samples(self):
         prof = kink_profile(saturating_problem())
         assert np.all(np.diff(prof.T) >= 0.0)
