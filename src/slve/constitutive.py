@@ -450,7 +450,7 @@ def audit_dissipation(gamma: float, t, stress) -> DissipationAudit:
     return DissipationAudit(min_rate=min_rate, total_dissipation=total, passed=min_rate >= -1e-12)
 
 
-def invert(f: ConstitutiveFunction, y):
+def invert(f: ConstitutiveFunction, y, start=0.0):
     """Solve h(T) = y for T, for a scalar target or every entry of an array.
 
     Uses the closed-form inverse when the catalog provides one, otherwise
@@ -458,13 +458,20 @@ def invert(f: ConstitutiveFunction, y):
     runs its own iteration: it widens its own bracket, and once it meets
     |h(T) - y| < 1e-12 * max(1, |y|) it takes one more Newton step inside
     the bracket, which carries T to roundoff, and freezes.  So a batch gives
-    the bits of entry-by-entry calls.  A scalar target gives a float, an
-    array an array of its shape; value and derivative are called with arrays.
+    the bits of entry-by-entry calls with the same starts.  A scalar target
+    gives a float, an array an array of its shape; value and derivative are
+    called with arrays.
+
+    start, broadcast to y's shape, is each entry's Newton start (0 is the
+    cold start); one outside the entry's bracket, NaN or inf included, gives
+    way to the bracket's midpoint.  A warm start meets the cold start's
+    residual test, so the two agree to that test, not to the bit.  A
+    closed-form inverse ignores start.
 
     Raises
     ------
     InvalidParameterError
-        If a target is not finite.
+        If a target is not finite, or start does not broadcast to y's shape.
     StrainLimitExceededError
         If |y| meets or exceeds the response bound (strain-limited responses
         never attain their limit at finite stress), or no bracket is found;
@@ -473,6 +480,7 @@ def invert(f: ConstitutiveFunction, y):
         If an entry does not converge in 200 iterations.
     """
     y_in = np.asarray(y, dtype=float)
+    start = _starts(start, y_in.shape)
     y = y_in.reshape(-1)
     finite = np.isfinite(y)
     if not finite.all():
@@ -490,11 +498,21 @@ def invert(f: ConstitutiveFunction, y):
         # polish what the closed form misses (defensive; the catalog inverses are exact)
         todo = np.flatnonzero(~(np.abs(np.asarray(f.value(T)) - y) < tol))
     else:
-        T = np.zeros_like(y)
+        T = np.array(start).reshape(-1)
         todo = np.arange(y.size)
     if todo.size:
         T[todo] = _newton_bisection(f, y[todo], T[todo], tol[todo], todo)
     return float(T[0]) if y_in.ndim == 0 else T.reshape(y_in.shape)
+
+
+def _starts(start, shape) -> np.ndarray:
+    """start as a float array broadcast to the targets' shape."""
+    start = np.asarray(start, dtype=float)
+    try:
+        return start if start.shape == shape else np.broadcast_to(start, shape)
+    except ValueError:
+        raise InvalidParameterError(f"start of shape {start.shape} does not broadcast to "
+                                    f"the targets' shape {shape}") from None
 
 
 def _newton_bisection(f: ConstitutiveFunction, y, T, tol, nodes) -> np.ndarray:
@@ -542,8 +560,10 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol, nodes) -> np.ndarray:
     raise SlveError(f"inversion did not converge for target {y[active[0]]}")
 
 
-def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
+def invert_array(f: ConstitutiveFunction, y: np.ndarray, start=0.0) -> np.ndarray:
     """Vectorized invert(); the closed-form inverse when available.
+
+    start is invert()'s; a NaN target's start goes unused.
 
     Raises
     ------
@@ -551,9 +571,12 @@ def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
         If a |target| meets or exceeds the response bound; node is the flat
         index of the largest |target| and value that target.  A NaN target
         never fails this check and comes back NaN.
+    InvalidParameterError
+        If start does not broadcast to y's shape.
     Otherwise what invert() raises, when there is no closed form.
     """
     y = np.asarray(y, dtype=float)
+    start = _starts(start, y.shape)
     # fmax skips NaN targets, which maximum would propagate; empty has no max
     if y.size and np.fmax.reduce(np.abs(y), axis=None) >= f.bound:
         node = int(np.nanargmax(np.abs(y)))  # a NaN target never fails the bound check
@@ -567,6 +590,6 @@ def invert_array(f: ConstitutiveFunction, y: np.ndarray) -> np.ndarray:
     # invert refuses NaN: it inverts 0 in a NaN's place, so its node still
     # counts every target, and the NaN goes back after
     nan = np.isnan(y)
-    T = np.asarray(invert(f, np.where(nan, 0.0, y)))
+    T = np.asarray(invert(f, np.where(nan, 0.0, y), start))
     T[nan] = np.nan
     return T

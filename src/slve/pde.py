@@ -44,7 +44,9 @@ it differentiates each row with the bits of its own 1-D call.  The
 strain-rate stage makes two dependent 1-D calls, v_x and then the T_x of the
 stress rebuilt from it, so it skips the checks and calls core's unchecked
 kernel (first_derivative is its checks plus that kernel, so the bits agree):
-_march's buffers never alias and keep the grid's shape.
+_march's buffers never alias and keep the grid's shape.  Its inversion
+warm-starts from the stress the run's previous stage rebuilt (the first
+starts cold), which saves Newton steps where there is no closed form.
 
 With a linear response on a periodic grid the scheme is a linear
 recurrence: a step of length h multiplies each spatial Fourier mode by
@@ -257,11 +259,13 @@ def _make_rhs(
         target = np.empty(grid.n_nodes)
         width = 2.0 * dx
         periodic = bdy is Boundary.PERIODIC
+        T = 0.0  # the stress the last stage rebuilt, the next one's Newton start
 
         def rhs(Y, out):
+            nonlocal T
             # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
             vx = _centered(Y[0], width, periodic, out[1])
-            T = invert_array(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target))
+            T = invert_array(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target), T)
             _centered(T, width, periodic, out[0])
 
     else:

@@ -456,6 +456,105 @@ class TestInvert:
         assert np.all(np.abs(np.asarray(f(T)) - y) < 1e-12 * np.maximum(1.0, np.abs(y)))
 
 
+def _tanh_slope(T):
+    return 1.0 / np.cosh(T) ** 2
+
+
+# custom responses for the warm-start tests, each with the largest |target|
+# drawn: near a bound the inverse is so ill-conditioned that two starts may
+# part by more than roundoff
+WARM_START = {
+    "bench": (lambda T: T / np.sqrt(1.0 + T * T), lambda T: (1.0 + T * T) ** -1.5, 1.0, 0.99),
+    "tanh": (np.tanh, _tanh_slope, 1.0, 0.99),
+    "cubic": (lambda T: T + T**3, lambda T: 1.0 + 3.0 * T * T, math.inf, 1e6),
+}
+
+
+def _warm_start_response(name, given_slope):
+    value, slope, bound, _ = WARM_START[name]
+    # without a given slope custom_constitutive differences value (_fd_derivative)
+    return custom_constitutive(value, derivative=slope if given_slope else None, bound=bound)
+
+
+# starts that no bracket holds, and starts near and far from the root
+_ODD_STARTS = st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0])
+_STARTS = st.one_of(_ODD_STARTS, st.floats(min_value=-10.0, max_value=10.0), st.floats())
+
+
+@st.composite
+def _warm_start_case(draw):
+    name = draw(st.sampled_from(sorted(WARM_START)))
+    given_slope = draw(st.booleans())
+    limit = WARM_START[name][3]
+    n = draw(st.integers(min_value=1, max_value=20))
+    y = draw(arrays(float, n, elements=st.floats(min_value=-limit, max_value=limit)))
+    start = draw(arrays(float, n, elements=_STARTS))
+    return name, given_slope, y, start
+
+
+class TestWarmStart:
+    @given(_warm_start_case())
+    @settings(max_examples=200, deadline=None)
+    def test_warm_start_meets_the_cold_residual_and_agrees(self, case):
+        name, given_slope, y, start = case
+        f = _warm_start_response(name, given_slope)
+        cold = invert(f, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no start may overflow a response call
+            warm = invert(f, y, start)
+        tol = 1e-12 * np.maximum(1.0, np.abs(y))
+        for T in (cold, warm):
+            assert np.all(np.abs(np.asarray(f(T)) - y) < tol)
+        assert np.all(np.abs(warm - cold) <= 1e-14 * np.maximum(1.0, np.abs(cold)))
+        # each entry iterates on its own: a batch has the bits of entry-by-entry
+        # calls with the same starts, and invert_array those of invert
+        assert all(warm[i] == invert(f, y[i], start[i]) for i in range(y.size))
+        assert np.array_equal(invert_array(f, y, start), warm)
+
+    @pytest.mark.parametrize("given_slope", [True, False], ids=["given", "fd"])
+    def test_refusals_name_the_same_node_whatever_the_start(self, given_slope):
+        starts = (0.0, np.array([np.nan, 3.0, -np.inf, 1e300]), np.array([0.5, -0.2, 2.0, 7.0]))
+        # past the declared bound, and past what tanh declared unbounded reaches
+        cases = ((_warm_start_response("bench", given_slope), np.array([0.1, -0.5, 1.5, 0.2]), 2),
+                 (custom_constitutive(np.tanh, derivative=_tanh_slope if given_slope else None),
+                  np.array([0.1, -0.3, 0.2, 2.0]), 3))
+        for f, y, node in cases:
+            for call in (invert, invert_array):
+                for start in starts:
+                    with pytest.raises(StrainLimitExceededError) as ei:
+                        call(f, y, start)
+                    assert (ei.value.node, ei.value.value) == (node, y[node])
+
+    @pytest.mark.parametrize("kind,a", [("saturating", 1.0), ("saturating", 2.0),
+                                        ("saturating", 1.5), ("arctan", 1.0)],
+                             ids=["saturating_a1", "saturating_a2", "saturating_a1.5", "arctan"])
+    def test_closed_forms_ignore_the_start(self, kind, a):
+        h = make_constitutive(kind, beta=1.3, a=a)
+        y = np.random.default_rng(5).uniform(-0.999, 0.999, (4, 25))
+        start = np.random.default_rng(6).choice([np.nan, np.inf, -1e300, 0.3, -4.0], y.shape)
+        for call in (invert, invert_array):
+            for s in (start, np.inf, start[0]):
+                assert np.array_equal(call(h, y, s), call(h, y))
+        assert invert(h, 0.4, np.nan) == invert(h, 0.4)
+
+    def test_start_must_broadcast_to_the_targets(self):
+        y = np.array([0.1, 0.2, 0.3])
+        for f in (make_constitutive("saturating", a=2.0), NO_INVERSE["bounded"][0]):
+            for call in (invert, invert_array):
+                for start, shape in ((np.zeros(2), r"\(2,\)"), (np.zeros((2, 3)), r"\(2, 3\)")):
+                    with pytest.raises(InvalidParameterError,
+                                       match=rf"start of shape {shape} does not broadcast to "
+                                             r"the targets' shape \(3,\)"):
+                        call(f, y, start)
+            with pytest.raises(InvalidParameterError, match=r"shape \(3,\) does not broadcast "
+                                                            r"to the targets' shape \(\)"):
+                invert(f, 0.5, y)
+            # a row that broadcasts is the start of every row
+            targets = np.stack([y, -y])
+            rows = invert(f, targets, np.stack([3.0 * y] * 2))
+            assert np.array_equal(invert(f, targets, 3.0 * y), rows)
+
+
 def _reference_antiderivative(f, T):
     return np.array([quad(f, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200)[0] for t in T])
 

@@ -154,6 +154,45 @@ class TestFastPathMatchesReference:
         # the stages skip the checks; only the two snapshots pass through them
         assert len(checked) == 2
 
+    def test_strain_rate_stages_warm_start_their_inversion(self, monkeypatch):
+        # each stage starts Newton from the stress the last stage rebuilt,
+        # within O(dt) of the root: at most 3.5 derivative calls per stage
+        # inversion on average, where a cold start from 0 takes 4.2 here
+        import slve.pde
+
+        stages, slopes = [], []
+        make_rhs = slve.pde._make_rhs
+
+        def counting_rhs(*args):
+            rhs = make_rhs(*args)
+
+            def counted(Y, out):
+                before = len(slopes)
+                rhs(Y, out)
+                stages.append(len(slopes) - before)
+
+            return counted
+
+        def counted_slope(T):
+            slopes.append(1)
+            return f.derivative(T)
+
+        monkeypatch.setattr(slve.pde, "_make_rhs", counting_rhs)
+        f = custom_constitutive(lambda T: T / np.sqrt(1.0 + T * T),
+                                derivative=lambda T: (1.0 + T * T) ** -1.5, bound=1.0)
+        counted_f = dataclasses.replace(f, derivative=counted_slope)
+        g = periodic_grid(32)
+        nu = 0.5
+        dt = 0.2 * g.spacing**2 / nu
+        st = gaussian_bump_state(g, f, center=np.pi, width=0.5, amplitude=0.4)
+        cfg = SolverConfig(params=ModelParams(variant="strain_rate", nu=nu),
+                           constitutive=counted_f, dt=dt, t_final=96 * dt, output_stride=32)
+        first = simulate(st, cfg)
+        assert len(stages) == 4 * 96
+        assert sum(stages) / len(stages) <= 3.5
+        # the start is held per run, so a rerun starts cold again
+        assert np.array_equal(simulate(st, cfg).fields, first.fields)
+
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet_zero"])
     @pytest.mark.parametrize("params", [ModelParams(variant="stress_rate", gamma=0.5),
                                         ModelParams(variant="elastic")],
