@@ -311,23 +311,17 @@ def _centered(values: np.ndarray, width: float, periodic: bool, out: np.ndarray)
     divided once, the IEEE operations of the per-entry formulas
     (values[i+1] - values[i-1]) / width and the one-sided end stencils, along
     the last axis: each row of a block keeps the bits of its own 1-D call.
-    A 1-D row takes plain slices and scalar ends, the cheapest indexing there.
+    The formulas index the node-first views values.T and out.T, so one body
+    serves any number of rows: a node is the first index there, which picks
+    a scalar from a 1-D row and every row's value at that node from a block.
     """
-    if values.ndim == 1:
-        np.subtract(values[2:], values[:-2], out=out[1:-1])
-        if periodic:  # wrapped ends
-            out[0] = values[1] - values[-1]
-            out[-1] = values[0] - values[-2]
-        else:
-            out[0] = -3.0 * values[0] + 4.0 * values[1] - values[2]
-            out[-1] = 3.0 * values[-1] - 4.0 * values[-2] + values[-3]
+    v, o = values.T, out.T
+    np.subtract(v[2:], v[:-2], out=o[1:-1])
+    if periodic:  # wrapped ends
+        o[0] = v[1] - v[-1]
+        o[-1] = v[0] - v[-2]
     else:
-        np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
-        if periodic:  # both wrapped ends of every row: (v1 - v[-1], v0 - v[-2])
-            ends = out[..., ::values.shape[-1] - 1]
-            np.subtract(values[..., 1::-1], values[..., :-3:-1], out=ends)
-        else:
-            out[..., 0] = -3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]
-            out[..., -1] = 3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]
+        o[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
+        o[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
     out /= width
     return out

@@ -46,7 +46,9 @@ stress rebuilt from it, so it skips the checks and calls core's unchecked
 kernel (first_derivative is its checks plus that kernel, so the bits agree):
 _march's buffers never alias and keep the grid's shape.  Its inversion
 warm-starts from the stress the run's previous stage rebuilt (the first
-starts cold), which saves Newton steps where there is no closed form.
+starts cold), and a snapshot's stress rebuild from the previous snapshot's
+stress (the first from the initial state's), which saves Newton steps where
+there is no closed form.
 
 With a linear response on a periodic grid the scheme is a linear
 recurrence: a step of length h multiplies each spatial Fourier mode by
@@ -296,12 +298,14 @@ def _pack(state: SimState, variant: Variant) -> np.ndarray:
     return np.array((state.v.values, state.eps.values, state.stress.values)[_EVOLVED[variant]])
 
 
-def _write_snapshot(out: np.ndarray, Y: np.ndarray, config: SolverConfig, grid: Grid1D) -> None:
-    """Rows (v, eps, stress) of the state Y into out, shape (3, N)."""
+def _write_snapshot(out: np.ndarray, Y: np.ndarray, config: SolverConfig, grid: Grid1D,
+                    stress: np.ndarray) -> None:
+    """Rows (v, eps, stress) of the state Y into out, shape (3, N); stress,
+    the last snapshot's, starts the strain-rate stress rebuild."""
     out[_EVOLVED[config.variant]] = Y
     if config.variant is Variant.STRAIN_RATE:
         vx = first_derivative(Y[0], grid.spacing, grid.boundary)
-        out[2] = invert_array(config.constitutive, Y[1] + config.params.nu * vx)
+        out[2] = invert_array(config.constitutive, Y[1] + config.params.nu * vx, stress)
     elif config.variant is Variant.ELASTIC:
         out[1] = config.constitutive.value(Y[1])
 
@@ -403,13 +407,13 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
     fields = np.empty((p.snapshots, 3, grid.n_nodes))
     k = 0  # snapshots kept; t[k] holds the current step's time until one is
     try:
-        _write_snapshot(fields[0], Y, config, grid)
+        _write_snapshot(fields[0], Y, config, grid, initial.stress.values)
         k = 1
         for i, Y in enumerate(_march(rhs, Y, config.dt, p.steps, p.last_step), 1):
             t[k] = t0 + (config.t_final if i == p.steps else i * config.dt)
             _check_blowup(Y, t[k], variant, config.blowup_threshold)
             if i == p.steps or i % config.output_stride == 0:
-                _write_snapshot(fields[k], Y, config, grid)
+                _write_snapshot(fields[k], Y, config, grid, fields[k - 1, 2])
                 k += 1
     except (BlowUpError, StrainLimitExceededError) as exc:
         # hand back what was collected so callers can report the run so far

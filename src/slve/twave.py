@@ -173,16 +173,28 @@ def balance_function(problem: TravelingWaveProblem, T):
 
 @dataclass(frozen=True)
 class KinkDiagnostic:
-    """Existence verdict for a monotone front, with the reasons."""
+    """Existence verdict for a monotone front: what the scan found."""
 
-    exists: bool
     degenerate: bool
     reversed_orientation: bool
     interior_zeros: Tuple[float, ...]
-    message: str
+
+    @property
+    def exists(self) -> bool:
+        return not (self.degenerate or self.interior_zeros)
 
     def __bool__(self) -> bool:
         return self.exists
+
+    @property
+    def message(self) -> str:
+        if self.degenerate:
+            return ("balance function vanishes identically between the end "
+                    "states; the profile family degenerates (linear response)")
+        if self.interior_zeros:
+            return f"interior equilibria at {self.interior_zeros} block the connection"
+        return "monotone front exists" + (
+            " (B reversed: kappa_signed = -kappa, speed -c)" if self.reversed_orientation else "")
 
     @property
     def sign(self) -> float:
@@ -208,52 +220,26 @@ def kink_exists(problem: TravelingWaveProblem) -> KinkDiagnostic:
         abs(problem.t_plus),
         problem.c_squared * float(np.max(np.abs([problem.f.value(lo), problem.f.value(hi)]))),
     )
-    if float(np.max(np.abs(vals))) <= 1e-13 * scale:
-        return KinkDiagnostic(
-            exists=False,
-            degenerate=True,
-            reversed_orientation=False,
-            interior_zeros=(),
-            message="balance function vanishes identically between the end "
-            "states; the profile family degenerates (linear response)",
-        )
-
+    degenerate = float(np.max(np.abs(vals))) <= 1e-13 * scale
     zeros = []
     signs = np.sign(vals)
-    for i in np.nonzero(signs == 0.0)[0]:
-        zeros.append(float(ts[i]))
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
-        a, b = float(ts[i]), float(ts[i + 1])
-        fa = balance_function(problem, a)
-        while b - a > 1e-12:
-            m = 0.5 * (a + b)
-            fmid = balance_function(problem, m)
-            if fa * fmid <= 0.0:
-                b = m
-            else:
-                a, fa = m, fmid
-        zeros.append(0.5 * (a + b))
-    zeros = tuple(sorted(zeros))
-    if zeros:
-        return KinkDiagnostic(
-            exists=False,
-            degenerate=False,
-            reversed_orientation=False,
-            interior_zeros=zeros,
-            message=f"interior equilibria at {zeros} block the connection",
-        )
-
-    interior_sign = float(np.sign(vals[len(vals) // 2]))
-    natural_sign = float(np.sign(problem.t_plus - problem.t_minus))
-    reversed_orientation = interior_sign != natural_sign
-    return KinkDiagnostic(
-        exists=True,
-        degenerate=False,
-        reversed_orientation=reversed_orientation,
-        interior_zeros=(),
-        message="monotone front exists"
-        + (" (B reversed: kappa_signed = -kappa, speed -c)" if reversed_orientation else ""),
-    )
+    if not degenerate:
+        for i in np.nonzero(signs == 0.0)[0]:
+            zeros.append(float(ts[i]))
+        for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
+            a, b = float(ts[i]), float(ts[i + 1])
+            fa = balance_function(problem, a)
+            while b - a > 1e-12:
+                m = 0.5 * (a + b)
+                fmid = balance_function(problem, m)
+                if fa * fmid <= 0.0:
+                    b = m
+                else:
+                    a, fa = m, fmid
+            zeros.append(0.5 * (a + b))
+    reversed_orientation = not (degenerate or zeros) and (
+        signs[len(vals) // 2] != np.sign(problem.t_plus - problem.t_minus))
+    return KinkDiagnostic(degenerate, bool(reversed_orientation), tuple(sorted(zeros)))
 
 
 @dataclass(frozen=True)
@@ -425,8 +411,9 @@ def kink_profile(
         out[xi < -half] = problem.t_minus
         return float(out[0]) if scalar else out
 
-    end_left = float(interpolant(-half))
-    end_right = float(interpolant(half))
+    xi = np.linspace(-half, half, n_samples)  # its ends are -half and half exactly
+    T = interpolant(xi)
+    end_left, end_right = float(T[0]), float(T[-1])
     settle_tol = 1e-6
     if abs(end_left - problem.t_minus) > settle_tol or abs(end_right - problem.t_plus) > settle_tol:
         raise SpanTooShortError(
@@ -434,9 +421,6 @@ def kink_profile(
             f"not within {settle_tol} of ({problem.t_minus}, {problem.t_plus}); "
             "increase xi_span"
         )
-
-    xi = np.linspace(-half, half, n_samples)
-    T = interpolant(xi)
     for eq in (problem.t_minus, problem.t_plus):
         T[np.abs(T - eq) < 1e-10] = eq
 

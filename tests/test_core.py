@@ -373,24 +373,30 @@ class TestDerivatives:
         st.one_of(
             arrays(
                 np.float64,
-                st.tuples(st.integers(1, 4), st.integers(3, 80)),
+                st.tuples(st.integers(1, 4), st.integers(3, 80))
+                | st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(3, 40)),
                 elements=st.floats(allow_nan=False, allow_infinity=False),
             ),
             arrays(
                 np.int64,
-                st.tuples(st.integers(1, 4), st.integers(3, 80)),
+                st.tuples(st.integers(1, 4), st.integers(3, 80))
+                | st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(3, 40)),
                 elements=st.integers(min_value=-(2**31), max_value=2**31),
             ),
         ),
+        st.booleans(),
         st.floats(min_value=1e-6, max_value=1e3),
         st.sampled_from(list(Boundary)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_each_row_of_a_block_gets_its_own_bits(self, Y, spacing, boundary):
-        # a block is differentiated row by row with the bits of the 1-D
-        # calls, overflow to inf/nan included
+    def test_each_row_of_a_block_gets_its_own_bits(self, Y, reversed_pair, spacing, boundary):
+        # a block of 2 or 3 axes, or its reversed-stride rows Y[::-2] (the
+        # stress-rate stage's row pair), is differentiated row by row with
+        # the bits of the 1-D calls, overflow to inf/nan included
+        if reversed_pair:
+            Y = Y[::-2]
         with np.errstate(over="ignore", invalid="ignore"):
             d = first_derivative(Y, spacing, boundary)
-            ref = np.array([first_derivative(row, spacing, boundary) for row in Y])
+            rows = [first_derivative(row, spacing, boundary) for row in Y.reshape(-1, Y.shape[-1])]
         assert d.dtype == np.float64
-        assert np.array_equal(d, ref, equal_nan=True)
+        assert np.array_equal(d, np.reshape(rows, Y.shape), equal_nan=True)
