@@ -105,7 +105,10 @@ def _saturating_masked(beta: float, a: float):
     p = (a + 1.0) / a
 
     def raw_value(arr):
-        u = beta * np.abs(arr)
+        # u overflows to inf at a finite T past DBL_MAX/beta, where the large
+        # branch gives the bound 1, as h does to double precision
+        with np.errstate(over="ignore"):
+            u = beta * np.abs(arr)
         out = np.empty_like(u)
         small = u < 1.0
         large = ~small
@@ -114,9 +117,9 @@ def _saturating_masked(beta: float, a: float):
         ub = u[large]
         # rewrite avoids overflow of u**a for large |T|
         out[large] = (1.0 + ub ** (-a)) ** (-1.0 / a)
-        # an infinite |T| gives NaN, as the a in {1, 2} closed forms and the
+        # an infinite T gives NaN, as the a in {1, 2} closed forms and the
         # antiderivatives do
-        out[u == np.inf] = np.nan
+        out[np.isinf(arr)] = np.nan
         return np.sign(arr) * out
 
     def raw_deriv(arr):
@@ -270,9 +273,10 @@ def _fd_derivative(value: Callable) -> Callable:
 
 
 # quad's Gauss-Legendre panels: nodes per panel, and the most panels one
-# call may use before it gives up
+# call may use before it gives up; and the most nodes one value call gets
 _GAUSS_NODES = 10
 _QUAD_PANELS = 256
+_CHUNK_NODES = 2**13
 
 
 @functools.cache
@@ -296,12 +300,16 @@ def quad(value: Callable, T) -> np.ndarray:
     the 10-point Gauss-Legendre rule on its two halves; its error estimate
     is the largest difference, over the batch, to the rule on the whole
     panel.  Each round bisects every panel whose estimate exceeds an equal
-    share of the tolerance, evaluating all the round's new panels in one
-    value call, until the estimates sum to at most max(1e-13, 1e-12*max|H|)
-    (QUADPACK-style subdivision; Piessens et al. 1983).  value is called
-    with (batch, nodes) arrays.  A non-finite entry gives NaN, as the closed
-    forms do, and an empty T an empty array.  numpy only; no CLI command
-    loads scipy.
+    share of the tolerance, until the estimates sum to at most
+    max(1e-13, 1e-12*max|H|) (QUADPACK-style subdivision; Piessens et al.
+    1983).  A round evaluates its new panels in chunks of whole entries:
+    value is called with (rows, nodes) arrays of at most _CHUNK_NODES = 2**13
+    values, which keeps a large batch's temporaries in cache.  One entry's
+    round has at most 5,120 nodes (128 split panels, the most the 256-panel
+    budget allows, each ruled on 4 quarters of 10 nodes), below the bound,
+    so no entry is split and every entry keeps the bits of a one-call round.
+    A non-finite entry gives NaN, as the closed forms do, and an empty T an
+    empty array.  numpy only; no CLI command loads scipy.
 
     Raises
     ------
@@ -319,10 +327,16 @@ def quad(value: Callable, T) -> np.ndarray:
     x, w = _gauss_legendre()
 
     def rule(lo, width):
-        # the rule on panels [lo, lo + width] for every entry: (batch, panels)
+        # the rule on panels [lo, lo + width] for every entry: (batch, panels),
+        # evaluated a chunk of whole entries at a time
         s = (lo[:, None] + width[:, None] * x).ravel()
-        fx = np.asarray(value(t * s)).reshape(t.size, lo.size, x.size)
-        return (fx @ w) * width * t
+        out = np.empty((t.size, lo.size))
+        rows = max(1, _CHUNK_NODES // s.size)
+        for i in range(0, t.size, rows):
+            tc = t[i:i + rows]
+            fx = np.asarray(value(tc * s)).reshape(tc.size, lo.size, x.size)
+            out[i:i + rows] = (fx @ w) * width * tc
+        return out
 
     # [0, 1] and its halves, then per panel: start, width, the rule on each
     # half (batch, panels) and the error estimate

@@ -31,7 +31,8 @@ from slve import (
     invert_array,
     make_constitutive,
 )
-from slve.constitutive import _GAUSS_NODES, _QUAD_PANELS, _saturating_masked
+from slve import constitutive
+from slve.constitutive import _CHUNK_NODES, _GAUSS_NODES, _QUAD_PANELS, _saturating_masked
 from slve.constitutive import quad as slve_quad
 
 
@@ -76,6 +77,18 @@ class TestCatalog:
             assert np.isnan(h.value(T)) and np.isnan(h.antiderivative(T))
             values = h.value(np.array([T, 0.5, 1e300]))
         assert np.isnan(values[0]) and np.all(np.isfinite(values[1:]))
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 3.0])
+    def test_saturating_finite_stress_past_the_overflow_gives_the_bound(self, a):
+        # beta*|T| overflows to inf at T = 1e308, beta = 2, where h is 1 to
+        # double precision; only an infinite T gives NaN.  H(T) is |T| less
+        # O(|T|**(1-a)) for a < 1 and O(1) for a > 1, so it rounds to |T|
+        h = make_constitutive("saturating", beta=2.0, a=a)
+        top = np.finfo(float).max
+        with _no_runtime_warning():
+            assert h.value(1e308) == 1.0 and h.value(-1e308) == -1.0
+            assert np.array_equal(h.value(np.array([1e308, -1e308])), [1.0, -1.0])
+            assert np.array_equal(h.antiderivative(np.array([top, -top])), [top, top])
 
     def test_arctan(self):
         h = make_constitutive("arctan", beta=2.0)
@@ -559,7 +572,50 @@ def _reference_antiderivative(f, T):
     return np.array([quad(f, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200)[0] for t in T])
 
 
+def _chunk_batch(n):
+    # n entries in [-1e3, 1e3], with NaN, +-inf, +-0 and +-1e3 among them
+    rng = np.random.default_rng(n)
+    T = rng.uniform(-1e3, 1e3, n)
+    specials = [1e3, -1e3, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    T[:min(n, 7)] = specials[:n]
+    return rng.permutation(T)
+
+
+_CHUNK_RESPONSES = pytest.mark.parametrize(
+    "f",
+    [make_constitutive("saturating", beta=1.0, a=1.5),
+     make_constitutive("saturating", beta=2.5, a=1.5),
+     custom_constitutive(lambda T: T / np.sqrt(1.0 + T * T))],
+    ids=["saturating_a1.5_beta1", "saturating_a1.5_beta2.5", "custom"],
+)
+
+
 class TestQuadrature:
+    @_CHUNK_RESPONSES
+    @pytest.mark.parametrize("n", [1, 300, 3000])
+    def test_chunked_rounds_keep_the_bits(self, f, n, monkeypatch):
+        # the batch shares one subdivision however its rounds are chunked:
+        # the default bound, one call per round, and chunks of a row or two
+        T = _chunk_batch(n)
+        H = np.asarray(f.antiderivative(T))
+        assert np.array_equal(np.isnan(H), ~np.isfinite(T))
+        for nodes in (2**30, 64):
+            monkeypatch.setattr(constitutive, "_CHUNK_NODES", nodes)
+            assert np.array_equal(np.asarray(f.antiderivative(T)), H, equal_nan=True)
+
+    @_CHUNK_RESPONSES
+    def test_value_calls_stay_within_the_chunk(self, f):
+        shapes = []
+
+        def spy(T):
+            shapes.append(T.shape)
+            return f.value(T)
+
+        T = _chunk_batch(3000)
+        assert np.array_equal(slve_quad(spy, T), slve_quad(f.value, T), equal_nan=True)
+        assert shapes and all(len(shape) == 2 for shape in shapes)
+        assert max(math.prod(shape) for shape in shapes) <= _CHUNK_NODES
+
     @given(
         st.floats(min_value=0.5, max_value=4.0),
         st.floats(min_value=0.2, max_value=3.0),
