@@ -123,7 +123,9 @@ def _saturating_masked(beta: float, a: float):
         return np.sign(arr) * out
 
     def raw_deriv(arr):
-        u = beta * np.abs(arr)
+        # as in raw_value; an infinite u gives 0, h' to double precision
+        with np.errstate(over="ignore"):
+            u = beta * np.abs(arr)
         out = np.empty_like(u)
         small = u < 1.0
         us = u[small]
@@ -474,7 +476,9 @@ def invert(f: ConstitutiveFunction, y, start=0.0):
     the bracket, which carries T to roundoff, and freezes.  So a batch gives
     the bits of entry-by-entry calls with the same starts.  A scalar target
     gives a float, an array an array of its shape; value and derivative are
-    called with arrays.
+    called with arrays.  The targets are validated by one scan, the largest
+    |y| against the bound, which a NaN fails too; only a failed scan runs
+    the finite check and then the bound check, which name the culprit.
 
     start, broadcast to y's shape, is each entry's Newton start (0 is the
     cold start); one outside the entry's bracket, NaN or inf included, gives
@@ -496,26 +500,26 @@ def invert(f: ConstitutiveFunction, y, start=0.0):
     y_in = np.asarray(y, dtype=float)
     start = _starts(start, y_in.shape)
     y = y_in.reshape(-1)
-    finite = np.isfinite(y)
-    if not finite.all():
-        raise InvalidParameterError(f"target must be finite, got {y[~finite][0]}")
-    outside = np.abs(y) >= f.bound
-    if outside.any():
-        node = int(np.argmax(outside))
+    if not y.size:
+        return np.empty(y_in.shape)
+    ay = np.abs(y)
+    if not np.maximum.reduce(ay) < f.bound:
+        finite = np.isfinite(y)
+        if not finite.all():
+            raise InvalidParameterError(f"target must be finite, got {y[~finite][0]}")
+        node = int(np.argmax(ay >= f.bound))
         raise StrainLimitExceededError(
             f"target {y[node]} is outside the attainable range (|h| < {f.bound})",
             node=node, value=float(y[node]),
         )
-    tol = 1e-12 * np.maximum(1.0, np.abs(y))
-    if f.inverse is not None:
+    if f.inverse is None:
+        T = _newton_bisection(f, y, ay, start.reshape(-1), range(y.size))
+    else:
         T = np.array(f.inverse(y), dtype=float)
         # polish what the closed form misses (defensive; the catalog inverses are exact)
-        todo = np.flatnonzero(~(np.abs(np.asarray(f.value(T)) - y) < tol))
-    else:
-        T = np.array(start).reshape(-1)
-        todo = np.arange(y.size)
-    if todo.size:
-        T[todo] = _newton_bisection(f, y[todo], T[todo], tol[todo], todo)
+        todo = np.flatnonzero(~(np.abs(np.asarray(f.value(T)) - y) < 1e-12 * np.maximum(1.0, ay)))
+        if todo.size:
+            T[todo] = _newton_bisection(f, y[todo], ay[todo], T[todo], todo)
     return float(T[0]) if y_in.ndim == 0 else T.reshape(y_in.shape)
 
 
@@ -529,11 +533,19 @@ def _starts(start, shape) -> np.ndarray:
                                     f"the targets' shape {shape}") from None
 
 
-def _newton_bisection(f: ConstitutiveFunction, y, T, tol, nodes) -> np.ndarray:
-    """Bracketed, safeguarded Newton on every entry, from starts T; nodes are
-    the entries' flat indices in the caller's target."""
+def _newton_bisection(f: ConstitutiveFunction, y, ay, T, nodes) -> np.ndarray:
+    """Bracketed, safeguarded Newton on every entry, from starts T; ay is |y|
+    and nodes are the entries' flat indices in the caller's target.
+
+    Each sweep evaluates h and h' once over a working set of entries and
+    updates it with masks: the brackets where the residual says, T only
+    where the entry has not frozen.  Each time half the working set or more
+    has frozen, the set is written back and its live entries gathered, so a
+    slow entry does not drag the whole batch through its sweeps.
+    """
+    tol = 1e-12 * np.maximum(1.0, ay)
     # each entry widens its own bracket [lo, hi] until h(lo) <= y <= h(hi)
-    scale = np.maximum(1.0, np.abs(y) / max(f.beta, 1e-12))
+    scale = np.maximum(1.0, ay / max(f.beta, 1e-12))
     lo, hi = -scale, scale
     expansions = np.zeros(y.size, dtype=int)
     for end, short, side in ((hi, np.less, "exceed"), (lo, np.greater, "be below")):
@@ -550,28 +562,37 @@ def _newton_bisection(f: ConstitutiveFunction, y, T, tol, nodes) -> np.ndarray:
                 )
             grow = grow[short(f.value(end[grow]), y[grow])]
 
-    T = np.where((lo <= T) & (T <= hi), T, 0.5 * (lo + hi))
-    active = np.arange(y.size)
+    roots = T = np.where((lo <= T) & (T <= hi), T, 0.5 * (lo + hi))
+    live = np.ones(y.size, dtype=bool)
+    kept = None  # the working set's places in roots, None while it is all of them
     for _ in range(200):
-        t = T[active]
-        r = np.asarray(f.value(t)) - y[active]
+        r = np.asarray(f.value(T)) - y
         above = r > 0.0
-        hi[active[above]] = t[above]
-        lo[active[~above]] = t[~above]
-        slope = np.asarray(f.derivative(t))
-        mid = 0.5 * (lo[active] + hi[active])
+        np.copyto(hi, T, where=above)
+        np.copyto(lo, T, where=~above)
+        slope = np.asarray(f.derivative(T))
+        mid = 0.5 * (lo + hi)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = np.where(slope > 0.0, t - r / slope, mid)
-        inside = (lo[active] < step) & (step < hi[active])
+            step = np.where(slope > 0.0, T - r / slope, mid)
+        inside = (lo < step) & (step < hi)
         # a converged entry takes this Newton step if it stays inside the
         # bracket, which carries T from the residual test to roundoff, and
         # freezes
-        converged = np.abs(r) < tol[active]
-        T[active] = np.where(inside, step, np.where(converged, t, mid))
-        active = active[~converged]
-        if not active.size:
-            return T
-    raise SlveError(f"inversion did not converge for target {y[active[0]]}")
+        converged = np.abs(r) < tol
+        np.copyto(T, np.where(inside, step, np.where(converged, T, mid)), where=live)
+        live &= ~converged
+        n_live = np.count_nonzero(live)
+        if 2 * n_live > live.size:
+            continue
+        if kept is not None:
+            roots[kept] = T
+        if not n_live:
+            return roots
+        gather = np.flatnonzero(live)
+        kept = gather if kept is None else kept[gather]
+        T, y, lo, hi, tol = T[gather], y[gather], lo[gather], hi[gather], tol[gather]
+        live = np.ones(n_live, dtype=bool)
+    raise SlveError(f"inversion did not converge for target {y[np.argmax(live)]}")
 
 
 def invert_array(f: ConstitutiveFunction, y: np.ndarray, start=0.0) -> np.ndarray:
@@ -591,19 +612,25 @@ def invert_array(f: ConstitutiveFunction, y: np.ndarray, start=0.0) -> np.ndarra
     """
     y = np.asarray(y, dtype=float)
     start = _starts(start, y.shape)
-    # fmax skips NaN targets, which maximum would propagate; empty has no max
-    if y.size and np.fmax.reduce(np.abs(y), axis=None) >= f.bound:
-        node = int(np.nanargmax(np.abs(y)))  # a NaN target never fails the bound check
-        bad = float(y.flat[node])
-        raise StrainLimitExceededError(
-            f"target {bad} is outside the attainable range (|h| < {f.bound})",
-            node=node, value=bad,
-        )
+    ay = np.abs(y)
+    nan = None
+    # one scan, which a NaN fails too; fmax skips the NaN that maximum
+    # propagates, and empty has no max
+    if y.size and not np.maximum.reduce(ay, axis=None) < f.bound:
+        if np.fmax.reduce(ay, axis=None) >= f.bound:
+            node = int(np.nanargmax(ay))  # a NaN target never fails the bound check
+            bad = float(y.flat[node])
+            raise StrainLimitExceededError(
+                f"target {bad} is outside the attainable range (|h| < {f.bound})",
+                node=node, value=bad,
+            )
+        nan = np.isnan(y)
     if f.inverse is not None:
         return np.asarray(f.inverse(y), dtype=float)
+    if nan is None:
+        return np.asarray(invert(f, y, start))
     # invert refuses NaN: it inverts 0 in a NaN's place, so its node still
     # counts every target, and the NaN goes back after
-    nan = np.isnan(y)
     T = np.asarray(invert(f, np.where(nan, 0.0, y), start))
     T[nan] = np.nan
     return T

@@ -44,11 +44,12 @@ it differentiates each row with the bits of its own 1-D call.  The
 strain-rate stage makes two dependent 1-D calls, v_x and then the T_x of the
 stress rebuilt from it, so it skips the checks and calls core's unchecked
 kernel (first_derivative is its checks plus that kernel, so the bits agree):
-_march's buffers never alias and keep the grid's shape.  Its inversion
-warm-starts from the stress the run's previous stage rebuilt (the first
-starts cold), and a snapshot's stress rebuild from the previous snapshot's
-stress (the first from the initial state's), which saves Newton steps where
-there is no closed form.
+_march's buffers never alias and keep the grid's shape.  Where there is no
+closed form, its inversion starts from the tangent of the run's previous
+stage, T + (y - y_last)/g'(T) at the stress T that stage rebuilt from its
+target y_last, which costs one derivative call and saves Newton sweeps (the
+first stage starts cold); a snapshot's stress rebuild starts from the
+previous snapshot's stress (the first from the initial state's).
 
 With a linear response on a periodic grid the scheme is a linear
 recurrence: a step of length h multiplies each spatial Fourier mode by
@@ -258,16 +259,30 @@ def _make_rhs(
 
     elif variant is Variant.STRAIN_RATE:
         nu = params.nu
-        target = np.empty(grid.n_nodes)
+        # this stage's target, the last stage's and the stress rebuilt from
+        # it, which starts the next Newton solve (the first starts cold)
+        target, last = np.empty(grid.n_nodes), np.empty(grid.n_nodes)
         width = 2.0 * dx
         periodic = bdy is Boundary.PERIODIC
-        T = 0.0  # the stress the last stage rebuilt, the next one's Newton start
+        T = 0.0
+        tangent = False
 
         def rhs(Y, out):
-            nonlocal T
+            nonlocal T, target, last, tangent
             # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
             vx = _centered(Y[0], width, periodic, out[1])
-            T = invert_array(f, np.add(Y[1], np.multiply(vx, nu, out=target), out=target), T)
+            np.add(Y[1], np.multiply(vx, nu, out=target), out=target)
+            start = T
+            if tangent:
+                # T + (y - y_last)/g'(T); a non-finite one gives way to the
+                # bracket's midpoint
+                slope = f.derivative(T)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    start = T + (target - last) / slope
+            T = invert_array(f, target, start)
+            target, last = last, target
+            # a closed form ignores the start
+            tangent = f.inverse is None
             _centered(T, width, periodic, out[0])
 
     else:

@@ -90,6 +90,15 @@ class TestCatalog:
             assert np.array_equal(h.value(np.array([1e308, -1e308])), [1.0, -1.0])
             assert np.array_equal(h.antiderivative(np.array([top, -top])), [top, top])
 
+    @pytest.mark.parametrize("a", [0.5, 1.5, 3.0])
+    def test_saturating_derivative_past_the_overflow_is_zero(self, a):
+        # beta*|T| overflows to inf at T = 1e308, beta = 2, where h' is 0 to
+        # double precision, with no overflow warning on the way
+        h = make_constitutive("saturating", beta=2.0, a=a)
+        with _no_runtime_warning():
+            assert h.derivative(1e308) == 0.0 and h.derivative(-1e308) == 0.0
+            assert np.array_equal(h.derivative(np.array([1e308, -1e308])), [0.0, 0.0])
+
     def test_arctan(self):
         h = make_constitutive("arctan", beta=2.0)
         assert h.derivative(0.0) == pytest.approx(2.0, rel=1e-14)
@@ -428,6 +437,44 @@ class TestInvert:
         # each entry iterates on its own: the batch gives the scalar bits
         assert all(T[i] == invert(f, float(v)) for i, v in enumerate(y))
         assert np.all(np.abs(np.asarray(f(T)) - y) < 1e-12 * np.maximum(1.0, np.abs(y)))
+
+    def test_staggered_batch_equals_single_calls(self):
+        # starts NaN, +-inf and 1e300 give way to the midpoint, 50 lies in or
+        # out of the bracket, and the rest are near the root: entries freeze on
+        # different sweeps, so the working set is written back and gathered
+        # several times, and every entry keeps the bits of its own call
+        rng = np.random.default_rng(11)
+        cases = ((custom_constitutive(np.tanh, derivative=_tanh_slope, bound=1.0), 0.999),
+                 (NO_INVERSE["cubic"][0], 1e6))
+        for f, limit in cases:
+            y = rng.uniform(-limit, limit, 320) * rng.choice([1.0, 1e-3, 1e-8], 320)
+            start = rng.choice([np.nan, np.inf, -np.inf, 1e300, 50.0, -50.0, 0.0], 320)
+            near = rng.random(320) < 0.3
+            start[near] = invert(f, y[near]) * (1.0 + rng.normal(0.0, 1e-3, near.sum()))
+            T = invert(f, y, start)
+            assert all(T[i] == invert(f, y[i], start[i]) for i in range(y.size))
+            assert np.array_equal(invert_array(f, y, start), T)
+            assert np.all(np.abs(np.asarray(f(T)) - y) < 1e-12 * np.maximum(1.0, np.abs(y)))
+
+    def test_one_scan_keeps_the_error_precedence(self):
+        # a NaN fails invert's scan as a target past the bound does; the
+        # checks behind the scan still refuse the non-finite target first,
+        # whichever comes first, and invert_array still names the largest
+        # non-NaN target
+        for f in (NO_INVERSE["bounded"][0], make_constitutive("saturating", beta=1.0, a=1.5)):
+            for y in ([0.1, np.nan, 2.0], [3.0, 0.2, np.nan], [np.inf, 0.5, -1.0]):
+                with pytest.raises(InvalidParameterError, match="target must be finite"):
+                    invert(f, np.array(y))
+            for y, bad in (([np.nan, 1.5, -2.5], -2.5), ([[0.2, 2.0], [np.nan, 1.0]], 2.0)):
+                with pytest.raises(StrainLimitExceededError,
+                                   match=f"target {bad} is outside") as ei:
+                    invert_array(f, np.array(y))
+                assert ei.value.value == bad
+        # an unbounded response: an infinite target fails the scan against
+        # the bound inf, and only the finite check names it
+        cubic = NO_INVERSE["cubic"][0]
+        with pytest.raises(InvalidParameterError, match="target must be finite, got -inf"):
+            invert(cubic, np.array([1e300, -np.inf]))
 
     def test_batch_shape_and_empty(self):
         f = NO_INVERSE["bounded"][0]
