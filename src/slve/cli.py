@@ -285,11 +285,10 @@ def _stepping_inputs(
             f"{command.value} needs at least 3 output samples; lower output_stride or dt"
         )
     if command is Command.ENERGY and snapshots == 3:
-        # simulate records them at 0, output_stride*dt and t_final; this is
-        # energy_series' test of the middle one's two gaps on those times
+        # energy_series' gap test on the samples at 0, output_stride*dt and t_final
         gap = solver.output_stride * solver.dt
         last = solver.t_final - gap
-        if abs(gap - last) > 1e-9 * max(gap, last):
+        if not core._even_gaps(gap, last):
             raise ConfigError(
                 f"energy needs a uniformly spaced interior sample, but its 3 output samples "
                 f"are {gap:.6g} and {last:.6g} apart; lower output_stride or dt"

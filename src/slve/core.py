@@ -263,6 +263,11 @@ def _trapezoid(values: np.ndarray, grid: Grid1D):
     return np.trapezoid(values, dx=dx, axis=-1)
 
 
+def _even_gaps(d1, d2):
+    """Whether the time gaps d1, d2 either side of a sample agree: a centered dE/dt there."""
+    return np.abs(d1 - d2) <= 1e-9 * np.maximum(d1, d2)
+
+
 def integrate_field(field: Field) -> float:
     """Trapezoid-rule integral of a field over its grid."""
     return float(_trapezoid(field.values, field.grid))

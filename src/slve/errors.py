@@ -41,8 +41,9 @@ class StrainLimitExceededError(SlveError):
 
 
 class BlowUpError(SlveError):
-    """Simulation left the finite (or configured) range; carries the time and
-    the field ('v', 'eps' or 'stress') and node of the first bad entry."""
+    """Simulation left the finite (or configured) range; carries the time, the
+    field ('v', 'eps' or 'stress') and node of the first bad entry, and the
+    largest finite |stress|, or |v| or |eps| for the strain-rate variant."""
 
     def __init__(self, t: float, max_abs_stress: float, field: str, node: int):
         super().__init__(

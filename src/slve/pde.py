@@ -40,16 +40,16 @@ calls and the blow-up check make temporaries of their own.  A yielded state
 is valid only until the next iteration, so callers copy what they keep.
 The stress-rate and elastic stages make one checked first_derivative call
 each, on the row pair (T, v) of the stage state into two rows of the slope;
-it differentiates each row with the bits of its own 1-D call.  The
-strain-rate stage makes two dependent 1-D calls, v_x and then the T_x of the
-stress rebuilt from it, so it skips the checks and calls core's unchecked
-kernel (first_derivative is its checks plus that kernel, so the bits agree):
-_march's buffers never alias and keep the grid's shape.  Where there is no
-closed form, its inversion starts from the tangent of the run's previous
-stage, T + (y - y_last)/g'(T) at the stress T that stage rebuilt from its
-target y_last, which costs one derivative call and saves Newton sweeps (the
-first stage starts cold); a snapshot's stress rebuild starts from the
-previous snapshot's stress (the first from the initial state's).
+it differentiates each row with the bits of its own 1-D call.  _make_rhs
+builds each variant's stage with its snapshot writer; the strain-rate pair
+shares one rebuild of the stress T = g^{-1}(eps + nu*v_x), whose v_x (and a
+stage's T_x) comes from core's unchecked kernel (first_derivative less its
+checks: the buffers never alias and keep the grid's shape).  Without a
+closed form each inversion starts from the tangent of the previous one,
+T + (y - y_last)/g'(T) at the stress T it rebuilt from y_last, one
+derivative call that saves Newton sweeps; the first, the initial snapshot's,
+starts from the initial state's stress, and a stage after a snapshot has
+its target, so one sweep confirms that stress.
 
 With a linear response on a periodic grid the scheme is a linear
 recurrence: a step of length h multiplies each spatial Fourier mode by
@@ -97,6 +97,7 @@ from .core import (
     ModelParams,
     Variant,
     _centered,
+    _even_gaps,
     _require_count,
     _trapezoid,
     first_derivative,
@@ -240,13 +241,11 @@ def plan(initial: SimState, config: SolverConfig) -> RunPlan:
     return RunPlan(ceiling, steps, last_step, 1 + -(-steps // config.output_stride))
 
 
-def _make_rhs(
-    variant: Variant, f: ConstitutiveFunction, params: ModelParams, grid: Grid1D
-) -> Callable[[np.ndarray, np.ndarray], None]:
-    """RHS rhs(Y, out) on stacked rows: (v, eps, T), (v, eps), or (v, T) by
-    variant; it writes the rows of dY/dt into out."""
-    dx = grid.spacing
-    bdy = grid.boundary
+def _make_rhs(config: SolverConfig, initial: SimState) -> Tuple[Callable, Callable]:
+    """The run's rhs(Y, out), writing dY/dt of the rows (v, eps, T), (v, eps) or
+    (v, T) by variant into out, and snapshot(Y, out), writing (v, eps, stress)."""
+    variant, f, params, grid = config.variant, config.constitutive, config.params, initial.grid
+    dx, bdy = grid.spacing, grid.boundary
 
     if variant is Variant.STRESS_RATE:
         gamma = params.gamma
@@ -257,20 +256,20 @@ def _make_rhs(
             np.subtract(f.value(Y[2]), Y[1], out=out[2])
             out[2] /= gamma
 
+        def snapshot(Y, out):
+            out[...] = Y
+
     elif variant is Variant.STRAIN_RATE:
         nu = params.nu
-        # this stage's target, the last stage's and the stress rebuilt from
-        # it, which starts the next Newton solve (the first starts cold)
+        # this rebuild's target, the last one's and the stress rebuilt from
+        # it, which starts the next Newton solve (the first, the initial state's)
         target, last = np.empty(grid.n_nodes), np.empty(grid.n_nodes)
         width = 2.0 * dx
         periodic = bdy is Boundary.PERIODIC
-        T = 0.0
-        tangent = False
+        T, tangent = initial.stress.values, False
 
-        def rhs(Y, out):
+        def rebuild(Y, vx):
             nonlocal T, target, last, tangent
-            # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
-            vx = _centered(Y[0], width, periodic, out[1])
             np.add(Y[1], np.multiply(vx, nu, out=target), out=target)
             start = T
             if tangent:
@@ -283,7 +282,15 @@ def _make_rhs(
             target, last = last, target
             # a closed form ignores the start
             tangent = f.inverse is None
-            _centered(T, width, periodic, out[0])
+            return T
+
+        def rhs(Y, out):
+            # eps_t = (g(T) - eps)/nu, which the reconstruction makes v_x
+            _centered(rebuild(Y, _centered(Y[0], width, periodic, out[1])), width, periodic, out[0])
+
+        def snapshot(Y, out):
+            out[:2] = Y
+            out[2] = rebuild(Y, _centered(Y[0], width, periodic, out[2]))
 
     else:
 
@@ -291,6 +298,10 @@ def _make_rhs(
             # rows (T, v) give (T_x, v_x) = (v_t, h'(T) * T_t)
             first_derivative(Y[::-1], dx, bdy, out)
             out[1] /= f.derivative(Y[1])
+
+        def snapshot(Y, out):
+            out[::2] = Y
+            out[1] = f.value(Y[1])
 
     if bdy is Boundary.DIRICHLET_ZERO:
         bare = rhs
@@ -300,29 +311,13 @@ def _make_rhs(
             out[:, 0] = 0.0
             out[:, -1] = 0.0
 
-    return rhs
+    return rhs, snapshot
 
 
 # the rows of (v, eps, stress) that each variant evolves, as basic slices
-# so that packing, writing and naming a row index no list
+# so that packing and naming a row index no list
 _EVOLVED = {Variant.STRESS_RATE: slice(0, 3), Variant.STRAIN_RATE: slice(0, 2),
             Variant.ELASTIC: slice(0, 3, 2)}
-
-
-def _pack(state: SimState, variant: Variant) -> np.ndarray:
-    return np.array((state.v.values, state.eps.values, state.stress.values)[_EVOLVED[variant]])
-
-
-def _write_snapshot(out: np.ndarray, Y: np.ndarray, config: SolverConfig, grid: Grid1D,
-                    stress: np.ndarray) -> None:
-    """Rows (v, eps, stress) of the state Y into out, shape (3, N); stress,
-    the last snapshot's, starts the strain-rate stress rebuild."""
-    out[_EVOLVED[config.variant]] = Y
-    if config.variant is Variant.STRAIN_RATE:
-        vx = first_derivative(Y[0], grid.spacing, grid.boundary)
-        out[2] = invert_array(config.constitutive, Y[1] + config.params.nu * vx, stress)
-    elif config.variant is Variant.ELASTIC:
-        out[1] = config.constitutive.value(Y[1])
 
 
 def _check_blowup(Y: np.ndarray, t: float, variant: Variant, threshold: float) -> None:
@@ -398,15 +393,15 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
 
     Snapshots are the initial state, every output_stride-th step, and the
     final state.  The final step is shortened to land on t0 + t_final
-    exactly.  For the strain-rate variant the stress snapshot is always the
-    reconstruction from (v, eps); for the elastic variant the strain is
-    always h(T).
+    exactly.  A snapshot's strain-rate stress is always rebuilt from (v, eps)
+    and its elastic strain is always h(T).
 
     Raises
     ------
     BlowUpError
         When the state leaves the finite range or passes the configured
-        magnitude threshold; carries the time it happened.
+        magnitude threshold; carries the time it happened and max_abs_stress,
+        the largest finite |stress| (|v| or |eps| for the strain-rate variant).
     StrainLimitExceededError
         When the strain-rate stress reconstruction reaches the strain limit;
         carries the node and the value.  Both carry the snapshots so far as
@@ -415,20 +410,20 @@ def simulate(initial: SimState, config: SolverConfig) -> Trajectory:
     p = plan(initial, config)
     grid = initial.grid
     variant = config.variant
-    rhs = _make_rhs(variant, config.constitutive, config.params, grid)
-    Y = _pack(initial, variant)
+    rhs, snapshot = _make_rhs(config, initial)
+    Y = np.array((initial.v.values, initial.eps.values, initial.stress.values)[_EVOLVED[variant]])
     t0 = float(initial.t)
     t = np.full(p.snapshots, t0)
     fields = np.empty((p.snapshots, 3, grid.n_nodes))
     k = 0  # snapshots kept; t[k] holds the current step's time until one is
     try:
-        _write_snapshot(fields[0], Y, config, grid, initial.stress.values)
+        snapshot(Y, fields[0])
         k = 1
         for i, Y in enumerate(_march(rhs, Y, config.dt, p.steps, p.last_step), 1):
             t[k] = t0 + (config.t_final if i == p.steps else i * config.dt)
             _check_blowup(Y, t[k], variant, config.blowup_threshold)
             if i == p.steps or i % config.output_stride == 0:
-                _write_snapshot(fields[k], Y, config, grid, fields[k - 1, 2])
+                snapshot(Y, fields[k])
                 k += 1
     except (BlowUpError, StrainLimitExceededError) as exc:
         # hand back what was collected so callers can report the run so far
@@ -509,7 +504,7 @@ def energy_series(
     totals = np.array([total_energy(state, params, f) for state in traj])
     steps = np.diff(traj.t)
     d1, d2 = steps[:-1], steps[1:]
-    uniform = np.abs(d1 - d2) <= 1e-9 * np.maximum(d1, d2)
+    uniform = _even_gaps(d1, d2)
     if not uniform.any():
         raise InvalidParameterError("no uniformly spaced interior sample in the run")
     dEdt = ((totals[2:] - totals[:-2]) / (d1 + d2))[uniform]

@@ -749,6 +749,15 @@ class TestMain:
         record = json.loads(capsys.readouterr().out)
         assert record["status"] == "error" and record["category"] == "config"
 
+    def test_malformed_ini_exit_2_before_the_output_directory(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("command = simulate\n[model\n")
+        assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "error" and record["category"] == "config"
+        assert "not valid INI" in record["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini")]) == 2
         assert json.loads(capsys.readouterr().out)["category"] == "config"

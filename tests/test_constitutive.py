@@ -428,6 +428,14 @@ class TestInvert:
             invert(f, np.array([0.0, 0.1, -2.0]))
         assert (ei.value.node, ei.value.value) == (2, -2.0)
 
+    def test_inversion_that_cannot_converge_names_its_target(self):
+        # h jumps over 0.55 at T = 1: the bracket holds the target, but no
+        # stress meets it, so Newton and bisection never pass the residual test
+        f = custom_constitutive(lambda T: 0.1 * T + 0.5 * (T > 1.0))
+        for call in (invert, invert_array):
+            with pytest.raises(SlveError, match="did not converge for target 0.55"):
+                call(f, np.array([0.0, 0.55]))
+
     @given(_no_inverse_targets())
     @settings(max_examples=150, deadline=None)
     def test_batch_equals_single_calls_and_meets_tolerance(self, case):

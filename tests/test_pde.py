@@ -126,7 +126,7 @@ class TestFastPathMatchesReference:
     def test_strain_rate_rhs_takes_two_derivatives(self, monkeypatch):
         # v_x is computed once per stage and shared with the stress
         # reconstruction: one stencil pass over v, one over T per stage, plus
-        # the stress reconstruction of the initial and the final snapshot
+        # the v_x of the initial and the final snapshot's stress rebuild
         import slve.core
         import slve.pde
 
@@ -141,7 +141,8 @@ class TestFastPathMatchesReference:
             checked.append(1)
             return public(*args)
 
-        # the stages call pde's binding of the kernel, first_derivative core's
+        # stages and snapshots call pde's binding of the kernel,
+        # first_derivative core's
         monkeypatch.setattr(slve.pde, "_centered", counting_kernel)
         monkeypatch.setattr(slve.core, "_centered", counting_kernel)
         monkeypatch.setattr(slve.pde, "first_derivative", counting_public)
@@ -151,33 +152,27 @@ class TestFastPathMatchesReference:
         states = one_step(st, ModelParams(variant="strain_rate", nu=0.5), gfun)
         assert len(states) == 2
         assert len(passes) == 1 + 4 * 2 + 1
-        # the stages skip the checks; only the two snapshots pass through them
-        assert len(checked) == 2
+        # the stages and the snapshots skip the checks
+        assert checked == []
 
-    def test_strain_rate_stages_warm_start_their_inversion(self, monkeypatch):
-        # each stage after the first starts Newton from the tangent of the
-        # last stage's solve, T + (y - y_last)/g'(T), within O(dt**2) of the
-        # root: at most 4.25 value calls per stage inversion on average (two
-        # bracket checks and about 1.9 sweeps), where a start from the last
-        # stress itself takes 4.9, and at most 3.5 derivative calls, the
-        # tangent's one included, where a cold start from 0 takes 4.2 here;
-        # each snapshot's rebuild starts from the last snapshot's stress: at
-        # most 3.75 derivative calls per snapshot, where a cold start takes
-        # 4.2 again
+    @staticmethod
+    def _counted_strain_rate_run(monkeypatch):
+        """A custom response's strain-rate run at stride 1 and the response
+        calls of each stage, (derivative, value), and of all of it."""
         import slve.pde
 
         stages, slopes, values = [], [], []
         make_rhs = slve.pde._make_rhs
 
         def counting_rhs(*args):
-            rhs = make_rhs(*args)
+            rhs, snapshot = make_rhs(*args)
 
             def counted(Y, out):
                 before = len(slopes), len(values)
                 rhs(Y, out)
                 stages.append((len(slopes) - before[0], len(values) - before[1]))
 
-            return counted
+            return counted, snapshot
 
         def counted_slope(T):
             slopes.append(1)
@@ -197,14 +192,35 @@ class TestFastPathMatchesReference:
         st = gaussian_bump_state(g, f, center=np.pi, width=0.5, amplitude=0.4)
         cfg = SolverConfig(params=ModelParams(variant="strain_rate", nu=nu),
                            constitutive=counted_f, dt=dt, t_final=96 * dt, output_stride=1)
-        first = simulate(st, cfg)
-        assert len(stages) == 4 * 96
-        stage_slopes, stage_values = np.sum(stages, axis=0)
+        traj = simulate(st, cfg)
+        assert len(stages) == 4 * 96 and len(traj) == 97
+        return traj, np.array(stages), len(slopes), lambda: simulate(st, cfg)
+
+    def test_strain_rate_stages_warm_start_their_inversion(self, monkeypatch):
+        # every rebuild after the initial snapshot's starts Newton from the
+        # tangent of the last one's solve, T + (y - y_last)/g'(T), within
+        # O(dt**2) of the root: at most 4.25 value calls per stage inversion
+        # on average (two bracket checks and about 1.9 sweeps), where a start
+        # from the last stress itself takes 4.9, and at most 3.5 derivative
+        # calls, the tangent's one included, where a cold start from 0 takes
+        # 4.2 here; a snapshot's rebuild starts from the last stage's tangent
+        # too: at most 3.75 derivative calls per snapshot, where a cold start
+        # takes 4.2 again
+        traj, stages, slopes, rerun = self._counted_strain_rate_run(monkeypatch)
+        stage_slopes, stage_values = stages.sum(axis=0)
         assert stage_slopes / len(stages) <= 3.5
         assert stage_values / len(stages) <= 4.25
-        assert (len(slopes) - stage_slopes) / len(first) <= 3.75
-        # the start is held per run, so a rerun starts cold again
-        assert np.array_equal(simulate(st, cfg).fields, first.fields)
+        assert (slopes - stage_slopes) / len(traj) <= 3.75
+        # the start is held per run, so a rerun starts from the initial stress again
+        assert np.array_equal(rerun().fields, traj.fields)
+
+    def test_strain_rate_first_stage_confirms_the_snapshot_stress(self, monkeypatch):
+        # at stride 1 every step starts at a snapshot, whose rebuild has the
+        # first stage's target: the tangent start is that solution, which
+        # one Newton sweep confirms, so the stage takes one derivative call
+        # for the tangent and one for the sweep
+        _, stages, _, _ = self._counted_strain_rate_run(monkeypatch)
+        assert stages[::4, 0].max() <= 2
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet_zero"])
     @pytest.mark.parametrize("params", [ModelParams(variant="stress_rate", gamma=0.5),
@@ -490,6 +506,12 @@ class TestTrajectory:
             with pytest.raises(InvalidParameterError, match="increasing"):
                 Trajectory(np.array(t), rest, g)
 
+    def test_state_fields_share_one_grid(self):
+        g, other = periodic_grid(8), periodic_grid(16)
+        z = Field(np.zeros(g.n_nodes), g)
+        with pytest.raises(InvalidParameterError, match="state fields must share one grid"):
+            SimState(t=0.0, v=z, eps=z, stress=Field(np.zeros(other.n_nodes), other))
+
     def test_read_only_and_sequence_access(self):
         g = periodic_grid(16)
         h = make_constitutive("saturating", beta=1.0, a=2.0)
@@ -586,13 +608,13 @@ class TestTrajectory:
         make_rhs, rk4_step = slve.pde._make_rhs, slve.pde._rk4_step
 
         def counting_rhs(*args):
-            rhs = make_rhs(*args)
+            rhs, snapshot = make_rhs(*args)
 
             def counted(Y, out):
                 calls.append(1)
                 rhs(Y, out)
 
-            return counted
+            return counted, snapshot
 
         def recording_step(rhs, Y, h, work, out):
             lengths.append(h)
@@ -672,6 +694,10 @@ class TestStepper:
         for stride in (0, np.inf, np.nan):
             with pytest.raises(InvalidParameterError):
                 SolverConfig(params=p, constitutive=h, dt=0.1, t_final=1.0, output_stride=stride)
+        for threshold in (0, -1, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match="blowup_threshold must be positive"):
+                SolverConfig(params=p, constitutive=h, dt=0.1, t_final=1.0,
+                             blowup_threshold=threshold)
 
     def test_blow_up_carries_time_and_partial_history(self):
         g = periodic_grid(64)
@@ -690,6 +716,22 @@ class TestStepper:
         assert isinstance(partial, Trajectory) and len(partial) >= 1
         assert partial.t[-1] < ei.value.t
         assert np.max(np.abs(partial.stress)) <= 100.0
+
+    def test_strain_rate_blow_up_reports_the_largest_state_entry(self):
+        # the strain-rate state (v, eps) holds no stress, so max_abs_stress is
+        # the largest finite |v| or |eps|: here the peak strain h(0.4) after
+        # one step, not the peak stress 0.4
+        g = periodic_grid(32)
+        h = make_constitutive("saturating", beta=1.0, a=2.0)
+        st0 = gaussian_bump_state(g, h, center=np.pi, width=0.5, amplitude=0.4)
+        cfg = SolverConfig(params=ModelParams(variant="strain_rate", nu=0.5), constitutive=h,
+                           dt=1e-3, t_final=1e-2, blowup_threshold=0.1)
+        with pytest.raises(BlowUpError, match=r"max \|stress\| = 0.371389\)") as ei:
+            simulate(st0, cfg)
+        after = simulate(st0, dataclasses.replace(cfg, t_final=1e-3, blowup_threshold=1e6))[-1]
+        assert ei.value.max_abs_stress == np.max(np.abs([after.v.values, after.eps.values]))
+        assert ei.value.max_abs_stress == np.max(np.abs(after.eps.values))
+        assert np.max(np.abs(ei.value.partial.stress)) == pytest.approx(0.4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("variant", list(Variant))

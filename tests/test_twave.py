@@ -131,6 +131,12 @@ class TestReduction:
                            "c = 1.00000000005e-150$"):
             make_problem(f, 0.0, 1e-310, params)
 
+    def test_non_finite_speed_refused(self):
+        # a linear response from -1e308 to 1e308: the jump overflows to inf
+        # in both h and T, and c**2 = inf/inf is NaN
+        with pytest.raises(InvalidParameterError, match="^speed must be positive, got nan$"):
+            make_problem(make_constitutive("linear"), -1e308, 1e308, STRESS)
+
     def test_problem_carries_consistent_kappa(self):
         prob = saturating_problem("strain_rate", 2.0)
         assert prob.kappa == pytest.approx(2.0 * prob.c)
